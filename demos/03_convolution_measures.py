@@ -11,6 +11,8 @@ quadrature reproduce the same numbers from the definition alone.
 
 import math
 
+import numpy as np
+
 from wickbench import (
     ChaosExpansion,
     ConvolutionMeasure,
@@ -67,8 +69,8 @@ print("densities agree :", lhs.allclose(rhs, tol=0.0))
 
 # characteristic-function Gram matrix: PSD for any probability measure
 gram = char_gram(nu, [[0.0], [1.0]])
-print("\nchar gram       =\n", gram.matrix.real)
-print("min eigenvalue  =", gram.min_eig(), ">= 0")
+print("\nchar gram       =\n", gram.real)
+print("min eigenvalue  =", np.linalg.eigvalsh(gram)[0], ">= 0")
 
 # the weighted norm of xi obeys a closed-form bound, tight for one atom
 norm_sq, bound = g_lambda_norm(rho, 1.0)

@@ -31,8 +31,8 @@ print("single check:", row.check, "gap =", row.gap, "pass =", row.passed)
 # --- the full registry ----------------------------------------------------------
 
 print("\navailable checks:")
-for name, (_, describe) in CHECK_REGISTRY.items():
-    print(f"  {name:<22} {describe}")
+for name, spec in CHECK_REGISTRY.items():
+    print(f"  {name:<22} {spec.describe}")
 
 # --- a small suite ---------------------------------------------------------------
 

@@ -2,14 +2,18 @@
 
 Checks run on exponential combinations by default (every integral is then
 a finite closed form), and the interpolation-deficit checks also accept
-chaos expansions (exact through polynomial integrals).  A named registry
-at the bottom maps check names to JSON-parameter runners for the harness
-and CLI.
+chaos expansions (exact through polynomial integrals).
+
+CHECK_REGISTRY maps each check name to one CheckSpec: its description,
+its runner on JSON parameters, and the grid and random generators that
+expand a suite config into its tasks.  The harness, the CLI and the
+workers all read that one table, so a check's JSON schema lives here.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -43,11 +47,17 @@ def _fn_json(f) -> dict:
     return {"kind": kind, **f.to_json_dict()}
 
 
-def function_from_json(data) -> ExpCombo | ChaosExpansion:
+def _fn_kind(data: dict) -> str:
+    """The "kind" of a JSON function; without one, chaos terms carry "m"."""
     kind = data.get("kind")
     if kind is None:
         terms = data.get("terms", [])
         kind = "chaos" if terms and "m" in terms[0] else "exp"
+    return kind
+
+
+def function_from_json(data) -> ExpCombo | ChaosExpansion:
+    kind = _fn_kind(data)
     if kind == "exp":
         return ExpCombo.from_json_dict(data)
     if kind == "chaos":
@@ -58,19 +68,16 @@ def function_from_json(data) -> ExpCombo | ChaosExpansion:
 def _self_product_integrals(f, rho: ConvolutionMeasure, alpha: float):
     """(int f^2 drho, int f o_a f drho, int |Df|^2 drho), all exact."""
     if isinstance(f, ExpCombo):
-        sq = rho_integral_exp(pointwise_exp(f, f), rho)
-        ap = rho_integral_exp(alpha_exp(f, f, alpha), rho)
-        en = 0.0
-        for g in gradient_exp(f):
-            en += rho_integral_exp(pointwise_exp(g, g), rho)
+        integral, product, alpha_product, grad = rho_integral_exp, pointwise_exp, alpha_exp, gradient_exp
     elif isinstance(f, ChaosExpansion):
-        sq = rho_integral_chaos(pointwise_chaos(f, f), rho)
-        ap = rho_integral_chaos(alpha_chaos(f, f, alpha), rho)
-        en = 0.0
-        for g in gradient(f):
-            en += rho_integral_chaos(pointwise_chaos(g, g), rho)
+        integral, product, alpha_product, grad = rho_integral_chaos, pointwise_chaos, alpha_chaos, gradient
     else:
         raise TypeError(f"expected ExpCombo or ChaosExpansion, got {type(f).__name__}")
+    sq = integral(product(f, f), rho)
+    ap = integral(alpha_product(f, f, alpha), rho)
+    en = 0.0
+    for g in grad(f):
+        en += integral(product(g, g), rho)
     return sq, ap, en
 
 
@@ -147,12 +154,12 @@ def ab_matrix_check(hs, rho: ConvolutionMeasure, alpha: float,
 def char_gram_psd_check(nu: DiscreteMeasure, hs,
                         tolerance: float = DEFAULT_TOLS["psd"]) -> InequalityReport:
     """Minimum eigenvalue of the characteristic Gram matrix is >= 0."""
-    gram = char_gram(nu, hs)
+    min_eig = float(np.linalg.eigvalsh(char_gram(nu, hs))[0])
     params = {
         "hs": [[float(x) for x in row] for row in np.atleast_2d(np.asarray(hs, dtype=float))],
         "nu": nu.to_json_dict(),
     }
-    return InequalityReport.from_min_eig("char_gram_psd", params, gram.min_eig(), tolerance)
+    return InequalityReport.from_min_eig("char_gram_psd", params, min_eig, tolerance)
 
 
 def holder_check(f: ExpCombo, g: ExpCombo, hp: HolderParams,
@@ -308,7 +315,7 @@ def oracle_triangle(f: ExpCombo, rho: ConvolutionMeasure, alpha: float,
 
 
 # ---------------------------------------------------------------------------
-# named registry: JSON params -> report rows
+# check specs: JSON params -> report rows, and suite config -> task params
 
 
 def _nu(params, key="nu") -> DiscreteMeasure:
@@ -317,6 +324,73 @@ def _nu(params, key="nu") -> DiscreteMeasure:
 
 def _rho(params, key="nu") -> ConvolutionMeasure:
     return ConvolutionMeasure(_nu(params, key))
+
+
+def _functions(cfg, kind: str) -> list[dict]:
+    return [f for f in cfg.functions if _fn_kind(f) == kind]
+
+
+def _positive_tests(cfg, dim):
+    """Nonnegative test functions matching dim: constant 1 plus any
+    positive-weight exponential combos from the config."""
+    tests = [{"kind": "exp", "dim": dim, "terms": [{"coef": 1.0, "h": [0.0] * dim}]}]
+    for f in _functions(cfg, "exp"):
+        if f["dim"] == dim and all(t["coef"] >= 0 for t in f["terms"]):
+            tests.append(f)
+    return tests
+
+
+def _pairs(seq):
+    return [(a, b) for i, a in enumerate(seq) for b in seq[i:]]
+
+
+# Random generators draw from the task's rng in a fixed order; reordering
+# the draws of an existing check changes its sweeps and the report bytes.
+
+COORD_SCALE = 1.5
+
+
+def _rand_alpha(rng, low_index=0) -> float:
+    return int(rng.integers(low_index, 11)) / 10
+
+
+def _rand_dim(rng, cfg, cap=3) -> int:
+    if cfg.dim is not None:
+        return min(cfg.dim, cap)
+    return int(rng.integers(1, cap + 1))
+
+
+def _rand_nu_json(rng, n, max_atoms=5, scale=COORD_SCALE) -> dict:
+    count = int(rng.integers(1, max_atoms + 1))
+    atoms = rng.uniform(-scale, scale, size=(count, n))
+    weights = rng.dirichlet(np.ones(count))
+    return {"dim": n, "atoms": atoms.tolist(), "weights": weights.tolist()}
+
+
+def _rand_exp_json(rng, n, max_terms=4, scale=COORD_SCALE, positive=False) -> dict:
+    count = int(rng.integers(1, max_terms + 1))
+    dirs = rng.uniform(-scale, scale, size=(count, n))
+    lo = 0.1 if positive else -1.5
+    coefs = rng.uniform(lo, 1.5, size=count)
+    return {
+        "kind": "exp", "dim": n,
+        "terms": [{"coef": float(c), "h": d.tolist()} for c, d in zip(coefs, dirs)],
+    }
+
+
+def _rand_chaos_json(rng, n, max_terms=10, max_degree=8) -> dict:
+    count = int(rng.integers(1, max_terms + 1))
+    terms = []
+    for _ in range(count):
+        degree = int(rng.integers(0, max_degree + 1))
+        m = rng.multinomial(degree, np.full(n, 1.0 / n))
+        terms.append({"m": [int(x) for x in m], "c": float(rng.uniform(-1.0, 1.0))})
+    return {"kind": "chaos", "dim": n, "terms": terms}
+
+
+def _rand_vectors(rng, n, max_count=6, scale=COORD_SCALE) -> list:
+    count = int(rng.integers(1, max_count + 1))
+    return rng.uniform(-scale, scale, size=(count, n)).tolist()
 
 
 def _run_beckner(params, tols):
@@ -329,12 +403,52 @@ def _run_left(params, tols):
                             params["alpha"], tolerance=tols["exact"])]
 
 
+def _grid_deficit(cfg):
+    for f in cfg.functions:
+        for nu in cfg.measures:
+            if f["dim"] != nu["dim"]:
+                continue
+            for a in cfg.alphas:
+                yield {"alpha": a, "f": f, "nu": nu}
+
+
+def _random_deficit(rng, cfg, sweep):
+    n = _rand_dim(rng, cfg)
+    return {"alpha": _rand_alpha(rng), "f": _rand_exp_json(rng, n),
+            "nu": _rand_nu_json(rng, n)}
+
+
 def _run_ab(params, tols):
     return ab_matrix_check(params["hs"], _rho(params), params["alpha"], tolerance=tols["psd"])
 
 
+def _grid_ab(cfg):
+    for p in _grid_char_gram(cfg):
+        for a in cfg.alphas:
+            yield {"alpha": a, **p}
+
+
+def _random_ab(rng, cfg, sweep):
+    n = _rand_dim(rng, cfg)
+    return {"alpha": _rand_alpha(rng), "hs": _rand_vectors(rng, n),
+            "nu": _rand_nu_json(rng, n)}
+
+
 def _run_char_gram(params, tols):
     return [char_gram_psd_check(_nu(params), params["hs"], tolerance=tols["psd"])]
+
+
+def _grid_char_gram(cfg):
+    for f in _functions(cfg, "exp"):
+        hs = [t["h"] for t in f["terms"]]
+        for nu in cfg.measures:
+            if f["dim"] == nu["dim"]:
+                yield {"hs": hs, "nu": nu}
+
+
+def _random_char_gram(rng, cfg, sweep):
+    n = _rand_dim(rng, cfg)
+    return {"hs": _rand_vectors(rng, n), "nu": _rand_nu_json(rng, n)}
 
 
 def _run_holder(params, tols):
@@ -348,9 +462,35 @@ def _run_holder(params, tols):
     return [holder_check(f, g, hp, tol_exact=tols["exact"], tol_quad=tols["quadrature"])]
 
 
+def _grid_holder(cfg):
+    for f in _functions(cfg, "exp"):
+        for a in cfg.alphas:
+            yield {"alpha": a, "f": f}
+
+
+def _random_holder(rng, cfg, sweep):
+    # quadrature enters through the p/q norms: keep n <= 2 and the
+    # directions short so the integrands stay well inside the grid
+    n = _rand_dim(rng, cfg, cap=2)
+    return {"alpha": _rand_alpha(rng, low_index=1),
+            "f": _rand_exp_json(rng, n, max_terms=3, scale=0.75),
+            "g": _rand_exp_json(rng, n, max_terms=3, scale=0.75)}
+
+
 def _run_classic(params, tols):
     return [classic_beckner_coeff_check(function_from_json(params["f"]),
                                         params["alpha"], tolerance=tols["identity"])]
+
+
+def _grid_classic(cfg):
+    for f in _functions(cfg, "chaos"):
+        for a in cfg.alphas:
+            yield {"alpha": a, "f": f}
+
+
+def _random_classic(rng, cfg, sweep):
+    n = _rand_dim(rng, cfg)
+    return {"alpha": _rand_alpha(rng), "f": _rand_chaos_json(rng, n)}
 
 
 def _run_strong_pos(params, tols):
@@ -358,9 +498,39 @@ def _run_strong_pos(params, tols):
                                     function_from_json(params["phi"]), tolerance=tols["exact"])]
 
 
+def _grid_strong_pos(cfg):
+    for nu in cfg.measures:
+        for phi in _positive_tests(cfg, nu["dim"]):
+            for a in cfg.alphas:
+                if a > 0:
+                    yield {"alpha": a, "nu": nu, "phi": phi}
+
+
+def _random_strong_pos(rng, cfg, sweep):
+    n = _rand_dim(rng, cfg)
+    return {"alpha": _rand_alpha(rng, low_index=1), "nu": _rand_nu_json(rng, n),
+            "phi": _rand_exp_json(rng, n, positive=True)}
+
+
 def _run_covariance(params, tols):
     return [covariance_gap(_nu(params, "nu1"), _nu(params, "nu2"),
                            function_from_json(params["phi"]), tolerance=tols["psd"])]
+
+
+def _grid_covariance(cfg):
+    for nu1, nu2 in _pairs(cfg.measures):
+        if nu1["dim"] != nu2["dim"]:
+            continue
+        for phi in _positive_tests(cfg, nu1["dim"]):
+            yield {"nu1": nu1, "nu2": nu2, "phi": phi}
+
+
+def _random_covariance(rng, cfg, sweep):
+    n = _rand_dim(rng, cfg)
+    nu1 = _rand_nu_json(rng, n, max_atoms=4)
+    nu2 = _rand_nu_json(rng, n, max_atoms=4)
+    h = rng.uniform(-COORD_SCALE, COORD_SCALE, n).tolist() if rng.integers(0, 2) else [0.0] * n
+    return {"nu1": nu1, "nu2": nu2, "phi": {"kind": "exp", "dim": n, "terms": [{"coef": 1.0, "h": h}]}}
 
 
 def _run_wick_density(params, tols):
@@ -368,8 +538,31 @@ def _run_wick_density(params, tols):
                                         tolerance=tols["identity"])]
 
 
+def _grid_wick_density(cfg):
+    for nu1, nu2 in _pairs(cfg.measures):
+        if nu1["dim"] == nu2["dim"]:
+            yield {"nu1": nu1, "nu2": nu2}
+
+
+def _random_wick_density(rng, cfg, sweep):
+    n = _rand_dim(rng, cfg)
+    return {"nu1": _rand_nu_json(rng, n, max_atoms=4),
+            "nu2": _rand_nu_json(rng, n, max_atoms=4)}
+
+
 def _run_g_lambda(params, tols):
     return [g_lambda_bound_check(_rho(params), params["lambda"], tolerance=tols["exact"])]
+
+
+def _grid_g_lambda(cfg):
+    for nu in cfg.measures:
+        for a in cfg.alphas:
+            yield {"nu": nu, "lambda": float(np.sqrt(2.0 / (1.0 + a)))}
+
+
+def _random_g_lambda(rng, cfg, sweep):
+    n = _rand_dim(rng, cfg)
+    return {"nu": _rand_nu_json(rng, n), "lambda": float(rng.uniform(1.0, 2.0))}
 
 
 def _run_oracle(params, tols):
@@ -380,26 +573,74 @@ def _run_oracle(params, tols):
         rel_tol=tols["quadrature"], sigmas=tols["mc_sigmas"])
 
 
+def _grid_oracle(cfg):
+    for idx, f in enumerate(_functions(cfg, "exp")):
+        for jdx, nu in enumerate(cfg.measures):
+            if f["dim"] != nu["dim"] or f["dim"] > 2:
+                continue
+            for a in cfg.alphas:
+                yield {
+                    "alpha": a, "f": f, "nu": nu,
+                    "quad_order": cfg.quad_order, "mc_count": cfg.mc_count,
+                    "mc_seed": [cfg.seed, 9000 + idx, jdx],
+                }
+
+
+def _random_oracle(rng, cfg, sweep):
+    n = _rand_dim(rng, cfg, cap=2)
+    return {"alpha": _rand_alpha(rng),
+            "f": _rand_exp_json(rng, n, max_terms=3, scale=1.0),
+            "nu": _rand_nu_json(rng, n, max_atoms=3, scale=1.0),
+            "quad_order": cfg.quad_order, "mc_count": cfg.mc_count,
+            "mc_seed": [cfg.seed, _CHECK_INDEX["oracle_triangle"], sweep, 7]}
+
+
+class CheckSpec(NamedTuple):
+    """One named check.
+
+    run(params, tols) returns the rows of one task; grid(cfg) returns the
+    params of the config's grid tasks; random(rng, cfg, sweep) draws the
+    params of one random sweep from rng.
+    """
+
+    describe: str
+    run: Callable[[dict, dict], list[InequalityReport]]
+    grid: Callable[..., Iterable[dict]]
+    random: Callable[..., dict]
+
+
+# A check's position seeds its random streams (_CHECK_INDEX), so new checks
+# are appended at the end and existing ones never move.
 CHECK_REGISTRY = {
-    "beckner_deficit": (_run_beckner, "interpolation deficit <= (1-alpha) x Dirichlet energy under rho"),
-    "left_positivity": (_run_left, "int (f o_a f) drho <= int f^2 drho"),
-    "ab_psd": (_run_ab, "PSD of the deficit matrices A, B and their Hadamard product"),
-    "char_gram_psd": (_run_char_gram, "PSD of the characteristic Gram matrix of nu"),
-    "holder": (_run_holder, "norm inequality for the interpolating product"),
-    "classic_beckner": (_run_classic, "coefficient-level interpolation inequality under mu"),
-    "strong_positivity": (_run_strong_pos, "positivity of the scaled density against positive tests"),
-    "covariance": (_run_covariance, "pointwise covariance gap for two convolution densities"),
-    "wick_density_identity": (_run_wick_density, "Wick product of densities is the convolved density"),
-    "g_lambda_bound": (_run_g_lambda, "exact G_lambda norm below its closed-form bound"),
-    "oracle_triangle": (_run_oracle, "exact vs quadrature vs Monte Carlo on the deficit integrals"),
+    "beckner_deficit": CheckSpec("interpolation deficit <= (1-alpha) x Dirichlet energy under rho",
+                                 _run_beckner, _grid_deficit, _random_deficit),
+    "left_positivity": CheckSpec("int (f o_a f) drho <= int f^2 drho",
+                                 _run_left, _grid_deficit, _random_deficit),
+    "ab_psd": CheckSpec("PSD of the deficit matrices A, B and their Hadamard product",
+                        _run_ab, _grid_ab, _random_ab),
+    "char_gram_psd": CheckSpec("PSD of the characteristic Gram matrix of nu",
+                               _run_char_gram, _grid_char_gram, _random_char_gram),
+    "holder": CheckSpec("norm inequality for the interpolating product",
+                        _run_holder, _grid_holder, _random_holder),
+    "classic_beckner": CheckSpec("coefficient-level interpolation inequality under mu",
+                                 _run_classic, _grid_classic, _random_classic),
+    "strong_positivity": CheckSpec("positivity of the scaled density against positive tests",
+                                   _run_strong_pos, _grid_strong_pos, _random_strong_pos),
+    "covariance": CheckSpec("pointwise covariance gap for two convolution densities",
+                            _run_covariance, _grid_covariance, _random_covariance),
+    "wick_density_identity": CheckSpec("Wick product of densities is the convolved density",
+                                       _run_wick_density, _grid_wick_density, _random_wick_density),
+    "g_lambda_bound": CheckSpec("exact G_lambda norm below its closed-form bound",
+                                _run_g_lambda, _grid_g_lambda, _random_g_lambda),
+    "oracle_triangle": CheckSpec("exact vs quadrature vs Monte Carlo on the deficit integrals",
+                                 _run_oracle, _grid_oracle, _random_oracle),
 }
+
+_CHECK_INDEX = {name: i for i, name in enumerate(CHECK_REGISTRY)}
 
 
 def run_check(name: str, params: dict, tols: dict | None = None) -> list[InequalityReport]:
     """Run one named check on JSON-style parameters."""
     if name not in CHECK_REGISTRY:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(sorted(CHECK_REGISTRY))}")
-    merged = dict(DEFAULT_TOLS)
-    merged.update(tols or {})
-    runner, _ = CHECK_REGISTRY[name]
-    return runner(params, merged)
+    return CHECK_REGISTRY[name].run(params, {**DEFAULT_TOLS, **(tols or {})})

@@ -43,11 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg.seed = args.seed
+            cfg.validate()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.tol is not None:
         cfg.tolerances = {**cfg.tolerances, "exact": args.tol}
     out_dir = args.out or cfg.out or "."
@@ -63,9 +64,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.name not in CHECK_REGISTRY:
-        print(f"config error: unknown check {args.name!r}", file=sys.stderr)
-        return 2
     try:
         params = json.loads(args.params)
     except json.JSONDecodeError as exc:
@@ -84,8 +82,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_list() -> int:
     width = max(len(name) for name in CHECK_REGISTRY)
-    for name, (_, describe) in CHECK_REGISTRY.items():
-        print(f"{name:<{width}}  {describe}")
+    for name, spec in CHECK_REGISTRY.items():
+        print(f"{name:<{width}}  {spec.describe}")
     print(f"\ndefault tolerances: {json.dumps(DEFAULT_TOLS, sort_keys=True)}")
     return 0
 

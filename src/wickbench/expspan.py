@@ -28,26 +28,29 @@ from .chaos import COEFF_EPS, ChaosExpansion, MultiIndex, multi_indices
 MERGE_TOL = 1e-12
 
 
-def _canonical_terms(dim, pairs):
-    """Merge duplicate directions, sort lexicographically, drop zero weights."""
+def canonical_rows(dim, pairs):
+    """Canonical (rows, weights) lists from (row tuple, float weight) pairs.
+
+    Weights of exactly equal rows are summed in input order, rows are
+    sorted lexicographically, and a row within MERGE_TOL coordinatewise of
+    the previous kept row is folded into it.  ExpCombo directions and
+    DiscreteMeasure atoms both take this form, so equal inputs give equal
+    stored arrays.
+    """
     acc: dict[tuple, float] = {}
-    for w, d in pairs:
-        d = tuple(float(x) for x in d)
-        if len(d) != dim:
-            raise ValueError(f"direction {d} has length {len(d)}, expected {dim}")
-        acc[d] = acc.get(d, 0.0) + float(w)
-    dirs: list[tuple] = []
+    for row, w in pairs:
+        if len(row) != dim:
+            raise ValueError(f"row {row} has length {len(row)}, expected {dim}")
+        acc[row] = acc.get(row, 0.0) + w
+    rows: list[tuple] = []
     weights: list[float] = []
-    for d, w in sorted(acc.items()):
-        if dirs and max((abs(a - b) for a, b in zip(d, dirs[-1])), default=0.0) <= MERGE_TOL:
+    for row, w in sorted(acc.items()):
+        if rows and max((abs(a - b) for a, b in zip(row, rows[-1])), default=0.0) <= MERGE_TOL:
             weights[-1] += w
         else:
-            dirs.append(d)
+            rows.append(row)
             weights.append(w)
-    keep = [i for i, w in enumerate(weights) if abs(w) >= COEFF_EPS]
-    w_arr = np.array([weights[i] for i in keep], dtype=float)
-    d_arr = np.array([dirs[i] for i in keep], dtype=float).reshape(len(keep), dim)
-    return w_arr, d_arr
+    return rows, weights
 
 
 class ExpCombo:
@@ -64,7 +67,10 @@ class ExpCombo:
         dim = operator.index(dim)
         if dim < 0:
             raise ValueError("dimension must be >= 0")
-        w, d = _canonical_terms(dim, terms)
+        dirs, weights = canonical_rows(dim, ((tuple(map(float, h)), float(c)) for c, h in terms))
+        keep = [i for i, c in enumerate(weights) if abs(c) >= COEFF_EPS]
+        w = np.array([weights[i] for i in keep], dtype=float)
+        d = np.array([dirs[i] for i in keep], dtype=float).reshape(len(keep), dim)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "directions", d)

@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from .chaos import ChaosExpansion
-from .expspan import MERGE_TOL, ExpCombo, gamma_exp, wick_exp
+from .expspan import ExpCombo, canonical_rows, gamma_exp, wick_exp
 from .report import InequalityReport
 
 WEIGHT_SUM_TOL = 1e-12
@@ -49,18 +49,7 @@ class DiscreteMeasure:
             raise ValueError("weights must be nonnegative")
         if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
-        merged: dict[tuple, float] = {}
-        for y, p in zip(atoms, weights):
-            key = tuple(float(v) for v in y)
-            merged[key] = merged.get(key, 0.0) + float(p)
-        ys: list[tuple] = []
-        ps: list[float] = []
-        for y, p in sorted(merged.items()):
-            if ys and max((abs(a - b) for a, b in zip(y, ys[-1])), default=0.0) <= MERGE_TOL:
-                ps[-1] += p
-            else:
-                ys.append(y)
-                ps.append(p)
+        ys, ps = canonical_rows(dim, zip(map(tuple, atoms.tolist()), weights.tolist()))
         a = np.array(ys, dtype=float).reshape(len(ys), dim)
         w = np.array(ps, dtype=float)
         a.setflags(write=False)
@@ -127,31 +116,6 @@ class ConvolutionMeasure:
         return f"ConvolutionMeasure(nu={self.nu!r})"
 
 
-class HermitianGram:
-    """Hermitian matrix wrapper reporting its minimum eigenvalue."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if not np.allclose(m, m.conj().T, atol=1e-12):
-            raise ValueError("matrix is not Hermitian")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianGram is immutable")
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    def min_eig(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
-
-
 def density_xi(rho: ConvolutionMeasure) -> ExpCombo:
     """Density of rho against mu: xi = sum_i p_i E(y_i), strictly positive."""
     return ExpCombo(rho.dim, zip(rho.nu.weights, rho.nu.atoms))
@@ -186,13 +150,6 @@ def g_lambda_norm(rho: ConvolutionMeasure, lam: float) -> tuple[float, float]:
     return norm_sq, bound
 
 
-def integrability_functional(nu: DiscreteMeasure, alpha: float) -> float:
-    """sum_i p_i e^{|y_i|^2/(1+alpha)}; finite for every discrete nu."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    return float(nu.weights @ np.exp(np.sum(nu.atoms**2, axis=1) / (1.0 + alpha)))
-
-
 def rho_integral_exp(f: ExpCombo, rho: ConvolutionMeasure) -> float:
     """int f drho = sum_j w_j sum_i p_i e^{<y_i, h_j>}, exactly."""
     if f.dim != rho.dim:
@@ -217,7 +174,7 @@ def rho_integral_chaos(f: ChaosExpansion, rho: ConvolutionMeasure) -> float:
     return total
 
 
-def char_gram(nu: DiscreteMeasure, hs) -> HermitianGram:
+def char_gram(nu: DiscreteMeasure, hs) -> np.ndarray:
     """Characteristic Gram G_jk = sum_i p_i e^{i <y_i, h_j - h_k>}.
 
     PSD for any probability measure: it is the nu-Gram of the functions
@@ -227,8 +184,7 @@ def char_gram(nu: DiscreteMeasure, hs) -> HermitianGram:
     if h.shape[1] != nu.dim:
         raise ValueError(f"vector dimension {h.shape[1]} does not match n={nu.dim}")
     phases = np.exp(1j * (nu.atoms @ h.T))
-    gram = phases.T @ (nu.weights[:, None] * phases.conj())
-    return HermitianGram(gram)
+    return phases.T @ (nu.weights[:, None] * phases.conj())
 
 
 def convolve_nu(nu1: DiscreteMeasure, nu2: DiscreteMeasure) -> DiscreteMeasure:

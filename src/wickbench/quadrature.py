@@ -40,11 +40,6 @@ class QuadratureGrid:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    def dump_csv(self, path):
-        # debugging aid: one node per row, weight in the last column
-        data = np.column_stack([self.nodes, self.weights])
-        np.savetxt(path, data, delimiter=",")
-
 
 def gauss_hermite_grid(n: int, order: int) -> QuadratureGrid:
     """Gauss-Hermite rule for the standard normal weight, tensorized to R^n.
@@ -82,14 +77,11 @@ def default_grid(n: int) -> QuadratureGrid:
 
 
 def _eval_at(fn, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a point function on an (N, n) array, batch if it supports it."""
-    try:
-        vals = np.asarray(fn(pts), dtype=float)
-        if vals.shape == (pts.shape[0],):
-            return vals
-    except Exception:
-        pass
-    return np.array([float(fn(p)) for p in pts])
+    """Evaluate a batch point function on an (N, n) array; it must return shape (N,)."""
+    vals = np.asarray(fn(pts), dtype=float)
+    if vals.shape != (pts.shape[0],):
+        raise ValueError(f"point function returned shape {vals.shape}, expected ({pts.shape[0]},)")
+    return vals
 
 
 def integrate_mu(fn, grid: QuadratureGrid) -> float:

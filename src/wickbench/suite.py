@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import CHECK_REGISTRY, DEFAULT_TOLS, run_check
+from .checks import _CHECK_INDEX, CHECK_REGISTRY, DEFAULT_TOLS, function_from_json, run_check
+from .measures import DiscreteMeasure
 from .report import InequalityReport
 
 
@@ -27,13 +29,19 @@ class ConfigError(ValueError):
 
 ALPHA_GRID = [i / 10 for i in range(11)]
 
-# stable indices for seeding the per-check random streams
-_CHECK_INDEX = {name: i for i, name in enumerate(CHECK_REGISTRY)}
-
 _CONFIG_KEYS = {
     "seed", "dim", "alphas", "measures", "functions", "checks",
     "random_sweeps", "tolerances", "quad_order", "mc_count", "negate", "out",
 }
+
+# integer config fields: (key, smallest allowed value, null allowed)
+_INT_FIELDS = (
+    ("seed", 0, False),
+    ("dim", 1, True),
+    ("random_sweeps", 0, False),
+    ("quad_order", 1, True),
+    ("mc_count", 2, False),
+)
 
 
 @dataclass
@@ -72,12 +80,16 @@ class SuiteConfig:
         bad = set(self.tolerances) - set(DEFAULT_TOLS)
         if bad:
             raise ConfigError(f"unknown tolerance keys: {', '.join(sorted(bad))}")
-        if self.random_sweeps < 0:
-            raise ConfigError("random_sweeps must be >= 0")
-        if self.mc_count < 2:
-            raise ConfigError("mc_count must be >= 2")
-        from .checks import function_from_json
-        from .measures import DiscreteMeasure
+        for key, low, nullable in _INT_FIELDS:
+            value = getattr(self, key)
+            if value is None and nullable:
+                continue
+            # bool is an int subclass, but true is not a sweep count
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                expected = f"an integer >= {low}" + (" or null" if nullable else "")
+                raise ConfigError(f"{key} must be {expected}, got {value!r}")
+        if not isinstance(self.negate, bool):
+            raise ConfigError(f"negate must be true or false, got {self.negate!r}")
         try:
             for m in self.measures:
                 DiscreteMeasure.from_json_dict(m)
@@ -98,219 +110,17 @@ def load_config(path) -> SuiteConfig:
     return SuiteConfig.from_json_dict(data)
 
 
-def _fn_kind(data: dict) -> str:
-    kind = data.get("kind")
-    if kind is None:
-        terms = data.get("terms", [])
-        kind = "chaos" if terms and "m" in terms[0] else "exp"
-    return kind
-
-
-def _exp_functions(cfg):
-    return [f for f in cfg.functions if _fn_kind(f) == "exp"]
-
-
-def _chaos_functions(cfg):
-    return [f for f in cfg.functions if _fn_kind(f) == "chaos"]
-
-
-def _positive_tests(cfg, dim):
-    """Nonnegative test functions matching dim: constant 1 plus any
-    positive-weight exponential combos from the config."""
-    tests = [{"kind": "exp", "dim": dim, "terms": [{"coef": 1.0, "h": [0.0] * dim}]}]
-    for f in _exp_functions(cfg):
-        if f["dim"] == dim and all(t["coef"] >= 0 for t in f["terms"]):
-            tests.append(f)
-    return tests
-
-
-def _pairs(seq):
-    return [(a, b) for i, a in enumerate(seq) for b in seq[i:]]
-
-
-def _grid_tasks(cfg: SuiteConfig, name: str) -> list[dict]:
-    tasks = []
-    if name in ("beckner_deficit", "left_positivity"):
-        for f in cfg.functions:
-            for nu in cfg.measures:
-                if f["dim"] != nu["dim"]:
-                    continue
-                for a in cfg.alphas:
-                    tasks.append({"alpha": a, "f": f, "nu": nu})
-    elif name == "ab_psd":
-        for f in _exp_functions(cfg):
-            hs = [t["h"] for t in f["terms"]]
-            for nu in cfg.measures:
-                if f["dim"] != nu["dim"]:
-                    continue
-                for a in cfg.alphas:
-                    tasks.append({"alpha": a, "hs": hs, "nu": nu})
-    elif name == "char_gram_psd":
-        for f in _exp_functions(cfg):
-            hs = [t["h"] for t in f["terms"]]
-            for nu in cfg.measures:
-                if f["dim"] == nu["dim"]:
-                    tasks.append({"hs": hs, "nu": nu})
-    elif name == "holder":
-        for f in _exp_functions(cfg):
-            for a in cfg.alphas:
-                tasks.append({"alpha": a, "f": f})
-    elif name == "classic_beckner":
-        for f in _chaos_functions(cfg):
-            for a in cfg.alphas:
-                tasks.append({"alpha": a, "f": f})
-    elif name == "strong_positivity":
-        for nu in cfg.measures:
-            for phi in _positive_tests(cfg, nu["dim"]):
-                for a in cfg.alphas:
-                    if a > 0:
-                        tasks.append({"alpha": a, "nu": nu, "phi": phi})
-    elif name == "covariance":
-        for nu1, nu2 in _pairs(cfg.measures):
-            if nu1["dim"] != nu2["dim"]:
-                continue
-            for phi in _positive_tests(cfg, nu1["dim"]):
-                tasks.append({"nu1": nu1, "nu2": nu2, "phi": phi})
-    elif name == "wick_density_identity":
-        for nu1, nu2 in _pairs(cfg.measures):
-            if nu1["dim"] == nu2["dim"]:
-                tasks.append({"nu1": nu1, "nu2": nu2})
-    elif name == "g_lambda_bound":
-        for nu in cfg.measures:
-            for a in cfg.alphas:
-                tasks.append({"nu": nu, "lambda": float(np.sqrt(2.0 / (1.0 + a)))})
-    elif name == "oracle_triangle":
-        for idx, f in enumerate(_exp_functions(cfg)):
-            for jdx, nu in enumerate(cfg.measures):
-                if f["dim"] != nu["dim"] or f["dim"] > 2:
-                    continue
-                for a in cfg.alphas:
-                    tasks.append({
-                        "alpha": a, "f": f, "nu": nu,
-                        "quad_order": cfg.quad_order, "mc_count": cfg.mc_count,
-                        "mc_seed": [cfg.seed, 9000 + idx, jdx],
-                    })
-    return [{"check": name, "params": p} for p in tasks]
-
-
-# --- random sweep parameter generators -------------------------------------
-
-COORD_SCALE = 1.5
-
-
-def _rand_alpha(rng, low_index=0) -> float:
-    return int(rng.integers(low_index, 11)) / 10
-
-
-def _rand_dim(rng, cfg, cap=3) -> int:
-    if cfg.dim is not None:
-        return min(cfg.dim, cap)
-    return int(rng.integers(1, cap + 1))
-
-
-def _rand_nu_json(rng, n, max_atoms=5, scale=COORD_SCALE) -> dict:
-    count = int(rng.integers(1, max_atoms + 1))
-    atoms = rng.uniform(-scale, scale, size=(count, n))
-    weights = rng.dirichlet(np.ones(count))
-    return {"dim": n, "atoms": atoms.tolist(), "weights": weights.tolist()}
-
-
-def _rand_exp_json(rng, n, max_terms=4, scale=COORD_SCALE, positive=False) -> dict:
-    count = int(rng.integers(1, max_terms + 1))
-    dirs = rng.uniform(-scale, scale, size=(count, n))
-    lo = 0.1 if positive else -1.5
-    coefs = rng.uniform(lo, 1.5, size=count)
-    return {
-        "kind": "exp", "dim": n,
-        "terms": [{"coef": float(c), "h": d.tolist()} for c, d in zip(coefs, dirs)],
-    }
-
-
-def _rand_chaos_json(rng, n, max_terms=10, max_degree=8) -> dict:
-    count = int(rng.integers(1, max_terms + 1))
-    terms = []
-    for _ in range(count):
-        degree = int(rng.integers(0, max_degree + 1))
-        m = rng.multinomial(degree, np.full(n, 1.0 / n))
-        terms.append({"m": [int(x) for x in m], "c": float(rng.uniform(-1.0, 1.0))})
-    return {"kind": "chaos", "dim": n, "terms": terms}
-
-
-def _rand_vectors(rng, n, max_count=6, scale=COORD_SCALE) -> list:
-    count = int(rng.integers(1, max_count + 1))
-    return rng.uniform(-scale, scale, size=(count, n)).tolist()
-
-
-def _random_params(name: str, rng, cfg: SuiteConfig, sweep: int) -> dict | None:
-    if name in ("beckner_deficit", "left_positivity"):
-        n = _rand_dim(rng, cfg)
-        return {"alpha": _rand_alpha(rng), "f": _rand_exp_json(rng, n),
-                "nu": _rand_nu_json(rng, n)}
-    if name == "ab_psd":
-        n = _rand_dim(rng, cfg)
-        return {"alpha": _rand_alpha(rng), "hs": _rand_vectors(rng, n),
-                "nu": _rand_nu_json(rng, n)}
-    if name == "char_gram_psd":
-        n = _rand_dim(rng, cfg)
-        return {"hs": _rand_vectors(rng, n), "nu": _rand_nu_json(rng, n)}
-    if name == "holder":
-        # quadrature enters through the p/q norms: keep n <= 2 and the
-        # directions short so the integrands stay well inside the grid
-        n = _rand_dim(rng, cfg, cap=2)
-        return {"alpha": _rand_alpha(rng, low_index=1),
-                "f": _rand_exp_json(rng, n, max_terms=3, scale=0.75),
-                "g": _rand_exp_json(rng, n, max_terms=3, scale=0.75)}
-    if name == "classic_beckner":
-        n = _rand_dim(rng, cfg)
-        return {"alpha": _rand_alpha(rng), "f": _rand_chaos_json(rng, n)}
-    if name == "strong_positivity":
-        n = _rand_dim(rng, cfg)
-        return {"alpha": _rand_alpha(rng, low_index=1), "nu": _rand_nu_json(rng, n),
-                "phi": _rand_exp_json(rng, n, positive=True)}
-    if name == "covariance":
-        n = _rand_dim(rng, cfg)
-        params = {"nu1": _rand_nu_json(rng, n, max_atoms=4),
-                  "nu2": _rand_nu_json(rng, n, max_atoms=4)}
-        if rng.integers(0, 2):
-            phi = {"kind": "exp", "dim": n,
-                   "terms": [{"coef": 1.0, "h": rng.uniform(-COORD_SCALE, COORD_SCALE, n).tolist()}]}
-        else:
-            phi = {"kind": "exp", "dim": n, "terms": [{"coef": 1.0, "h": [0.0] * n}]}
-        params["phi"] = phi
-        return params
-    if name == "wick_density_identity":
-        n = _rand_dim(rng, cfg)
-        return {"nu1": _rand_nu_json(rng, n, max_atoms=4),
-                "nu2": _rand_nu_json(rng, n, max_atoms=4)}
-    if name == "g_lambda_bound":
-        n = _rand_dim(rng, cfg)
-        return {"nu": _rand_nu_json(rng, n), "lambda": float(rng.uniform(1.0, 2.0))}
-    if name == "oracle_triangle":
-        n = _rand_dim(rng, cfg, cap=2)
-        return {"alpha": _rand_alpha(rng),
-                "f": _rand_exp_json(rng, n, max_terms=3, scale=1.0),
-                "nu": _rand_nu_json(rng, n, max_atoms=3, scale=1.0),
-                "quad_order": cfg.quad_order, "mc_count": cfg.mc_count,
-                "mc_seed": [cfg.seed, _CHECK_INDEX[name], sweep, 7]}
-    return None
-
-
-def _random_tasks(cfg: SuiteConfig, name: str) -> list[dict]:
-    tasks = []
-    for sweep in range(cfg.random_sweeps):
-        rng = np.random.default_rng([cfg.seed, _CHECK_INDEX[name], sweep])
-        params = _random_params(name, rng, cfg, sweep)
-        if params is not None:
-            params["sweep"] = sweep
-            tasks.append({"check": name, "params": params})
-    return tasks
-
-
 def build_tasks(cfg: SuiteConfig) -> list[dict]:
+    """Grid tasks, then one task per random sweep, for each configured check."""
     tasks = []
     for name in cfg.checks:
-        tasks.extend(_grid_tasks(cfg, name))
-        tasks.extend(_random_tasks(cfg, name))
+        spec = CHECK_REGISTRY[name]
+        tasks.extend({"check": name, "params": p} for p in spec.grid(cfg))
+        for sweep in range(cfg.random_sweeps):
+            rng = np.random.default_rng([cfg.seed, _CHECK_INDEX[name], sweep])
+            params = spec.random(rng, cfg, sweep)
+            params["sweep"] = sweep
+            tasks.append({"check": name, "params": params})
     return tasks
 
 

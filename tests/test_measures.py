@@ -16,7 +16,6 @@ from wickbench import (
     exp_eval,
     gamma_xi,
     g_lambda_norm,
-    integrability_functional,
     mu_inner_exp,
     rho_integral_chaos,
     rho_integral_exp,
@@ -44,6 +43,19 @@ def test_discrete_measure_merges_duplicates():
     nu = DiscreteMeasure(1, [[1.0], [1.0], [0.0]], [0.25, 0.25, 0.5])
     assert nu.n_atoms == 2
     assert nu.weights.sum() == 1.0
+
+
+def test_measure_and_combo_share_canonical_form():
+    # exact duplicates summed, rows sorted, a row within MERGE_TOL of its
+    # sorted neighbour folded into it; only ExpCombo drops zero weights
+    rows = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0 + 1e-13], [-1.0, 2.0], [2.0, 2.0]]
+    weights = [0.1, 0.2, 0.3, 0.0, 0.4, 0.0]
+    nu = DiscreteMeasure(2, rows, weights)
+    assert nu.atoms.tolist() == [[-1.0, 2.0], [0.0, 1.0], [1.0, 0.0], [2.0, 2.0]]
+    assert nu.weights.tolist() == [0.4, 0.2, 0.1 + 0.3, 0.0]
+    f = ExpCombo(2, zip(weights, rows))
+    assert f.directions.tolist() == nu.atoms.tolist()[:3]
+    assert f.weights.tolist() == nu.weights.tolist()[:3]
 
 
 def test_from_samples():
@@ -89,18 +101,6 @@ def test_g_lambda_norm_warns_below_one():
         g_lambda_norm(ConvolutionMeasure(_two_atom()), 0.5)
 
 
-def test_integrability_functional():
-    nu0 = DiscreteMeasure.dirac([0.0])
-    assert integrability_functional(nu0, 0.7) == 1.0
-    nu1 = DiscreteMeasure.dirac([1.0])
-    assert integrability_functional(nu1, 1.0) == pytest.approx(math.exp(0.5), rel=1e-15)
-    # both atoms of the symmetric pair contribute e^{1/(1+a)}
-    val = integrability_functional(_two_atom(), 0.5)
-    assert val == pytest.approx(math.exp(2.0 / 3.0), rel=1e-15)
-    with pytest.raises(ValueError):
-        integrability_functional(nu0, 0.0)
-
-
 def test_rho_integral_exp():
     rho0 = ConvolutionMeasure.standard(1)
     assert rho_integral_exp(ExpCombo.exponential([0.8]), rho0) == 1.0
@@ -134,13 +134,13 @@ def test_rho_integral_chaos():
 def test_char_gram_values():
     nu0 = DiscreteMeasure.dirac([0.0])
     g = char_gram(nu0, [[0.0], [1.0], [2.0]])
-    assert np.allclose(g.matrix, np.ones((3, 3)))
-    assert g.min_eig() == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(g, np.ones((3, 3)))
+    assert np.linalg.eigvalsh(g)[0] == pytest.approx(0.0, abs=1e-12)
     two = _two_atom()
     g2 = char_gram(two, [[0.0], [1.0]])
     expected = np.array([[1.0, math.cos(1.0)], [math.cos(1.0), 1.0]])
-    assert np.allclose(g2.matrix, expected, atol=1e-15)
-    assert g2.min_eig() == pytest.approx(1.0 - math.cos(1.0), rel=1e-12)
+    assert np.allclose(g2, expected, atol=1e-15)
+    assert np.linalg.eigvalsh(g2)[0] == pytest.approx(1.0 - math.cos(1.0), rel=1e-12)
 
 
 def test_char_gram_psd_random():
@@ -152,7 +152,7 @@ def test_char_gram_psd_random():
         w = rng.dirichlet(np.ones(k))
         nu = DiscreteMeasure(dim, atoms, w)
         hs = rng.uniform(-3, 3, size=(int(rng.integers(1, 7)), dim))
-        assert char_gram(nu, hs).min_eig() >= -1e-12
+        assert np.linalg.eigvalsh(char_gram(nu, hs))[0] >= -1e-12
 
 
 def test_convolve_nu():

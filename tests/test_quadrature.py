@@ -71,12 +71,14 @@ def test_integrate_mu_exponentials():
     assert sq == pytest.approx(math.e, rel=1e-12)
 
 
-def test_integrate_mu_scalar_only_callable():
-    # a function with no batch support returns the wrong shape on the
-    # batch attempt and must be rerouted through the per-point fallback
+def test_integrate_mu_rejects_non_batch_callable():
+    # point functions take the whole (N, n) node array; one that returns
+    # any other shape is an error, not a cue to evaluate point by point
     grid = gauss_hermite_grid(1, 10)
-    val = integrate_mu(lambda w: w[0] ** 2, grid)
-    assert val == pytest.approx(1.0, rel=1e-13)
+    with pytest.raises(ValueError, match=r"shape \(1,\)"):
+        integrate_mu(lambda w: w[0] ** 2, grid)
+    with pytest.raises(ValueError, match=r"shape \(10, 1\)"):
+        lp_norm_mu(lambda w: w ** 2, 2.0, grid)
 
 
 def test_lp_norm_mu():
@@ -192,15 +194,6 @@ def test_lp_norm_exp_rejects_odd_high_dim():
 def test_zero_combo_norm():
     val, method = lp_norm_exp(ExpCombo(2), 3.0)
     assert val == 0.0 and method == "exact"
-
-
-def test_dump_csv(tmp_path):
-    grid = gauss_hermite_grid(2, 3)
-    path = tmp_path / "grid.csv"
-    grid.dump_csv(path)
-    data = np.loadtxt(path, delimiter=",")
-    assert data.shape == (9, 3)
-    assert np.allclose(data[:, 2].sum(), 1.0)
 
 
 def test_default_grid():

@@ -1,6 +1,7 @@
 """Harness behavior: config validation, task expansion, determinism, CLI codes."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 from wickbench import (
+    CHECK_REGISTRY,
     ConfigError,
     SuiteConfig,
     build_tasks,
@@ -94,6 +96,45 @@ def test_random_tasks_are_seed_stable():
     assert build_tasks(cfg) != t1
 
 
+# Grid inputs for the expansion pin: exp and chaos functions (with and
+# without an explicit "kind"), a positive-weight exp for the positivity
+# tests, and measures in dims 1-3 so the dim filters and the oracle's
+# n <= 2 cap all take effect.
+PIN_FUNCTIONS = [
+    {"kind": "exp", "dim": 1, "terms": [{"coef": 0.5, "h": [0.3]}, {"coef": 1.0, "h": [-0.7]}]},
+    {"dim": 2, "terms": [{"coef": 1.0, "h": [0.2, -0.4]}, {"coef": -0.5, "h": [1.0, 0.5]}]},
+    {"kind": "exp", "dim": 2, "terms": [{"coef": 2.0, "h": [0.0, 0.6]}]},
+    {"kind": "exp", "dim": 3, "terms": [{"coef": 1.0, "h": [0.1, 0.2, 0.3]}]},
+    {"kind": "chaos", "dim": 1, "terms": [{"m": [0], "c": 1.0}, {"m": [2], "c": 0.5}]},
+    {"dim": 2, "terms": [{"m": [1, 1], "c": 0.3}, {"m": [0, 3], "c": -0.2}]},
+]
+PIN_MEASURES = [
+    {"dim": 1, "atoms": [[0.0]], "weights": [1.0]},
+    {"dim": 1, "atoms": [[1.0], [-1.0]], "weights": [0.5, 0.5]},
+    {"dim": 2, "atoms": [[0.5, -0.5], [0.0, 1.0]], "weights": [0.25, 0.75]},
+    {"dim": 2, "atoms": [[0.0, 0.0]], "weights": [1.0]},
+    {"dim": 3, "atoms": [[0.1, 0.2, 0.3]], "weights": [1.0]},
+]
+
+
+@pytest.mark.parametrize("overrides, digest", [
+    ({}, "9b8122b182b4157677bfc8d22bf6ead44b141b276de1e63f3634d8ade7203421"),
+    ({"dim": 2, "seed": 3}, "255edb1af267ea51c9ccc1c9173774ad3a20c506f74058833eead7d867daaa8d"),
+])
+def test_task_expansion_is_pinned(overrides, digest):
+    # every grid rule and every random draw, in order: a changed digest
+    # means reports change bytes for existing configs
+    cfg = SuiteConfig.from_json_dict({
+        "seed": 7, "alphas": [0.0, 0.25, 0.5, 1.0], "functions": PIN_FUNCTIONS,
+        "measures": PIN_MEASURES, "checks": list(CHECK_REGISTRY), "random_sweeps": 25,
+        "quad_order": 12, "mc_count": 500, **overrides,
+    })
+    tasks = build_tasks(cfg)
+    assert len(tasks) == 517
+    blob = json.dumps([[t["check"], t["params"]] for t in tasks], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
 def test_run_suite_passes_and_orders():
     cfg = _small_config(random_sweeps=3)
     rows, code = run_suite(cfg)
@@ -164,6 +205,28 @@ def test_cli_run_config_error(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.json")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, argv", [
+    ({"random_sweeps": 1.5}, []),
+    ({"random_sweeps": True}, []),
+    ({"dim": 0}, []),
+    ({"quad_order": 0}, []),
+    ({"seed": -1}, []),
+    ({"negate": 1}, []),
+    ({}, ["--seed", "-1"]),
+])
+def test_cli_run_rejects_bad_scalar_fields(tmp_path, capsys, overrides, argv):
+    # each of these ran the suite before validation caught it: a traceback
+    # and exit 1 (the failing-row code), or a silent run
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({
+        "checks": ["oracle_triangle"], "random_sweeps": 1, "mc_count": 100, **overrides,
+    }))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"), *argv])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_negate_exit_code(tmp_path, capsys):
