@@ -26,6 +26,14 @@ import numpy as np
 COEFF_EPS = 1e-15
 
 
+def finite_array(values, what: str) -> np.ndarray:
+    """values as a float array; ValueError on NaN or inf (JSON input only)."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite numbers")
+    return arr
+
+
 class MultiIndex:
     """Exponent vector indexing one tensorized Hermite basis element."""
 
@@ -203,10 +211,11 @@ class ChaosExpansion:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChaosExpansion":
+        terms = data["terms"]
         coeffs = {}
-        for t in data["terms"]:
+        for t, c in zip(terms, finite_array([t["c"] for t in terms], "chaos coefficients")):
             m = MultiIndex(t["m"])
-            coeffs[m] = coeffs.get(m, 0.0) + float(t["c"])
+            coeffs[m] = coeffs.get(m, 0.0) + float(c)
         return cls(int(data["dim"]), coeffs)
 
     def __repr__(self):

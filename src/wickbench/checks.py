@@ -4,6 +4,32 @@ Checks run on exponential combinations by default (every integral is then
 a finite closed form), and the interpolation-deficit checks also accept
 chaos expansions (exact through polynomial integrals).
 
+The deficit checks never build a product function.  Each of their three
+integrals is a quadratic form c' K c in the coefficients of f, with one
+Gram matrix K per integral -- the paper's Schur-product form:
+
+  f = sum_j w_j E(h_j) under rho = mu * sum_i p_i delta_{y_i}: with
+  S = H H' and B_jk = sum_i p_i e^{<y_i, h_j + h_k>},
+
+    int f^2 drho      = w' (e^S o B) w
+    int f o_a f drho  = w' (e^{aS} o B) w
+    int |Df|^2 drho   = w' (S o e^S o B) w
+
+  f = sum_m c_m H_m: with the one-axis table
+
+    T_a[r, s](y) = sum_k a^k C(r,k) C(s,k) k! y^{r+s-2k}
+                 = int He_r o_a He_s d(mu * delta_y)     (a = 0: Wick)
+
+  and K^a_mn = sum_i p_i prod_x T_a[m_x, n_x](y_ix),
+
+    int f^2 drho      = c' K^1 c
+    int f o_a f drho  = c' K^a c
+    int |Df|^2 drho   = sum_l d_l' K^1 d_l  over the indices m - e_l,
+                        with weights (d_l)_{m - e_l} = m_l c_m.
+
+The product route (alpha_* / pointwise_* then rho_integral_*) remains the
+independent oracle of oracle_triangle and the tests.
+
 CHECK_REGISTRY maps each check name to one CheckSpec: its description,
 its runner on JSON parameters, and the grid and random generators that
 expand a suite config into its tasks.  The harness, the CLI and the
@@ -17,7 +43,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .chaos import ChaosExpansion, gradient
+from .chaos import ChaosExpansion
 from .expspan import ExpCombo, alpha_exp, exp_eval, gamma_exp, gradient_exp, mu_inner_exp, pointwise_exp
 from .measures import (
     ConvolutionMeasure,
@@ -25,11 +51,10 @@ from .measures import (
     char_gram,
     g_lambda_norm,
     gamma_xi,
-    rho_integral_chaos,
     rho_integral_exp,
     wick_density_identity_check,
 )
-from .products import HolderParams, alpha_chaos, holder_relation_check, pointwise_chaos
+from .products import HolderParams, holder_relation_check
 from .quadrature import gauss_hermite_grid, default_order, integrate_rho, lp_norm_exp, mc_integral_rho
 from .report import InequalityReport
 
@@ -65,20 +90,55 @@ def function_from_json(data) -> ExpCombo | ChaosExpansion:
     raise ValueError(f"unknown function kind {kind!r}")
 
 
-def _self_product_integrals(f, rho: ConvolutionMeasure, alpha: float):
-    """(int f^2 drho, int f o_a f drho, int |Df|^2 drho), all exact."""
-    if isinstance(f, ExpCombo):
-        integral, product, alpha_product, grad = rho_integral_exp, pointwise_exp, alpha_exp, gradient_exp
-    elif isinstance(f, ChaosExpansion):
-        integral, product, alpha_product, grad = rho_integral_chaos, pointwise_chaos, alpha_chaos, gradient
-    else:
+def _exp_gram(h: np.ndarray, nu: DiscreteMeasure):
+    """S = H H' (symmetrised), e^S and B_jk = sum_i p_i e^{<y_i, h_j + h_k>}."""
+    s = h @ h.T
+    s = 0.5 * (s + s.T)
+    v = np.exp(nu.atoms @ h.T)
+    return s, np.exp(s), v.T @ (nu.weights[:, None] * v)
+
+
+def _hermite_pair_tables(y: np.ndarray, top: int, alpha: float) -> np.ndarray:
+    """T[i, x, r, s] = T_alpha[r, s](y_ix) for r, s <= top (module docstring)."""
+    ks = np.arange(top + 1)
+    binom = np.array([[math.comb(r, k) for k in ks] for r in ks], dtype=float)
+    fact = np.array([math.factorial(k) for k in ks], dtype=float)
+    coef = binom[:, None, :] * binom[None, :, :] * fact * float(alpha) ** ks
+    expo = np.maximum(ks[:, None, None] + ks[None, :, None] - 2 * ks, 0)
+    powers = y[..., None] ** np.arange(2 * top + 1)
+    return np.einsum("rsk,ixrsk->ixrs", coef, powers[..., expo])
+
+
+def _deficit_integrals(f, rho: ConvolutionMeasure, alpha: float):
+    """(int f^2 drho, int f o_a f drho, int |Df|^2 drho) as the quadratic
+    forms of the module docstring; int f o_1 f is bitwise int f^2."""
+    if not isinstance(f, (ExpCombo, ChaosExpansion)):
         raise TypeError(f"expected ExpCombo or ChaosExpansion, got {type(f).__name__}")
-    sq = integral(product(f, f), rho)
-    ap = integral(alpha_product(f, f, alpha), rho)
-    en = 0.0
-    for g in grad(f):
-        en += integral(product(g, g), rho)
-    return sq, ap, en
+    if f.dim != rho.dim:
+        raise ValueError(f"dimension mismatch: {f.dim} vs {rho.dim}")
+    if isinstance(f, ExpCombo):
+        w = f.weights
+        s, _, b = _exp_gram(f.directions, rho.nu)
+        k1, ka = (np.exp(a * s) * b for a in (1.0, alpha))
+        return float(w @ k1 @ w), float(w @ ka @ w), float(w @ (s * k1) @ w)
+    idx = np.array([m.exponents for m in f.coeffs], dtype=int).reshape(-1, f.dim)
+    c = np.array(list(f.coeffs.values()), dtype=float)
+    p = rho.nu.weights
+    top = int(idx.max(initial=0))
+    t1, ta = (_hermite_pair_tables(rho.nu.atoms, top, a) for a in (1.0, alpha))
+
+    def form(tables, rows, weights):
+        gram = np.ones((p.size, len(rows), len(rows)))
+        for x in range(f.dim):
+            gram *= tables[:, x, rows[:, x, None], rows[None, :, x]]
+        return float(weights @ np.tensordot(p, gram, axes=1) @ weights)
+
+    energy = 0.0
+    for x in range(f.dim):
+        keep = idx[:, x] > 0
+        rows = idx[keep] - np.eye(f.dim, dtype=int)[x]
+        energy += form(t1, rows, idx[keep, x] * c[keep])
+    return form(t1, idx, c), form(ta, idx, c), energy
 
 
 def beckner_deficit(f, rho: ConvolutionMeasure, alpha: float,
@@ -90,7 +150,7 @@ def beckner_deficit(f, rho: ConvolutionMeasure, alpha: float,
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    sq, ap, en = _self_product_integrals(f, rho, alpha)
+    sq, ap, en = _deficit_integrals(f, rho, alpha)
     params = {
         "alpha": float(alpha),
         "f": _fn_json(f),
@@ -107,7 +167,7 @@ def left_positivity(f, rho: ConvolutionMeasure, alpha: float,
     """int (f o_a f) drho <= int f^2 drho; equality at alpha = 1."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    sq, ap, _ = _self_product_integrals(f, rho, alpha)
+    sq, ap, _ = _deficit_integrals(f, rho, alpha)
     params = {
         "alpha": float(alpha),
         "f": _fn_json(f),
@@ -133,12 +193,8 @@ def ab_matrix_check(hs, rho: ConvolutionMeasure, alpha: float,
     h = np.atleast_2d(np.asarray(hs, dtype=float))
     if h.shape[1] != rho.dim:
         raise ValueError(f"vector dimension {h.shape[1]} does not match n={rho.dim}")
-    s = h @ h.T
-    s = 0.5 * (s + s.T)
-    exp_s = np.exp(s)
+    s, exp_s, b = _exp_gram(h, rho.nu)
     a = np.exp(alpha * s) - exp_s + (1.0 - alpha) * s * exp_s
-    v = np.exp(rho.nu.atoms @ h.T)
-    b = v.T @ (rho.nu.weights[:, None] * v)
     params = {
         "alpha": float(alpha),
         "hs": [[float(x) for x in row] for row in h],

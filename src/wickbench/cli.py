@@ -45,12 +45,12 @@ def _cmd_run(args) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-            cfg.validate()
+        if args.tol is not None:
+            cfg.tolerances = {**cfg.tolerances, "exact": args.tol}
+        cfg.validate()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.tol is not None:
-        cfg.tolerances = {**cfg.tolerances, "exact": args.tol}
     out_dir = args.out or cfg.out or "."
     reports, code = run_suite(cfg, jobs=max(1, args.jobs))
     json_path, csv_path = write_reports(reports, out_dir)

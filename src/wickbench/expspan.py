@@ -20,7 +20,7 @@ import operator
 
 import numpy as np
 
-from .chaos import COEFF_EPS, ChaosExpansion, MultiIndex, multi_indices
+from .chaos import COEFF_EPS, ChaosExpansion, MultiIndex, finite_array, multi_indices
 
 # Two directions within this coordinatewise distance are treated as the
 # same exponential when terms are merged.  Products add directions and
@@ -137,7 +137,10 @@ class ExpCombo:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExpCombo":
-        return cls(int(data["dim"]), [(t["coef"], t["h"]) for t in data["terms"]])
+        terms = data["terms"]
+        coefs = finite_array([t["coef"] for t in terms], "coefficients")
+        dirs = finite_array([t["h"] for t in terms], "directions")
+        return cls(int(data["dim"]), zip(coefs.tolist(), dirs.tolist()))
 
     def __repr__(self):
         return f"ExpCombo(dim={self.dim}, terms={self.n_terms})"

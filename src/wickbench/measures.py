@@ -21,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .chaos import ChaosExpansion
+from .chaos import ChaosExpansion, finite_array
 from .expspan import ExpCombo, canonical_rows, gamma_exp, wick_exp
 from .report import InequalityReport
 
@@ -86,7 +86,8 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiscreteMeasure":
-        return cls(int(data["dim"]), data["atoms"], data["weights"])
+        return cls(int(data["dim"]), finite_array(data["atoms"], "atoms"),
+                   finite_array(data["weights"], "weights"))
 
     def __repr__(self):
         return f"DiscreteMeasure(dim={self.dim}, atoms={self.n_atoms})"

@@ -9,8 +9,9 @@ tensorized over coordinates.  The alpha-product interpolates the two:
 
     f o_a g = Gamma(1/sqrt(a)) (Gamma(sqrt(a)) f * Gamma(sqrt(a)) g)
 
-computed by composing exact operators, so no truncation ever enters:
-chaos inputs are polynomials and stay polynomials.
+weights the order-k term of the linearization by a^k, and is computed in
+that form, so no intermediate Gamma(sqrt(a)) f can lose coefficients
+below COEFF_EPS.  Chaos inputs are polynomials and stay polynomials.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .chaos import ChaosExpansion, MultiIndex, gamma_apply
+from .chaos import ChaosExpansion, MultiIndex
 
 
 def _check_dims(f: ChaosExpansion, g: ChaosExpansion):
@@ -38,8 +39,12 @@ def wick_chaos(f: ChaosExpansion, g: ChaosExpansion) -> ChaosExpansion:
     return ChaosExpansion(f.dim, out)
 
 
-def pointwise_chaos(f: ChaosExpansion, g: ChaosExpansion) -> ChaosExpansion:
-    """Exact polynomial product of two chaos expansions."""
+def pointwise_chaos(f: ChaosExpansion, g: ChaosExpansion, alpha: float = 1.0) -> ChaosExpansion:
+    """Exact polynomial product of two chaos expansions.
+
+    alpha < 1 weights each order-k term by alpha^|k|, which is f o_alpha g
+    (see alpha_chaos); alpha = 1 is the ordinary product.
+    """
     _check_dims(f, g)
     out: dict[tuple, float] = {}
     for a, ca in f.coeffs.items():
@@ -51,23 +56,19 @@ def pointwise_chaos(f: ChaosExpansion, g: ChaosExpansion) -> ChaosExpansion:
                 for ai, bi, ki in zip(a, b, k):
                     coef *= math.comb(ai, ki) * math.comb(bi, ki) * math.factorial(ki)
                 m = tuple(ai + bi - 2 * ki for ai, bi, ki in zip(a, b, k))
-                out[m] = out.get(m, 0.0) + coef * cab
+                out[m] = out.get(m, 0.0) + coef * alpha ** sum(k) * cab
     return ChaosExpansion(f.dim, out)
 
 
 def alpha_chaos(f: ChaosExpansion, g: ChaosExpansion, alpha: float) -> ChaosExpansion:
     """Interpolating product on chaos expansions, alpha in [0, 1].
 
-    alpha=0 is routed to the Wick product (the scaling operator is
-    singular there but the product itself extends continuously);
-    alpha=1 reproduces the pointwise product through identity scalings.
+    alpha = 0 keeps only the order-0 terms, the Wick product; alpha = 1
+    is the pointwise product.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if alpha == 0.0:
-        return wick_chaos(f, g)
-    root = math.sqrt(alpha)
-    return gamma_apply(1.0 / root, pointwise_chaos(gamma_apply(root, f), gamma_apply(root, g)))
+    return pointwise_chaos(f, g, float(alpha))
 
 
 @dataclass(frozen=True)

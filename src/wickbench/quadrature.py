@@ -9,6 +9,7 @@ usable as cross-checks for the closed-form paths.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -41,6 +42,16 @@ class QuadratureGrid:
         self.weights.setflags(write=False)
 
 
+@functools.lru_cache(maxsize=64)
+def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """One-axis Gauss-Hermite nodes and probability weights, read-only."""
+    x, w = np.polynomial.hermite_e.hermegauss(order)
+    w = w / w.sum()
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_hermite_grid(n: int, order: int) -> QuadratureGrid:
     """Gauss-Hermite rule for the standard normal weight, tensorized to R^n.
 
@@ -52,8 +63,7 @@ def gauss_hermite_grid(n: int, order: int) -> QuadratureGrid:
         raise ValueError("order must be >= 1")
     if order**n > NODE_COUNT_WARN:
         warnings.warn(f"grid has {order**n} nodes; consider Monte Carlo instead", stacklevel=2)
-    x, w = np.polynomial.hermite_e.hermegauss(order)
-    w = w / w.sum()
+    x, w = _hermite_rule(order)
     meshes = np.meshgrid(*([x] * n), indexing="ij")
     nodes = np.stack([m.ravel() for m in meshes], axis=1)
     weights = w

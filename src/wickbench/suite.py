@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -44,6 +45,11 @@ _INT_FIELDS = (
 )
 
 
+def _is_real(value) -> bool:
+    # bool is a numbers.Real subclass, but true is not an alpha or a tolerance
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass
 class SuiteConfig:
     seed: int = 0
@@ -71,15 +77,23 @@ class SuiteConfig:
         return cfg
 
     def validate(self):
+        for key in ("alphas", "measures", "functions", "checks"):
+            if not isinstance(getattr(self, key), list):
+                raise ConfigError(f"{key} must be a list, got {getattr(self, key)!r}")
         for name in self.checks:
-            if name not in CHECK_REGISTRY:
+            if not isinstance(name, str) or name not in CHECK_REGISTRY:
                 raise ConfigError(f"unknown check {name!r}; see list-checks")
         for a in self.alphas:
-            if not 0.0 <= a <= 1.0:
-                raise ConfigError(f"alpha {a} outside [0, 1]")
+            if not _is_real(a) or not 0.0 <= a <= 1.0:
+                raise ConfigError(f"alpha {a!r} is not a number in [0, 1]")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
         bad = set(self.tolerances) - set(DEFAULT_TOLS)
         if bad:
             raise ConfigError(f"unknown tolerance keys: {', '.join(sorted(bad))}")
+        for key, tol in self.tolerances.items():
+            if not _is_real(tol) or not 0.0 <= tol < math.inf:
+                raise ConfigError(f"tolerance {key} must be a finite number >= 0, got {tol!r}")
         for key, low, nullable in _INT_FIELDS:
             value = getattr(self, key)
             if value is None and nullable:
@@ -90,12 +104,14 @@ class SuiteConfig:
                 raise ConfigError(f"{key} must be {expected}, got {value!r}")
         if not isinstance(self.negate, bool):
             raise ConfigError(f"negate must be true or false, got {self.negate!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string or null, got {self.out!r}")
         try:
             for m in self.measures:
                 DiscreteMeasure.from_json_dict(m)
             for f in self.functions:
                 function_from_json(f)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad measure or function spec: {exc}") from exc
 
 

@@ -96,6 +96,18 @@ def test_alpha_chaos_endpoints():
     assert p1.coeffs == pointwise_chaos(f, g).coeffs
 
 
+def test_alpha_chaos_small_alpha_keeps_high_degrees():
+    # He_4 o_a He_4 = sum_k a^k C(4,k)^2 k! He_{8-2k}; at a = 1e-4 the
+    # operator form's intermediate Gamma(sqrt(a)) He_4 = 1e-8 He_4 has a
+    # square below COEFF_EPS, so that route would lose every term
+    alpha = 1e-4
+    prod = alpha_chaos(ChaosExpansion.basis((4,)), ChaosExpansion.basis((4,)), alpha)
+    expected = {(8 - 2 * k,): alpha**k * math.comb(4, k) ** 2 * math.factorial(k) for k in range(5)}
+    assert set(prod.coeffs) == set(expected)
+    for m, c in expected.items():
+        assert prod.coeffs[m] == pytest.approx(c, rel=1e-14)
+
+
 def test_alpha_chaos_first_chaos():
     # He_1 o_a He_1 = He_2 + alpha
     for alpha in (0.25, 0.5, 0.75):

@@ -215,6 +215,19 @@ def test_cli_run_config_error(tmp_path, capsys):
     ({"seed": -1}, []),
     ({"negate": 1}, []),
     ({}, ["--seed", "-1"]),
+    ({"alphas": 0.5}, []),
+    ({"checks": 5}, []),
+    ({"functions": ["x"]}, []),
+    ({"out": 5}, []),
+    ({"alphas": ["0.5"]}, []),
+    ({"alphas": [True]}, []),
+    ({"tolerances": {"exact": "x"}}, []),
+    ({"tolerances": {"exact": float("nan")}}, []),
+    ({"tolerances": {"psd": -1e-9}}, []),
+    ({}, ["--tol", "inf"]),
+    ({"functions": [{"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [float("inf")]}]}]}, []),
+    ({"functions": [{"kind": "chaos", "dim": 1, "terms": [{"m": [1], "c": float("nan")}]}]}, []),
+    ({"measures": [{"dim": 1, "atoms": [[float("nan")]], "weights": [1.0]}]}, []),
 ])
 def test_cli_run_rejects_bad_scalar_fields(tmp_path, capsys, overrides, argv):
     # each of these ran the suite before validation caught it: a traceback
