@@ -55,7 +55,15 @@ from .measures import (
     wick_density_identity_check,
 )
 from .products import HolderParams, holder_relation_check
-from .quadrature import gauss_hermite_grid, default_order, integrate_rho, lp_norm_exp, mc_integral_rho
+from .quadrature import (
+    QUADRATURE_MAX_DIM,
+    default_order,
+    gauss_hermite_grid,
+    has_exact_lp,
+    integrate_rho,
+    lp_norm_exp,
+    mc_integral_rho,
+)
 from .report import InequalityReport
 
 DEFAULT_TOLS = {
@@ -231,11 +239,8 @@ def holder_check(f: ExpCombo, g: ExpCombo, hp: HolderParams,
     ok, residual = holder_relation_check(hp)
     if not ok:
         raise ValueError(f"exponents fail the admissibility relation, residual {residual:g}")
-    scale = math.sqrt((1.0 + hp.alpha) / 2.0)
-    product = gamma_exp(scale, alpha_exp(f, g, hp.alpha))
-    lhs, m_lhs = lp_norm_exp(product, hp.r, grid)
-    norm_f, m_f = lp_norm_exp(f, hp.p, grid)
-    norm_g, m_g = lp_norm_exp(g, hp.q, grid)
+    (lhs, m_lhs), (norm_f, m_f), (norm_g, m_g) = (
+        lp_norm_exp(fn, e, grid) for fn, e in _holder_norms(f, g, hp))
     m_rhs = "exact" if (m_f == "exact" and m_g == "exact") else "quadrature"
     tol = tol_exact if (m_lhs == "exact" and m_rhs == "exact") else tol_quad
     params = {
@@ -244,6 +249,13 @@ def holder_check(f: ExpCombo, g: ExpCombo, hp: HolderParams,
         "f": _fn_json(f), "g": _fn_json(g),
     }
     return InequalityReport.from_sides("holder", params, lhs, norm_f * norm_g, tol, m_lhs, m_rhs)
+
+
+def _holder_norms(f: ExpCombo, g: ExpCombo, hp: HolderParams) -> list[tuple[ExpCombo, float]]:
+    """The (function, exponent) pairs whose norms holder_check compares:
+    Gamma(sqrt((1+a)/2)) (f o_a g) with r, f with p, g with q."""
+    scale = math.sqrt((1.0 + hp.alpha) / 2.0)
+    return [(gamma_exp(scale, alpha_exp(f, g, hp.alpha)), hp.r), (f, hp.p), (g, hp.q)]
 
 
 def classic_beckner_coeff_check(f: ChaosExpansion, alpha: float,
@@ -340,12 +352,16 @@ def oracle_triangle(f: ExpCombo, rho: ConvolutionMeasure, alpha: float,
     prod = alpha_exp(f, f, alpha)
 
     def f_sq(pts):
-        return exp_eval(f, pts) ** 2
+        vals = exp_eval(f, pts)
+        vals *= vals
+        return vals
 
     def dirichlet(pts):
         total = np.zeros(np.atleast_2d(pts).shape[0])
         for g in grads:
-            total = total + exp_eval(g, pts) ** 2
+            vals = exp_eval(g, pts)
+            vals *= vals
+            total += vals
         return total
 
     integrands = [
@@ -507,7 +523,7 @@ def _random_char_gram(rng, cfg, sweep):
     return {"hs": _rand_vectors(rng, n), "nu": _rand_nu_json(rng, n)}
 
 
-def _run_holder(params, tols):
+def _holder_inputs(params):
     alpha = params["alpha"]
     if "p" in params:
         hp = HolderParams(params["p"], params["q"], params["r"], alpha)
@@ -515,13 +531,27 @@ def _run_holder(params, tols):
         hp = HolderParams.conjugate_family(alpha)
     f = function_from_json(params["f"])
     g = function_from_json(params["g"]) if "g" in params else f
+    return f, g, hp
+
+
+def _run_holder(params, tols):
+    f, g, hp = _holder_inputs(params)
     return [holder_check(f, g, hp, tol_exact=tols["exact"], tol_quad=tols["quadrature"])]
 
 
 def _grid_holder(cfg):
-    for f in _functions(cfg, "exp"):
+    for spec in _functions(cfg, "exp"):
         for a in cfg.alphas:
-            yield {"alpha": a, "f": f}
+            params = {"alpha": a, "f": spec}
+            if spec["dim"] > QUADRATURE_MAX_DIM:
+                # no default grid above that dimension, so every norm needs a closed form
+                f, g, hp = _holder_inputs(params)
+                for fn, e in _holder_norms(f, g, hp):
+                    if not has_exact_lp(fn, e):
+                        raise ValueError(
+                            f"holder at alpha {a}: the L^{e:g} norm of a {fn.n_terms}-term "
+                            f"function in dim {fn.dim} has no exact route and no quadrature")
+            yield params
 
 
 def _random_holder(rng, cfg, sweep):
@@ -655,8 +685,9 @@ class CheckSpec(NamedTuple):
     """One named check.
 
     run(params, tols) returns the rows of one task; grid(cfg) returns the
-    params of the config's grid tasks; random(rng, cfg, sweep) draws the
-    params of one random sweep from rng.
+    params of the config's grid tasks and raises ValueError on a task that
+    run could not compute; random(rng, cfg, sweep) draws the params of one
+    random sweep from rng.
     """
 
     describe: str

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .checks import CHECK_REGISTRY, DEFAULT_TOLS, run_check
-from .suite import ConfigError, load_config, run_suite, write_reports
+from .suite import _ENCODE, ConfigError, load_config, run_suite, write_reports
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,7 +76,7 @@ def _cmd_check(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     for r in rows:
-        print(json.dumps(r.as_dict(), sort_keys=True))
+        print(_ENCODE(r.as_dict()))
     return 0 if all(r.passed for r in rows) else 1
 
 

@@ -161,8 +161,11 @@ def exp_eval(f: ExpCombo, w):
     if f.n_terms == 0:
         vals = np.zeros(pts.shape[0])
     else:
-        half = 0.5 * np.sum(f.directions**2, axis=1)
-        vals = np.exp(pts @ f.directions.T - half) @ f.weights
+        # one (N, k) temporary, exponentiated in place: at Monte Carlo sizes
+        # each fresh array of that size costs page faults
+        z = pts @ f.directions.T
+        z -= 0.5 * np.sum(f.directions**2, axis=1)
+        vals = np.exp(z, out=z) @ f.weights
     return vals if batch else float(vals[0])
 
 

@@ -226,4 +226,5 @@ def sample_rho(rho: ConvolutionMeasure, rng_seed, count: int) -> np.ndarray:
     rng = np.random.default_rng(rng_seed)
     gauss = rng.standard_normal((count, rho.dim))
     idx = rng.choice(rho.nu.n_atoms, size=count, p=rho.nu.weights)
-    return gauss + rho.nu.atoms[idx]
+    gauss += np.take(rho.nu.atoms, idx, axis=0)
+    return gauss

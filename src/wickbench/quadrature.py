@@ -20,6 +20,8 @@ from .expspan import ExpCombo, mu_inner_exp, pointwise_exp
 from .measures import ConvolutionMeasure, sample_rho
 
 NODE_COUNT_WARN = 1_000_000
+# largest dimension whose default tensor grid lp_norm_exp will build
+QUADRATURE_MAX_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -145,15 +147,29 @@ def mc_integral_rho(fn, rho: ConvolutionMeasure, seed, count: int) -> tuple[floa
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(count))
 
 
+def has_exact_lp(f: ExpCombo, p: float) -> bool:
+    """Whether lp_norm_exp has a closed form for ||f||_p: at most one term,
+    or p an even integer (p = 2 is a Gaussian inner product)."""
+    return f.n_terms <= 1 or (float(p).is_integer() and int(p) % 2 == 0)
+
+
 def lp_norm_exp(f: ExpCombo, p: float, grid: QuadratureGrid | None = None) -> tuple[float, str]:
     """Lp(mu) norm of an exponential combination: (value, method tag).
 
-    Exact routes: a single term has norm |w| e^{(p-1)|h|^2/2} for any p;
-    p = 2 is a Gaussian inner product; even integer p expands the power.
-    Anything else falls back to quadrature (n <= 3).
+    Exact routes (has_exact_lp): a single term has norm |w| e^{(p-1)|h|^2/2}
+    for any p; p = 2 is a Gaussian inner product; even integer p expands
+    the power.  Anything else takes quadrature, on the default grid only
+    for n <= QUADRATURE_MAX_DIM.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
+    if not has_exact_lp(f, p):
+        if grid is None:
+            if f.dim > QUADRATURE_MAX_DIM:
+                raise ValueError(f"no exact route and quadrature impractical for n > {QUADRATURE_MAX_DIM}; "
+                                 "use Monte Carlo")
+            grid = default_grid(f.dim)
+        return lp_norm_mu(f.eval, p, grid), "quadrature"
     if f.n_terms == 0:
         return 0.0, "exact"
     if f.n_terms == 1:
@@ -162,15 +178,9 @@ def lp_norm_exp(f: ExpCombo, p: float, grid: QuadratureGrid | None = None) -> tu
         return abs(w) * math.exp(0.5 * (p - 1.0) * h_sq), "exact"
     if p == 2:
         return math.sqrt(mu_inner_exp(f, f)), "exact"
-    if float(p).is_integer() and int(p) % 2 == 0:
-        # |f|^p = (f^{p/2})^2 since p/2 is a whole power
-        half = int(p) // 2
-        power = f
-        for _ in range(half - 1):
-            power = pointwise_exp(power, f)
-        return mu_inner_exp(power, power) ** (1.0 / p), "exact"
-    if grid is None:
-        if f.dim > 3:
-            raise ValueError("no exact route and quadrature impractical for n > 3; use Monte Carlo")
-        grid = default_grid(f.dim)
-    return lp_norm_mu(f.eval, p, grid), "quadrature"
+    # |f|^p = (f^{p/2})^2 since p/2 is a whole power
+    half = int(p) // 2
+    power = f
+    for _ in range(half - 1):
+        power = pointwise_exp(power, f)
+    return mu_inner_exp(power, power) ** (1.0 / p), "exact"

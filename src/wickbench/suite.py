@@ -30,6 +30,12 @@ class ConfigError(ValueError):
 
 ALPHA_GRID = [i / 10 for i in range(11)]
 
+# The one JSON text of a value: sorted keys, no whitespace, and the C
+# encoder (JSONEncoder.encode takes it when indent is None; json.dump never
+# does).  Task keys, report.json rows, report.csv params cells and the
+# lines `wickbench check` prints are all this text.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
 _CONFIG_KEYS = {
     "seed", "dim", "alphas", "measures", "functions", "checks",
     "random_sweeps", "tolerances", "quad_order", "mc_count", "negate", "out",
@@ -113,6 +119,12 @@ class SuiteConfig:
                 function_from_json(f)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad measure or function spec: {exc}") from exc
+        try:
+            for name in self.checks:
+                # a grid generator raises on a task its check cannot compute
+                list(CHECK_REGISTRY[name].grid(self))
+        except ValueError as exc:
+            raise ConfigError(f"grid task cannot run: {exc}") from exc
 
 
 def load_config(path) -> SuiteConfig:
@@ -141,7 +153,7 @@ def build_tasks(cfg: SuiteConfig) -> list[dict]:
 
 
 def _task_key(task: dict) -> tuple:
-    return task["check"], json.dumps(task["params"], sort_keys=True, separators=(",", ":"))
+    return task["check"], _ENCODE(task["params"])
 
 
 def _run_task(args):
@@ -169,23 +181,46 @@ def run_suite(cfg: SuiteConfig, jobs: int = 1) -> tuple[list[InequalityReport], 
     return reports, exit_code
 
 
+def _row_line(row: dict, params_text: str) -> str:
+    """_ENCODE(row), with the value of row["params"] given as its encoded text.
+
+    Sorted keys put every key below "params" before it and the rest after.
+    """
+    head = _ENCODE({k: v for k, v in row.items() if k < "params"})
+    tail = _ENCODE({k: v for k, v in row.items() if k > "params"})
+    return f'{head[:-1]},"params":{params_text},{tail[1:]}'
+
+
 def write_reports(reports, out_dir) -> tuple[str, str]:
-    """Write report.json and report.csv; byte-deterministic for given rows."""
+    """Write report.json and report.csv in one streaming pass over the rows.
+
+    report.json is a JSON array with one row per line: ``[``, then each
+    row's ``_ENCODE(row.as_dict())``, the lines separated by commas, then
+    ``]``; no rows give ``[]``.  Each report.csv record's params cell is
+    the same params text.  Each params object is encoded once, and
+    consecutive rows sharing one (the three rows of an ab_psd task) share
+    its text.  Byte-deterministic for given rows.
+    """
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "report.json")
     csv_path = os.path.join(out_dir, "report.csv")
-    with open(json_path, "w") as fh:
-        json.dump([r.as_dict() for r in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    with open(json_path, "w") as json_fh, open(csv_path, "w", newline="") as csv_fh:
+        writer = csv.writer(csv_fh, lineterminator="\n")
         writer.writerow(["check", "params", "lhs", "rhs", "gap", "tol", "pass", "method"])
+        sep = "[\n"
+        params, params_text = None, "null"
         for r in reports:
+            row = r.as_dict()
+            if row["params"] is not params:
+                params = row["params"]
+                params_text = _ENCODE(params)
+            json_fh.write(sep + _row_line(row, params_text))
+            sep = ",\n"
             writer.writerow([
-                r.check,
-                json.dumps(r.params, sort_keys=True, separators=(",", ":")),
+                r.check, params_text,
                 repr(r.lhs), repr(r.rhs), repr(r.gap), repr(r.tolerance),
                 "true" if r.passed else "false",
                 r.method,
             ])
+        json_fh.write("[]\n" if sep == "[\n" else "\n]\n")
     return json_path, csv_path

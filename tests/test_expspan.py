@@ -51,6 +51,16 @@ def test_exp_eval_batch():
     assert vals[1] == pytest.approx(2.0 * math.exp(0.5), rel=1e-15)
 
 
+def test_exp_eval_batch_is_the_direct_formula_bitwise():
+    rng = np.random.default_rng(3)
+    for k in (1, 3, 9):
+        f = ExpCombo(2, zip(rng.uniform(-1.5, 1.5, k), rng.uniform(-1.5, 1.5, (k, 2))))
+        pts = rng.standard_normal((20_000, 2))
+        half = 0.5 * np.sum(f.directions**2, axis=1)
+        direct = np.exp(pts @ f.directions.T - half) @ f.weights
+        assert np.array_equal(exp_eval(f, pts), direct)
+
+
 def test_combo_merges_repeated_directions():
     f = ExpCombo.exponential([0.5]) + ExpCombo.exponential([0.5])
     assert f.n_terms == 1

@@ -189,6 +189,16 @@ def test_sample_rho():
     assert abs(pts.mean() - 2.0) <= 4.0 / math.sqrt(40_000)
 
 
+def test_sample_rho_is_gauss_plus_chosen_atoms():
+    # the in-place sum must give the bits of the textbook draw
+    nu = DiscreteMeasure(2, [[0.1, -0.2], [0.4, 0.0], [-1.3, 0.7]], [0.2, 0.5, 0.3])
+    pts = sample_rho(ConvolutionMeasure(nu), [5, 6], 20_000)
+    rng = np.random.default_rng([5, 6])
+    gauss = rng.standard_normal((20_000, 2))
+    idx = rng.choice(nu.n_atoms, size=20_000, p=nu.weights)
+    assert np.array_equal(pts, gauss + nu.atoms[idx])
+
+
 def test_measure_json_round_trip():
     nu = DiscreteMeasure(2, [[0.1, -0.2], [0.4, 0.0]], [0.3, 0.7])
     back = DiscreteMeasure.from_json_dict(nu.to_json_dict())

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
@@ -17,11 +18,17 @@ from wickbench import (
     run_suite,
     write_reports,
 )
+from wickbench import suite
+from wickbench.checks import run_check
 from wickbench.cli import main
+from wickbench.report import InequalityReport
+from wickbench.suite import _ENCODE
 
 E_ONE = {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [1.0]}]}
 NU_ZERO = {"dim": 1, "atoms": [[0.0]], "weights": [1.0]}
 NU_SYM = {"dim": 1, "atoms": [[1.0], [-1.0]], "weights": [0.5, 0.5]}
+F_DIM4 = {"kind": "exp", "dim": 4, "terms": [{"coef": 1.0, "h": [0.1, 0.2, 0.3, 0.4]},
+                                            {"coef": 0.5, "h": [-0.2, 0.1, 0.0, 0.3]}]}
 
 
 def _small_config(**overrides):
@@ -167,21 +174,49 @@ def test_reports_byte_identical_across_jobs(tmp_path):
     assert blobs[1] == blobs[3]
 
 
-def test_report_files_are_well_formed(tmp_path):
-    rows, _ = run_suite(_small_config())
+def test_report_files_are_well_formed(tmp_path, monkeypatch):
+    # ab_psd rows share one params object per task; beckner_deficit rows
+    # do not; the two fabricated rows carry non-finite sides
+    rows, _ = run_suite(_small_config(checks=["beckner_deficit", "ab_psd"]))
+    rows += [InequalityReport.from_sides("beckner_deficit", {"case": "nan"}, math.nan, math.inf, 1e-9),
+             InequalityReport.from_sides("beckner_deficit", {"case": "inf"}, math.inf, 1.0, 1e-9)]
+    assert any(a.params is b.params for a, b in zip(rows, rows[1:]))
+    encoded = []
+    monkeypatch.setattr(suite, "_ENCODE", lambda value: encoded.append(value) or _ENCODE(value))
     jp, cp = write_reports(rows, tmp_path)
+    # one encode per distinct params object, however many rows share it
+    params_encoded = [id(v) for v in encoded if any(v is r.params for r in rows)]
+    assert sorted(params_encoded) == sorted({id(r.params) for r in rows})
+
+    lines = (tmp_path / "report.json").read_text().split("\n")
+    assert lines[0] == "[" and lines[-2:] == ["]", ""]
+    assert lines[1:-2] == [_ENCODE(r.as_dict()) + ("," if i < len(rows) - 1 else "")
+                           for i, r in enumerate(rows)]
+    assert '"lhs":NaN' in lines[-4] and '"rhs":Infinity' in lines[-4]
+    assert '"gap":-Infinity' in lines[-3]
     data = json.load(open(jp))
     assert len(data) == len(rows)
     for entry in data:
         assert set(entry) == {"check", "params", "lhs", "rhs", "gap",
                               "tolerance", "pass", "method"}
+    # the rows load back to what the indent=2 writer wrote, NaN and infinities included
+    as_dicts = [r.as_dict() for r in rows]
+    assert json.dumps(data, indent=2, sort_keys=True) == json.dumps(as_dicts, indent=2, sort_keys=True)
+
     with open(cp, newline="") as fh:
         records = list(csv.reader(fh))
     assert records[0] == ["check", "params", "lhs", "rhs", "gap", "tol", "pass", "method"]
     assert len(records) == len(rows) + 1
-    # repr floats round-trip exactly, and params cells are themselves JSON
+    # repr floats round-trip exactly, and params cells are the JSON lines' params text
     assert float(records[1][2]) == rows[0].lhs
-    json.loads(records[1][1])
+    assert [rec[1] for rec in records[1:]] == [_ENCODE(r.params) for r in rows]
+    assert records[-2][2:6] == ["nan", "inf", "nan", "1e-09"]
+
+    empty = tmp_path / "empty"
+    write_reports([], empty)
+    assert (empty / "report.json").read_text() == "[]\n"
+    assert json.loads((empty / "report.json").read_text()) == []
+    assert (empty / "report.csv").read_text() == "check,params,lhs,rhs,gap,tol,pass,method\n"
 
 
 def test_cli_run(tmp_path, capsys):
@@ -228,6 +263,8 @@ def test_cli_run_config_error(tmp_path, capsys):
     ({"functions": [{"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [float("inf")]}]}]}, []),
     ({"functions": [{"kind": "chaos", "dim": 1, "terms": [{"m": [1], "c": float("nan")}]}]}, []),
     ({"measures": [{"dim": 1, "atoms": [[float("nan")]], "weights": [1.0]}]}, []),
+    # an L^2.6 norm of a 2-term function in dim 4: no closed form, no default grid
+    ({"checks": ["holder"], "alphas": [0.3], "functions": [F_DIM4]}, []),
 ])
 def test_cli_run_rejects_bad_scalar_fields(tmp_path, capsys, overrides, argv):
     # each of these ran the suite before validation caught it: a traceback
@@ -240,6 +277,14 @@ def test_cli_run_rejects_bad_scalar_fields(tmp_path, capsys, overrides, argv):
     assert code == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_holder_grid_in_dim4_runs_where_every_norm_is_exact():
+    # alpha 0 and 1 give p = q = 2 and 4, even powers with closed forms
+    rows, code = run_suite(_small_config(checks=["holder"], alphas=[0.0, 1.0],
+                                         functions=[F_DIM4], measures=[]))
+    assert code == 0 and len(rows) == 2
+    assert all(r.method == "exact" for r in rows)
 
 
 def test_cli_run_negate_exit_code(tmp_path, capsys):
@@ -265,6 +310,8 @@ def test_cli_check(capsys):
     assert code == 0
     row = json.loads(out[0])
     assert row["check"] == "beckner_deficit" and row["pass"] is True
+    # the same line report.json holds for this row
+    assert out[0] == _ENCODE(run_check("beckner_deficit", json.loads(params))[0].as_dict())
 
 
 def test_cli_check_bad_inputs(capsys):
