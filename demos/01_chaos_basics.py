@@ -60,11 +60,11 @@ print("<grad, grad> =", sum(l2_inner(g, g) for g in gradient(f)))
 
 # Gamma(lambda) multiplies degree-d coefficients by lambda^d
 g = gamma_apply(0.5, f)
-print("\nGamma(1/2) f =", sorted((tuple(m), c) for m, c in g.coeffs.items()))
+print("\nGamma(1/2) f =", g.coeffs)
 
 # the OU semigroup is Gamma(e^{-tau}); tau -> infinity leaves the mean
-print("P_log(2) f   =", sorted((tuple(m), c) for m, c in ou_apply(math.log(2), f).coeffs.items()))
-print("P_inf f      =", sorted((tuple(m), c) for m, c in ou_apply(50.0, f).coeffs.items()))
+print("P_log(2) f   =", ou_apply(math.log(2), f).coeffs)
+print("P_inf f      =", ou_apply(50.0, f).coeffs)
 
 # the number operator generates the semigroup: <N f, f> is the energy
 print("<N f, f>     =", l2_inner(number_apply(f), f))

@@ -67,14 +67,14 @@ print("homomorphism   :", lhs.allclose(rhs, tol=1e-12))
 # --- the same products in chaos coordinates ----------------------------------
 
 h1 = ChaosExpansion.basis((1,))
-print("\nHe_1 <> He_1 =", dict((tuple(m), c) for m, c in wick_chaos(h1, h1).coeffs.items()))
-print("He_1  * He_1 =", dict((tuple(m), c) for m, c in pointwise_chaos(h1, h1).coeffs.items()))
-print("He_1 o_a He_1 =", dict((tuple(m), c) for m, c in alpha_chaos(h1, h1, 0.25).coeffs.items()))
+print("\nHe_1 <> He_1 =", wick_chaos(h1, h1).coeffs)
+print("He_1  * He_1 =", pointwise_chaos(h1, h1).coeffs)
+print("He_1 o_a He_1 =", alpha_chaos(h1, h1, 0.25).coeffs)
 
 # lowering an exponential to chaos: c_m = h^m / m!, with a tail bound
 combo = ExpCombo.exponential([0.5])
 trunc = to_chaos(combo, 2)
-print("\nE(0.5) -> chaos cap 2:", sorted((tuple(m), c) for m, c in trunc.coeffs.items()))
+print("\nE(0.5) -> chaos cap 2:", trunc.coeffs)
 print("tail bound:", to_chaos_tail_bound(combo, 2))
 
 # the two product routes agree after lowering

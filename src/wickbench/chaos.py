@@ -1,17 +1,21 @@
 """Hermite chaos calculus on R^n with the standard Gaussian measure.
 
 Functions are represented by finite expansions f = sum_m c_m H_m where m
-ranges over multi-indices and H_m(w) = prod_k He_{m_k}(w_k) is a tensor
-product of probabilists' Hermite polynomials.  In this basis the Gaussian
-L2 geometry and the usual operator calculus are exact finite sums:
+ranges over multi-indices, plain tuples of ints >= 0, and
+H_m(w) = prod_k He_{m_k}(w_k) is a tensor product of probabilists'
+Hermite polynomials.  In this basis the Gaussian L2 geometry and the
+usual operator calculus are exact finite sums:
 
     <f, g>_L2(mu)     = sum_m m! c_m d_m
     int |grad f|^2 dmu = sum_m |m| m! c_m^2
     Gamma(lam) f       = sum_m lam^{|m|} c_m H_m     (second quantization)
     P_tau              = Gamma(e^{-tau})             (Ornstein-Uhlenbeck)
 
-All values are immutable after construction and every operation is pure,
-so they are safe to share across threads.
+This module also holds what every value type of the package shares: the
+one canonical form (canonical_rows, used by ChaosExpansion, ExpCombo and
+DiscreteMeasure) and the argument guards.  All values are immutable after
+construction and every operation is pure, so they are safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -25,6 +29,11 @@ import numpy as np
 # normalized.  This is a representation epsilon, not a check tolerance.
 COEFF_EPS = 1e-15
 
+# Two rows within this coordinatewise distance are treated as the same row
+# when terms are merged.  Products add directions and never perturb them,
+# so exact coincidence is the common case; integer indices never tie.
+MERGE_TOL = 1e-12
+
 
 def finite_array(values, what: str) -> np.ndarray:
     """values as a float array; ValueError on NaN or inf (JSON input only)."""
@@ -34,70 +43,53 @@ def finite_array(values, what: str) -> np.ndarray:
     return arr
 
 
-class MultiIndex:
-    """Exponent vector indexing one tensorized Hermite basis element."""
+def check_alpha(alpha):
+    """ValueError unless alpha is an interpolation parameter in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
 
-    __slots__ = ("exponents",)
 
-    def __init__(self, exponents):
-        if isinstance(exponents, MultiIndex):
-            exps = exponents.exponents
+def check_dims(f, g):
+    """ValueError unless the two values live on the same R^n."""
+    if f.dim != g.dim:
+        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
+
+
+def canonical_rows(dim, pairs):
+    """Canonical (rows, weights) lists from (row tuple, float weight) pairs.
+
+    The pairs are sorted, rows lexicographically and equal rows by weight,
+    and a row within MERGE_TOL coordinatewise of the previous kept row
+    (exactly equal rows included) is folded into it.  So the result
+    depends on the multiset of pairs, not on their order, up to the
+    near-ties of MERGE_TOL.  ExpCombo directions, DiscreteMeasure atoms
+    and ChaosExpansion indices all take this form, so equal inputs give
+    equal stored values.
+    """
+    rows: list[tuple] = []
+    weights: list[float] = []
+    for row, w in sorted(pairs):
+        if len(row) != dim:
+            raise ValueError(f"row {row} has length {len(row)}, expected {dim}")
+        if rows and max((abs(a - b) for a, b in zip(row, rows[-1])), default=0.0) <= MERGE_TOL:
+            weights[-1] += w
         else:
-            exps = tuple(operator.index(e) for e in exponents)
-        if any(e < 0 for e in exps):
-            raise ValueError(f"multi-index entries must be >= 0, got {exps}")
-        object.__setattr__(self, "exponents", exps)
+            rows.append(row)
+            weights.append(w)
+    return rows, weights
 
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiIndex is immutable")
 
-    @property
-    def dim(self) -> int:
-        return len(self.exponents)
+def multi_index(m) -> tuple:
+    """m as a tuple of ints >= 0: a Hermite basis index, H_m = prod_k He_{m_k}."""
+    m = tuple(map(operator.index, m))
+    if any(e < 0 for e in m):
+        raise ValueError(f"multi-index entries must be >= 0, got {m}")
+    return m
 
-    @property
-    def degree(self) -> int:
-        """Total degree |m| = sum of the exponents."""
-        return sum(self.exponents)
 
-    def factorial(self) -> int:
-        """m! = prod_k m_k! as an exact integer."""
-        return math.prod(math.factorial(e) for e in self.exponents)
-
-    def decremented(self, axis: int) -> "MultiIndex":
-        """m - e_axis; requires m_axis >= 1."""
-        exps = list(self.exponents)
-        if exps[axis] < 1:
-            raise ValueError(f"cannot decrement axis {axis} of {self}")
-        exps[axis] -= 1
-        return MultiIndex(exps)
-
-    def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        if self.dim != other.dim:
-            raise ValueError("multi-index dimensions differ")
-        return MultiIndex(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
-    def __eq__(self, other):
-        if isinstance(other, MultiIndex):
-            return self.exponents == other.exponents
-        if isinstance(other, tuple):
-            return self.exponents == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.exponents)
-
-    def __iter__(self):
-        return iter(self.exponents)
-
-    def __len__(self):
-        return len(self.exponents)
-
-    def __getitem__(self, k):
-        return self.exponents[k]
-
-    def __repr__(self):
-        return f"MultiIndex{self.exponents}"
+def index_factorial(m) -> int:
+    """m! = prod_k m_k! as an exact integer."""
+    return math.prod(map(math.factorial, m))
 
 
 def _he_table(max_degree: int, x: np.ndarray) -> np.ndarray:
@@ -133,54 +125,47 @@ def _as_points(w, dim: int):
 class ChaosExpansion:
     """Finite Hermite expansion: a sparse map multi-index -> coefficient.
 
-    The coefficient map is normalized at construction: keys are coerced to
-    ``MultiIndex``, entries with |c| < COEFF_EPS are dropped, and key
-    lengths are checked against ``dim``.
+    ``coeffs`` is a mapping or an iterable of (index, coefficient) pairs.
+    Construction checks each index with ``multi_index``, brings the pairs
+    to the canonical form of ``canonical_rows`` (equal indices summed,
+    indices in lexicographic order, each of length ``dim``) and drops
+    coefficients with |c| < COEFF_EPS.  So two expansions built from the
+    same terms in any order have equal ``coeffs.items()`` lists.
     """
 
     __slots__ = ("dim", "coeffs")
 
-    def __init__(self, dim: int, coeffs=None):
+    def __init__(self, dim: int, coeffs=()):
         dim = operator.index(dim)
         if dim < 0:
             raise ValueError("dimension must be >= 0")
-        clean: dict[MultiIndex, float] = {}
-        for m, c in (coeffs or {}).items():
-            m = m if isinstance(m, MultiIndex) else MultiIndex(m)
-            if m.dim != dim:
-                raise ValueError(f"index {m} has length {m.dim}, expected {dim}")
-            c = float(c)
-            if abs(c) >= COEFF_EPS:
-                clean[m] = clean.get(m, 0.0) + c
-        clean = {m: c for m, c in clean.items() if abs(c) >= COEFF_EPS}
+        pairs = coeffs.items() if isinstance(coeffs, dict) else coeffs
+        rows, cs = canonical_rows(dim, ((multi_index(m), float(c)) for m, c in pairs))
         object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", {m: c for m, c in zip(rows, cs) if abs(c) >= COEFF_EPS})
 
     def __setattr__(self, name, value):
         raise AttributeError("ChaosExpansion is immutable")
 
     @classmethod
     def constant(cls, dim: int, value: float) -> "ChaosExpansion":
-        return cls(dim, {MultiIndex((0,) * dim): value})
+        return cls(dim, {(0,) * dim: value})
 
     @classmethod
     def basis(cls, exponents) -> "ChaosExpansion":
         """The basis element H_m itself."""
-        m = MultiIndex(exponents)
-        return cls(m.dim, {m: 1.0})
+        m = multi_index(exponents)
+        return cls(len(m), {m: 1.0})
 
     @property
     def degree(self) -> int:
         """Largest |m| carrying a nonzero coefficient (0 for the zero function)."""
-        return max((m.degree for m in self.coeffs), default=0)
+        return max(map(sum, self.coeffs), default=0)
 
     def __add__(self, other: "ChaosExpansion") -> "ChaosExpansion":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        merged = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            merged[m] = merged.get(m, 0.0) + c
-        return ChaosExpansion(self.dim, merged)
+        return ChaosExpansion(self.dim, [*self.coeffs.items(), *other.coeffs.items()])
 
     def __sub__(self, other: "ChaosExpansion") -> "ChaosExpansion":
         return self + (-1.0) * other
@@ -204,19 +189,16 @@ class ChaosExpansion:
 
     def to_json_dict(self) -> dict:
         terms = [
-            {"m": list(m.exponents), "c": c}
-            for m, c in sorted(self.coeffs.items(), key=lambda kv: (kv[0].degree, kv[0].exponents))
+            {"m": list(m), "c": c}
+            for m, c in sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         ]
         return {"dim": self.dim, "terms": terms}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChaosExpansion":
         terms = data["terms"]
-        coeffs = {}
-        for t, c in zip(terms, finite_array([t["c"] for t in terms], "chaos coefficients")):
-            m = MultiIndex(t["m"])
-            coeffs[m] = coeffs.get(m, 0.0) + float(c)
-        return cls(int(data["dim"]), coeffs)
+        cs = finite_array([t["c"] for t in terms], "chaos coefficients")
+        return cls(int(data["dim"]), zip((t["m"] for t in terms), cs.tolist()))
 
     def __repr__(self):
         return f"ChaosExpansion(dim={self.dim}, terms={len(self.coeffs)}, degree={self.degree})"
@@ -224,10 +206,10 @@ class ChaosExpansion:
 
 def hermite_eval(m, w) -> float | np.ndarray:
     """Evaluate the tensorized Hermite basis element H_m at point(s) w."""
-    m = m if isinstance(m, MultiIndex) else MultiIndex(m)
-    pts, batch = _as_points(w, m.dim)
+    m = multi_index(m)
+    pts, batch = _as_points(w, len(m))
     vals = np.ones(pts.shape[0])
-    for k, mk in enumerate(m.exponents):
+    for k, mk in enumerate(m):
         if mk:
             vals = vals * _he_table(mk, pts[:, k])[mk]
     return vals if batch else float(vals[0])
@@ -240,12 +222,12 @@ def eval_chaos(f: ChaosExpansion, w) -> float | np.ndarray:
     if f.coeffs:
         axis_max = [0] * f.dim
         for m in f.coeffs:
-            for k, mk in enumerate(m.exponents):
+            for k, mk in enumerate(m):
                 axis_max[k] = max(axis_max[k], mk)
         tables = [_he_table(axis_max[k], pts[:, k]) for k in range(f.dim)]
         for m, c in f.coeffs.items():
             term = np.full(pts.shape[0], c)
-            for k, mk in enumerate(m.exponents):
+            for k, mk in enumerate(m):
                 if mk:
                     term = term * tables[k][mk]
             acc += term
@@ -258,7 +240,7 @@ def l2_inner(f: ChaosExpansion, g: ChaosExpansion) -> float:
         raise ValueError("dimension mismatch")
     if len(g.coeffs) < len(f.coeffs):
         f, g = g, f
-    return sum(m.factorial() * c * g.coeffs[m] for m, c in f.coeffs.items() if m in g.coeffs)
+    return sum(index_factorial(m) * c * g.coeffs[m] for m, c in f.coeffs.items() if m in g.coeffs)
 
 
 def l2_norm(f: ChaosExpansion) -> float:
@@ -267,17 +249,16 @@ def l2_norm(f: ChaosExpansion) -> float:
 
 def dirichlet_energy(f: ChaosExpansion) -> float:
     """Gradient energy int |grad f|^2 dmu = sum_m |m| m! c_m^2."""
-    return sum(m.degree * m.factorial() * c * c for m, c in f.coeffs.items())
+    return sum(sum(m) * index_factorial(m) * c * c for m, c in f.coeffs.items())
 
 
 def gradient(f: ChaosExpansion) -> list[ChaosExpansion]:
     """Coordinate partials: d_k H_m = m_k H_{m - e_k}."""
-    parts = [dict() for _ in range(f.dim)]
+    parts = [[] for _ in range(f.dim)]
     for m, c in f.coeffs.items():
-        for k, mk in enumerate(m.exponents):
+        for k, mk in enumerate(m):
             if mk:
-                key = m.decremented(k)
-                parts[k][key] = parts[k].get(key, 0.0) + mk * c
+                parts[k].append((m[:k] + (mk - 1,) + m[k + 1:], mk * c))
     return [ChaosExpansion(f.dim, p) for p in parts]
 
 
@@ -307,7 +288,7 @@ def gamma_apply(lam: float, f: ChaosExpansion) -> ChaosExpansion:
     if lam < 0:
         raise ValueError("lambda must be >= 0")
     lam = float(lam)
-    return ChaosExpansion(f.dim, {m: lam**m.degree * c for m, c in f.coeffs.items()})
+    return ChaosExpansion(f.dim, {m: lam ** sum(m) * c for m, c in f.coeffs.items()})
 
 
 def ou_apply(tau: float, f: ChaosExpansion) -> ChaosExpansion:
@@ -319,4 +300,4 @@ def ou_apply(tau: float, f: ChaosExpansion) -> ChaosExpansion:
 
 def number_apply(f: ChaosExpansion) -> ChaosExpansion:
     """Number operator: c_m -> |m| c_m; l2_inner(Nf, f) is the Dirichlet energy."""
-    return ChaosExpansion(f.dim, {m: m.degree * c for m, c in f.coeffs.items()})
+    return ChaosExpansion(f.dim, {m: sum(m) * c for m, c in f.coeffs.items()})

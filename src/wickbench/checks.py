@@ -27,8 +27,10 @@ Gram matrix K per integral -- the paper's Schur-product form:
     int |Df|^2 drho   = sum_l d_l' K^1 d_l  over the indices m - e_l,
                         with weights (d_l)_{m - e_l} = m_l c_m.
 
-The product route (alpha_* / pointwise_* then rho_integral_*) remains the
-independent oracle of oracle_triangle and the tests.
+oracle_triangle validates these forms, the ones the checks use, against
+quadrature and Monte Carlo integrals of the product functions
+(alpha_exp, gradient_exp); the tests also compare them with the product
+route (alpha_* / pointwise_* then rho_integral_*).
 
 CHECK_REGISTRY maps each check name to one CheckSpec: its description,
 its runner on JSON parameters, and the grid and random generators that
@@ -43,15 +45,14 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .chaos import ChaosExpansion
-from .expspan import ExpCombo, alpha_exp, exp_eval, gamma_exp, gradient_exp, mu_inner_exp, pointwise_exp
+from .chaos import ChaosExpansion, check_alpha, check_dims, index_factorial
+from .expspan import ExpCombo, alpha_exp, exp_eval, gamma_exp, gradient_exp, mu_inner_exp
 from .measures import (
     ConvolutionMeasure,
     DiscreteMeasure,
     char_gram,
     g_lambda_norm,
     gamma_xi,
-    rho_integral_exp,
     wick_density_identity_check,
 )
 from .products import HolderParams, holder_relation_check
@@ -122,14 +123,13 @@ def _deficit_integrals(f, rho: ConvolutionMeasure, alpha: float):
     forms of the module docstring; int f o_1 f is bitwise int f^2."""
     if not isinstance(f, (ExpCombo, ChaosExpansion)):
         raise TypeError(f"expected ExpCombo or ChaosExpansion, got {type(f).__name__}")
-    if f.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {rho.dim}")
+    check_dims(f, rho)
     if isinstance(f, ExpCombo):
         w = f.weights
         s, _, b = _exp_gram(f.directions, rho.nu)
         k1, ka = (np.exp(a * s) * b for a in (1.0, alpha))
         return float(w @ k1 @ w), float(w @ ka @ w), float(w @ (s * k1) @ w)
-    idx = np.array([m.exponents for m in f.coeffs], dtype=int).reshape(-1, f.dim)
+    idx = np.array(list(f.coeffs), dtype=int).reshape(-1, f.dim)
     c = np.array(list(f.coeffs.values()), dtype=float)
     p = rho.nu.weights
     top = int(idx.max(initial=0))
@@ -156,8 +156,7 @@ def beckner_deficit(f, rho: ConvolutionMeasure, alpha: float,
     The interpolation-deficit inequality for convolution measures; at
     alpha = 1 both sides vanish, at alpha = 0 it is the Wick-form bound.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    check_alpha(alpha)
     sq, ap, en = _deficit_integrals(f, rho, alpha)
     params = {
         "alpha": float(alpha),
@@ -173,8 +172,7 @@ def beckner_deficit(f, rho: ConvolutionMeasure, alpha: float,
 def left_positivity(f, rho: ConvolutionMeasure, alpha: float,
                     tolerance: float = DEFAULT_TOLS["exact"]) -> InequalityReport:
     """int (f o_a f) drho <= int f^2 drho; equality at alpha = 1."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    check_alpha(alpha)
     sq, ap, _ = _deficit_integrals(f, rho, alpha)
     params = {
         "alpha": float(alpha),
@@ -196,8 +194,7 @@ def ab_matrix_check(hs, rho: ConvolutionMeasure, alpha: float,
     The deficit quadratic form is v' (A o B) v, so nonnegative eigenvalues
     here are what make the main inequality work.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    check_alpha(alpha)
     h = np.atleast_2d(np.asarray(hs, dtype=float))
     if h.shape[1] != rho.dim:
         raise ValueError(f"vector dimension {h.shape[1]} does not match n={rho.dim}")
@@ -267,13 +264,12 @@ def classic_beckner_coeff_check(f: ChaosExpansion, alpha: float,
     from 1 - a^N <= N (1 - a); equality when the support sits in the
     first chaos.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    check_alpha(alpha)
     lhs = 0.0
     rhs = 0.0
     for m, c in f.coeffs.items():
-        base = m.factorial() * c * c
-        d = m.degree
+        base = index_factorial(m) * c * c
+        d = sum(m)
         lhs += base * (1.0 - alpha**d)
         rhs += base * d * (1.0 - alpha)
     params = {"alpha": float(alpha), "f": _fn_json(f)}
@@ -306,10 +302,8 @@ def covariance_gap(nu1: DiscreteMeasure, nu2: DiscreteMeasure, phi: ExpCombo,
     with M_ij = <E(y_i + z_j), phi> > 0, so every summand is nonnegative
     and the computed gap cannot go negative by cancellation.
     """
-    if nu1.dim != nu2.dim:
-        raise ValueError(f"dimension mismatch: {nu1.dim} vs {nu2.dim}")
-    if phi.dim != nu1.dim:
-        raise ValueError(f"dimension mismatch: {phi.dim} vs {nu1.dim}")
+    check_dims(nu1, nu2)
+    check_dims(phi, nu1)
     if np.any(phi.weights < 0):
         raise ValueError("phi must have nonnegative weights")
     s = nu1.atoms @ nu2.atoms.T
@@ -339,13 +333,13 @@ def oracle_triangle(f: ExpCombo, rho: ConvolutionMeasure, alpha: float,
                     sigmas: float = DEFAULT_TOLS["mc_sigmas"]) -> list[InequalityReport]:
     """Cross-validate the closed-form rho-integrals against quadrature and MC.
 
-    For each of int f^2, int f o_a f, int |Df|^2 the exact value is
+    For each of int f^2, int f o_a f, int |Df|^2 the exact value, the
+    quadratic form the deficit checks use (_deficit_integrals), is
     compared with a tensor Gauss-Hermite value (agreement within rel_tol
     relative) and a Monte Carlo value (within sigmas standard errors).
     Six rows per call.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    check_alpha(alpha)
     order = default_order(rho.dim) if quad_order is None else quad_order
     grid = gauss_hermite_grid(rho.dim, order)
     grads = gradient_exp(f)
@@ -364,11 +358,8 @@ def oracle_triangle(f: ExpCombo, rho: ConvolutionMeasure, alpha: float,
             total += vals
         return total
 
-    integrands = [
-        ("f_sq", f_sq, rho_integral_exp(pointwise_exp(f, f), rho)),
-        ("alpha_prod", prod.eval, rho_integral_exp(prod, rho)),
-        ("dirichlet", dirichlet, sum(rho_integral_exp(pointwise_exp(g, g), rho) for g in grads)),
-    ]
+    integrands = zip(("f_sq", "alpha_prod", "dirichlet"), (f_sq, prod.eval, dirichlet),
+                     _deficit_integrals(f, rho, alpha))
     base = {"alpha": float(alpha), "f": _fn_json(f), "nu": rho.nu.to_json_dict()}
     rows = []
     for idx, (name, fn, exact) in enumerate(integrands):

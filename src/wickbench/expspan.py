@@ -20,38 +20,16 @@ import operator
 
 import numpy as np
 
-from .chaos import COEFF_EPS, ChaosExpansion, MultiIndex, finite_array, multi_indices
-
-# Two directions within this coordinatewise distance are treated as the
-# same exponential when terms are merged.  Products add directions and
-# never perturb them, so exact coincidence is the common case.
-MERGE_TOL = 1e-12
-
-
-def canonical_rows(dim, pairs):
-    """Canonical (rows, weights) lists from (row tuple, float weight) pairs.
-
-    Weights of exactly equal rows are summed in input order, rows are
-    sorted lexicographically, and a row within MERGE_TOL coordinatewise of
-    the previous kept row is folded into it.  ExpCombo directions and
-    DiscreteMeasure atoms both take this form, so equal inputs give equal
-    stored arrays.
-    """
-    acc: dict[tuple, float] = {}
-    for row, w in pairs:
-        if len(row) != dim:
-            raise ValueError(f"row {row} has length {len(row)}, expected {dim}")
-        acc[row] = acc.get(row, 0.0) + w
-    rows: list[tuple] = []
-    weights: list[float] = []
-    for row, w in sorted(acc.items()):
-        if rows and max((abs(a - b) for a, b in zip(row, rows[-1])), default=0.0) <= MERGE_TOL:
-            weights[-1] += w
-        else:
-            rows.append(row)
-            weights.append(w)
-    return rows, weights
-
+from .chaos import (
+    COEFF_EPS,
+    ChaosExpansion,
+    canonical_rows,
+    check_alpha,
+    check_dims,
+    finite_array,
+    index_factorial,
+    multi_indices,
+)
 
 class ExpCombo:
     """Finite combination sum_j weight_j * E(h_j), kept in canonical form.
@@ -146,11 +124,6 @@ class ExpCombo:
         return f"ExpCombo(dim={self.dim}, terms={self.n_terms})"
 
 
-def _check_dims(f: ExpCombo, g: ExpCombo):
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-
-
 def exp_eval(f: ExpCombo, w):
     """Evaluate at a point (n,) or batch (N, n) of points."""
     pts = np.asarray(w, dtype=float)
@@ -171,7 +144,7 @@ def exp_eval(f: ExpCombo, w):
 
 def _product_exp(f: ExpCombo, g: ExpCombo, scale: float) -> ExpCombo:
     # shared kernel: weight_jk = w_j v_k e^{scale <h_j,k_k>}, direction h_j + k_k
-    _check_dims(f, g)
+    check_dims(f, g)
     if f.n_terms == 0 or g.n_terms == 0:
         return ExpCombo(f.dim)
     w = np.outer(f.weights, g.weights) * np.exp(scale * (f.directions @ g.directions.T))
@@ -195,8 +168,7 @@ def alpha_exp(f: ExpCombo, g: ExpCombo, alpha: float) -> ExpCombo:
     alpha=1 is the ordinary product; alpha=0 extends continuously to the
     Wick product and is computed by the same formula (e^0 = 1).
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    check_alpha(alpha)
     return _product_exp(f, g, float(alpha))
 
 
@@ -217,7 +189,7 @@ def gradient_exp(f: ExpCombo) -> list[ExpCombo]:
 
 def mu_inner_exp(f: ExpCombo, g: ExpCombo) -> float:
     """Gaussian inner product: int E(h)E(k) dmu = e^{<h,k>}, bilinearly."""
-    _check_dims(f, g)
+    check_dims(f, g)
     if f.n_terms == 0 or g.n_terms == 0:
         return 0.0
     return float(f.weights @ np.exp(f.directions @ g.directions.T) @ g.weights)
@@ -235,7 +207,7 @@ def to_chaos(f: ExpCombo, max_degree: int) -> ChaosExpansion:
     for m in multi_indices(f.dim, max_degree):
         if f.n_terms:
             powers = np.prod(f.directions ** np.asarray(m), axis=1)
-            c = float(f.weights @ powers) / MultiIndex(m).factorial()
+            c = float(f.weights @ powers) / index_factorial(m)
         else:
             c = 0.0
         coeffs[m] = c

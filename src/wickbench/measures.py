@@ -21,8 +21,8 @@ import warnings
 
 import numpy as np
 
-from .chaos import ChaosExpansion, finite_array
-from .expspan import ExpCombo, canonical_rows, gamma_exp, wick_exp
+from .chaos import ChaosExpansion, canonical_rows, check_dims, finite_array
+from .expspan import ExpCombo, gamma_exp, wick_exp
 from .report import InequalityReport
 
 WEIGHT_SUM_TOL = 1e-12
@@ -65,13 +65,6 @@ class DiscreteMeasure:
     def dirac(cls, y) -> "DiscreteMeasure":
         y = np.atleast_1d(np.asarray(y, dtype=float))
         return cls(y.size, y[None, :], [1.0])
-
-    @classmethod
-    def from_samples(cls, points) -> "DiscreteMeasure":
-        """Empirical measure with uniform weights, one atom per sample row."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        count = pts.shape[0]
-        return cls(pts.shape[1], pts, np.full(count, 1.0 / count))
 
     @property
     def n_atoms(self) -> int:
@@ -153,8 +146,7 @@ def g_lambda_norm(rho: ConvolutionMeasure, lam: float) -> tuple[float, float]:
 
 def rho_integral_exp(f: ExpCombo, rho: ConvolutionMeasure) -> float:
     """int f drho = sum_j w_j sum_i p_i e^{<y_i, h_j>}, exactly."""
-    if f.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {rho.dim}")
+    check_dims(f, rho)
     if f.n_terms == 0:
         return 0.0
     return float(f.weights @ np.exp(f.directions @ rho.nu.atoms.T) @ rho.nu.weights)
@@ -165,13 +157,12 @@ def rho_integral_chaos(f: ChaosExpansion, rho: ConvolutionMeasure) -> float:
 
     Uses the shift identity: the mu-mean of H_m(w + y) is y^m.
     """
-    if f.dim != rho.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {rho.dim}")
+    check_dims(f, rho)
     y = rho.nu.atoms
     p = rho.nu.weights
     total = 0.0
     for m, c in f.coeffs.items():
-        total += c * float(p @ np.prod(y ** np.asarray(m.exponents), axis=1))
+        total += c * float(p @ np.prod(y ** np.asarray(m), axis=1))
     return total
 
 
@@ -190,8 +181,7 @@ def char_gram(nu: DiscreteMeasure, hs) -> np.ndarray:
 
 def convolve_nu(nu1: DiscreteMeasure, nu2: DiscreteMeasure) -> DiscreteMeasure:
     """nu1 * nu2: atoms y_i + z_j, weights p_i q_j, merged."""
-    if nu1.dim != nu2.dim:
-        raise ValueError(f"dimension mismatch: {nu1.dim} vs {nu2.dim}")
+    check_dims(nu1, nu2)
     atoms = (nu1.atoms[:, None, :] + nu2.atoms[None, :, :]).reshape(-1, nu1.dim)
     weights = np.outer(nu1.weights, nu2.weights).ravel()
     return DiscreteMeasure(nu1.dim, atoms, weights)

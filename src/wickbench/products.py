@@ -20,21 +20,16 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .chaos import ChaosExpansion, MultiIndex
-
-
-def _check_dims(f: ChaosExpansion, g: ChaosExpansion):
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
+from .chaos import ChaosExpansion, check_alpha, check_dims
 
 
 def wick_chaos(f: ChaosExpansion, g: ChaosExpansion) -> ChaosExpansion:
     """Wick product: (f diamond g)_m = sum_{a+b=m} c_a d_b; degrees add."""
-    _check_dims(f, g)
-    out: dict[MultiIndex, float] = {}
+    check_dims(f, g)
+    out: dict[tuple, float] = {}
     for a, ca in f.coeffs.items():
         for b, cb in g.coeffs.items():
-            m = a + b
+            m = tuple(x + y for x, y in zip(a, b))
             out[m] = out.get(m, 0.0) + ca * cb
     return ChaosExpansion(f.dim, out)
 
@@ -45,7 +40,7 @@ def pointwise_chaos(f: ChaosExpansion, g: ChaosExpansion, alpha: float = 1.0) ->
     alpha < 1 weights each order-k term by alpha^|k|, which is f o_alpha g
     (see alpha_chaos); alpha = 1 is the ordinary product.
     """
-    _check_dims(f, g)
+    check_dims(f, g)
     out: dict[tuple, float] = {}
     for a, ca in f.coeffs.items():
         for b, cb in g.coeffs.items():
@@ -66,8 +61,7 @@ def alpha_chaos(f: ChaosExpansion, g: ChaosExpansion, alpha: float) -> ChaosExpa
     alpha = 0 keeps only the order-0 terms, the Wick product; alpha = 1
     is the pointwise product.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    check_alpha(alpha)
     return pointwise_chaos(f, g, float(alpha))
 
 
@@ -89,8 +83,7 @@ class HolderParams:
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        check_alpha(self.alpha)
         if self.p <= 1 or self.q <= 1:
             raise ValueError("p and q must be > 1")
         if self.r < 1:

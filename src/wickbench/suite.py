@@ -184,11 +184,11 @@ def run_suite(cfg: SuiteConfig, jobs: int = 1) -> tuple[list[InequalityReport], 
 def _row_line(row: dict, params_text: str) -> str:
     """_ENCODE(row), with the value of row["params"] given as its encoded text.
 
-    Sorted keys put every key below "params" before it and the rest after.
+    The row is encoded once with a null params, and the text is spliced in.
+    Encoded strings escape every quote, and no other value of a row holds
+    a "params" key, so the first '"params":null' is the row's own key.
     """
-    head = _ENCODE({k: v for k, v in row.items() if k < "params"})
-    tail = _ENCODE({k: v for k, v in row.items() if k > "params"})
-    return f'{head[:-1]},"params":{params_text},{tail[1:]}'
+    return _ENCODE({**row, "params": None}).replace('"params":null', f'"params":{params_text}', 1)
 
 
 def write_reports(reports, out_dir) -> tuple[str, str]:

@@ -30,6 +30,8 @@ from wickbench import (
     run_check,
     strong_positivity_check,
 )
+from wickbench.checks import _deficit_integrals, _rand_chaos_json, _rand_nu_json
+from wickbench.suite import _ENCODE
 
 E1 = ExpCombo.exponential([1.0])
 RHO0 = ConvolutionMeasure.standard(1)
@@ -262,6 +264,36 @@ def test_oracle_triangle_small():
                       for r in ("quadrature", "mc")}
     with pytest.raises(ValueError):
         oracle_triangle(f, RHO_SYM, -0.2)
+
+
+def test_oracle_triangle_exact_is_the_deficit_kernel():
+    # f = E(h), h = 1e-10, under mu * delta_y, y = 0.5:
+    # int |Df|^2 drho = h^2 e^{h^2} e^{2hy} = 1.0000000001e-20, up to 2e-20 relative
+    f = ExpCombo.exponential([1e-10])
+    rho = ConvolutionMeasure(DiscreteMeasure.dirac([0.5]))
+    rows = oracle_triangle(f, rho, 0.5, mc_count=1000)
+    exact = {r.params["integral"]: r.params["exact"] for r in rows}
+    assert exact["dirichlet"] == pytest.approx(1.0000000001e-20, rel=1e-15, abs=0.0)
+    assert (exact["f_sq"], exact["alpha_prod"], exact["dirichlet"]) == _deficit_integrals(f, rho, 0.5)
+
+
+@pytest.mark.parametrize("check", ["classic_beckner", "beckner_deficit"])
+def test_chaos_rows_do_not_depend_on_term_order(check):
+    # one chaos function with its JSON terms reversed or shuffled gives the
+    # same row bytes; each index is drawn three times, so the sums of
+    # repeated indices must not depend on the order either
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        params = {"alpha": int(rng.integers(0, 11)) / 10, "f": _rand_chaos_json(rng, n),
+                  "nu": _rand_nu_json(rng, n)}
+        terms = [{"m": t["m"], "c": float(rng.uniform(-1.0, 1.0))}
+                 for t in params["f"]["terms"] for _ in range(3)]
+        params["f"]["terms"] = terms
+        (row,) = run_check(check, params)
+        for order in (terms[::-1], [terms[i] for i in rng.permutation(len(terms))]):
+            (moved,) = run_check(check, {**params, "f": {**params["f"], "terms": order}})
+            assert _ENCODE(moved.as_dict()) == _ENCODE(row.as_dict())
 
 
 def test_registry_and_run_check():

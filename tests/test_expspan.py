@@ -208,7 +208,7 @@ def test_to_chaos_values():
     assert c.allclose(4.0 * to_chaos(ExpCombo.one(1), 0), tol=0.0)
     f = to_chaos(ExpCombo.exponential([0.5]), 2)
     assert eval_chaos(f, [0.0]) == pytest.approx(1.0 - 0.125, rel=1e-15)
-    assert [f.coeffs[m] for m in sorted(f.coeffs, key=lambda m: m.degree)] == \
+    assert [f.coeffs[m] for m in sorted(f.coeffs, key=sum)] == \
         pytest.approx([1.0, 0.5, 0.125])
 
 

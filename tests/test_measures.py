@@ -58,12 +58,6 @@ def test_measure_and_combo_share_canonical_form():
     assert f.weights.tolist() == nu.weights.tolist()[:3]
 
 
-def test_from_samples():
-    nu = DiscreteMeasure.from_samples([[0.0], [1.0], [0.0], [1.0]])
-    assert nu.n_atoms == 2
-    assert np.allclose(nu.weights, [0.5, 0.5])
-
-
 def test_density_xi():
     rho0 = ConvolutionMeasure.standard(1)
     assert density_xi(rho0).allclose(ExpCombo.one(1), tol=0.0)

@@ -184,9 +184,11 @@ def test_report_files_are_well_formed(tmp_path, monkeypatch):
     encoded = []
     monkeypatch.setattr(suite, "_ENCODE", lambda value: encoded.append(value) or _ENCODE(value))
     jp, cp = write_reports(rows, tmp_path)
-    # one encode per distinct params object, however many rows share it
+    # one encode per distinct params object, however many rows share it,
+    # and one more per row for the rest of the row
     params_encoded = [id(v) for v in encoded if any(v is r.params for r in rows)]
     assert sorted(params_encoded) == sorted({id(r.params) for r in rows})
+    assert len(encoded) == len(params_encoded) + len(rows)
 
     lines = (tmp_path / "report.json").read_text().split("\n")
     assert lines[0] == "[" and lines[-2:] == ["]", ""]
