@@ -7,6 +7,9 @@ closed form: the density against mu is a positive exponential combination,
 moments come from a shift identity, and the characteristic-function Gram
 matrix is positive semidefinite by construction.  Monte Carlo and
 quadrature reproduce the same numbers from the definition alone.
+
+nu determines rho, so every function below that integrates against rho
+takes nu itself.
 """
 
 import math
@@ -15,7 +18,6 @@ import numpy as np
 
 from wickbench import (
     ChaosExpansion,
-    ConvolutionMeasure,
     DiscreteMeasure,
     ExpCombo,
     char_gram,
@@ -32,27 +34,26 @@ from wickbench import (
 
 # a symmetric two-atom factor: rho is a Gaussian mixture with means +-1
 nu = DiscreteMeasure(1, [[1.0], [-1.0]], [0.5, 0.5])
-rho = ConvolutionMeasure(nu)
 
 # --- the density and its integrals -------------------------------------------
 
-xi = density_xi(rho)
+xi = density_xi(nu)
 print("density xi      =", xi.terms)
 print("xi(0)           =", xi.eval([0.0]), "= e^{-1/2} =", math.exp(-0.5))
 
 # int E(h) drho = sum_i p_i e^{<y_i, h>}; here cosh(2)
 f = ExpCombo.exponential([2.0])
-print("\nint E(2) drho   =", rho_integral_exp(f, rho), "= cosh(2) =", math.cosh(2.0))
+print("\nint E(2) drho   =", rho_integral_exp(f, nu), "= cosh(2) =", math.cosh(2.0))
 
 # Hermite moments shift: int He_m drho = mean of y^m over the atoms
-print("int He_2 drho   =", rho_integral_chaos(ChaosExpansion.basis((2,)), rho))
-print("int He_3 drho   =", rho_integral_chaos(ChaosExpansion.basis((3,)), rho))
+print("int He_2 drho   =", rho_integral_chaos(ChaosExpansion.basis((2,)), nu))
+print("int He_3 drho   =", rho_integral_chaos(ChaosExpansion.basis((3,)), nu))
 
 # --- two independent oracles confirm the closed forms -------------------------
 
 grid = gauss_hermite_grid(1, 30)
-print("\nquadrature      =", integrate_rho(f.eval, rho, grid))
-est, se = mc_integral_rho(f.eval, rho, seed=7, count=100_000)
+print("\nquadrature      =", integrate_rho(f.eval, nu, grid))
+est, se = mc_integral_rho(f.eval, nu, seed=7, count=100_000)
 print("monte carlo     =", est, "+-", se)
 
 # --- convolving factors multiplies densities in the Wick sense ----------------
@@ -61,8 +62,8 @@ other = DiscreteMeasure(1, [[0.5]], [1.0])
 combined = convolve_nu(nu, other)
 print("\nnu * delta_1/2  atoms:", combined.atoms.ravel().tolist())
 
-lhs = density_xi(ConvolutionMeasure(combined))
-rhs = wick_exp(density_xi(rho), density_xi(ConvolutionMeasure(other)))
+lhs = density_xi(combined)
+rhs = wick_exp(density_xi(nu), density_xi(other))
 print("densities agree :", lhs.allclose(rhs, tol=0.0))
 
 # --- positivity certificates ---------------------------------------------------
@@ -73,7 +74,7 @@ print("\nchar gram       =\n", gram.real)
 print("min eigenvalue  =", np.linalg.eigvalsh(gram)[0], ">= 0")
 
 # the weighted norm of xi obeys a closed-form bound, tight for one atom
-norm_sq, bound = g_lambda_norm(rho, 1.0)
+norm_sq, bound = g_lambda_norm(nu, 1.0)
 print("\n|xi|_G^2        =", norm_sq, "= cosh(1) =", math.cosh(1.0))
 print("bound           =", bound, "= e^{1/2}  =", math.exp(0.5))
 print("sqrt(norm) <= bound:", math.sqrt(norm_sq) <= bound)

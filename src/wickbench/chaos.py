@@ -36,7 +36,7 @@ MERGE_TOL = 1e-12
 
 
 def finite_array(values, what: str) -> np.ndarray:
-    """values as a float array; ValueError on NaN or inf (JSON input only)."""
+    """values as a float array; ValueError on NaN or inf."""
     arr = np.asarray(values, dtype=float)
     if not np.isfinite(arr).all():
         raise ValueError(f"{what} must be finite numbers")
@@ -163,8 +163,7 @@ class ChaosExpansion:
         return max(map(sum, self.coeffs), default=0)
 
     def __add__(self, other: "ChaosExpansion") -> "ChaosExpansion":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+        check_dims(self, other)
         return ChaosExpansion(self.dim, [*self.coeffs.items(), *other.coeffs.items()])
 
     def __sub__(self, other: "ChaosExpansion") -> "ChaosExpansion":
@@ -192,7 +191,7 @@ class ChaosExpansion:
             {"m": list(m), "c": c}
             for m, c in sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
         ]
-        return {"dim": self.dim, "terms": terms}
+        return {"kind": "chaos", "dim": self.dim, "terms": terms}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChaosExpansion":
@@ -236,8 +235,7 @@ def eval_chaos(f: ChaosExpansion, w) -> float | np.ndarray:
 
 def l2_inner(f: ChaosExpansion, g: ChaosExpansion) -> float:
     """Gaussian L2 inner product: sum_m m! c_m d_m."""
-    if f.dim != g.dim:
-        raise ValueError("dimension mismatch")
+    check_dims(f, g)
     if len(g.coeffs) < len(f.coeffs):
         f, g = g, f
     return sum(index_factorial(m) * c * g.coeffs[m] for m, c in f.coeffs.items() if m in g.coeffs)

@@ -2,7 +2,9 @@
 
 Checks run on exponential combinations by default (every integral is then
 a finite closed form), and the interpolation-deficit checks also accept
-chaos expansions (exact through polynomial integrals).
+chaos expansions (exact through polynomial integrals).  A check that
+integrates against rho = mu * nu takes the DiscreteMeasure nu, which
+determines rho; its row's params carry nu under the "nu" key.
 
 The deficit checks never build a product function.  Each of their three
 integrals is a quadratic form c' K c in the coefficients of f, with one
@@ -48,7 +50,6 @@ import numpy as np
 from .chaos import ChaosExpansion, check_alpha, check_dims, index_factorial
 from .expspan import ExpCombo, alpha_exp, exp_eval, gamma_exp, gradient_exp, mu_inner_exp
 from .measures import (
-    ConvolutionMeasure,
     DiscreteMeasure,
     char_gram,
     g_lambda_norm,
@@ -74,11 +75,6 @@ DEFAULT_TOLS = {
     "quadrature": 1e-6,
     "mc_sigmas": 4.0,
 }
-
-
-def _fn_json(f) -> dict:
-    kind = "exp" if isinstance(f, ExpCombo) else "chaos"
-    return {"kind": kind, **f.to_json_dict()}
 
 
 def _fn_kind(data: dict) -> str:
@@ -118,22 +114,22 @@ def _hermite_pair_tables(y: np.ndarray, top: int, alpha: float) -> np.ndarray:
     return np.einsum("rsk,ixrsk->ixrs", coef, powers[..., expo])
 
 
-def _deficit_integrals(f, rho: ConvolutionMeasure, alpha: float):
-    """(int f^2 drho, int f o_a f drho, int |Df|^2 drho) as the quadratic
-    forms of the module docstring; int f o_1 f is bitwise int f^2."""
+def _deficit_integrals(f, nu: DiscreteMeasure, alpha: float):
+    """(int f^2 drho, int f o_a f drho, int |Df|^2 drho), rho = mu * nu, as the
+    quadratic forms of the module docstring; int f o_1 f is bitwise int f^2."""
     if not isinstance(f, (ExpCombo, ChaosExpansion)):
         raise TypeError(f"expected ExpCombo or ChaosExpansion, got {type(f).__name__}")
-    check_dims(f, rho)
+    check_dims(f, nu)
     if isinstance(f, ExpCombo):
         w = f.weights
-        s, _, b = _exp_gram(f.directions, rho.nu)
+        s, _, b = _exp_gram(f.directions, nu)
         k1, ka = (np.exp(a * s) * b for a in (1.0, alpha))
         return float(w @ k1 @ w), float(w @ ka @ w), float(w @ (s * k1) @ w)
     idx = np.array(list(f.coeffs), dtype=int).reshape(-1, f.dim)
     c = np.array(list(f.coeffs.values()), dtype=float)
-    p = rho.nu.weights
+    p = nu.weights
     top = int(idx.max(initial=0))
-    t1, ta = (_hermite_pair_tables(rho.nu.atoms, top, a) for a in (1.0, alpha))
+    t1, ta = (_hermite_pair_tables(nu.atoms, top, a) for a in (1.0, alpha))
 
     def form(tables, rows, weights):
         gram = np.ones((p.size, len(rows), len(rows)))
@@ -149,19 +145,19 @@ def _deficit_integrals(f, rho: ConvolutionMeasure, alpha: float):
     return form(t1, idx, c), form(ta, idx, c), energy
 
 
-def beckner_deficit(f, rho: ConvolutionMeasure, alpha: float,
+def beckner_deficit(f, nu: DiscreteMeasure, alpha: float,
                     tolerance: float = DEFAULT_TOLS["exact"]) -> InequalityReport:
     """int f^2 drho - int (f o_a f) drho <= (1 - a) int |Df|^2 drho.
 
-    The interpolation-deficit inequality for convolution measures; at
-    alpha = 1 both sides vanish, at alpha = 0 it is the Wick-form bound.
+    The interpolation-deficit inequality for rho = mu * nu; at alpha = 1
+    both sides vanish, at alpha = 0 it is the Wick-form bound.
     """
     check_alpha(alpha)
-    sq, ap, en = _deficit_integrals(f, rho, alpha)
+    sq, ap, en = _deficit_integrals(f, nu, alpha)
     params = {
         "alpha": float(alpha),
-        "f": _fn_json(f),
-        "nu": rho.nu.to_json_dict(),
+        "f": f.to_json_dict(),
+        "nu": nu.to_json_dict(),
         "integrals": {"f_sq": sq, "alpha_prod": ap, "dirichlet": en},
     }
     return InequalityReport.from_sides("beckner_deficit", params,
@@ -169,22 +165,22 @@ def beckner_deficit(f, rho: ConvolutionMeasure, alpha: float,
                                        tolerance=tolerance)
 
 
-def left_positivity(f, rho: ConvolutionMeasure, alpha: float,
+def left_positivity(f, nu: DiscreteMeasure, alpha: float,
                     tolerance: float = DEFAULT_TOLS["exact"]) -> InequalityReport:
-    """int (f o_a f) drho <= int f^2 drho; equality at alpha = 1."""
+    """int (f o_a f) drho <= int f^2 drho, rho = mu * nu; equality at alpha = 1."""
     check_alpha(alpha)
-    sq, ap, _ = _deficit_integrals(f, rho, alpha)
+    sq, ap, _ = _deficit_integrals(f, nu, alpha)
     params = {
         "alpha": float(alpha),
-        "f": _fn_json(f),
-        "nu": rho.nu.to_json_dict(),
+        "f": f.to_json_dict(),
+        "nu": nu.to_json_dict(),
         "integrals": {"f_sq": sq, "alpha_prod": ap},
     }
     return InequalityReport.from_sides("left_positivity", params,
                                        lhs=ap, rhs=sq, tolerance=tolerance)
 
 
-def ab_matrix_check(hs, rho: ConvolutionMeasure, alpha: float,
+def ab_matrix_check(hs, nu: DiscreteMeasure, alpha: float,
                     tolerance: float = DEFAULT_TOLS["psd"]) -> list[InequalityReport]:
     """PSD certificates for the two proof matrices and their Hadamard product.
 
@@ -196,19 +192,19 @@ def ab_matrix_check(hs, rho: ConvolutionMeasure, alpha: float,
     """
     check_alpha(alpha)
     h = np.atleast_2d(np.asarray(hs, dtype=float))
-    if h.shape[1] != rho.dim:
-        raise ValueError(f"vector dimension {h.shape[1]} does not match n={rho.dim}")
-    s, exp_s, b = _exp_gram(h, rho.nu)
+    if h.shape[1] != nu.dim:
+        raise ValueError(f"vector dimension {h.shape[1]} does not match n={nu.dim}")
+    s, exp_s, b = _exp_gram(h, nu)
     a = np.exp(alpha * s) - exp_s + (1.0 - alpha) * s * exp_s
     params = {
         "alpha": float(alpha),
         "hs": [[float(x) for x in row] for row in h],
-        "nu": rho.nu.to_json_dict(),
+        "nu": nu.to_json_dict(),
     }
     rows = []
     for name, mat in (("ab_matrix_a", a), ("ab_matrix_b", b), ("ab_matrix_hadamard", a * b)):
         min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
-        rows.append(InequalityReport.from_min_eig(name, params, min_eig, tolerance))
+        rows.append(InequalityReport.from_sides(name, params, 0.0, min_eig, tolerance))
     return rows
 
 
@@ -220,13 +216,12 @@ def char_gram_psd_check(nu: DiscreteMeasure, hs,
         "hs": [[float(x) for x in row] for row in np.atleast_2d(np.asarray(hs, dtype=float))],
         "nu": nu.to_json_dict(),
     }
-    return InequalityReport.from_min_eig("char_gram_psd", params, min_eig, tolerance)
+    return InequalityReport.from_sides("char_gram_psd", params, 0.0, min_eig, tolerance)
 
 
 def holder_check(f: ExpCombo, g: ExpCombo, hp: HolderParams,
                  tol_exact: float = DEFAULT_TOLS["exact"],
-                 tol_quad: float = DEFAULT_TOLS["quadrature"],
-                 grid=None) -> InequalityReport:
+                 tol_quad: float = DEFAULT_TOLS["quadrature"]) -> InequalityReport:
     """||Gamma(sqrt((1+a)/2)) (f o_a g)||_r <= ||f||_p ||g||_q.
 
     Norms take exact routes where available (single exponentials at any
@@ -237,13 +232,13 @@ def holder_check(f: ExpCombo, g: ExpCombo, hp: HolderParams,
     if not ok:
         raise ValueError(f"exponents fail the admissibility relation, residual {residual:g}")
     (lhs, m_lhs), (norm_f, m_f), (norm_g, m_g) = (
-        lp_norm_exp(fn, e, grid) for fn, e in _holder_norms(f, g, hp))
+        lp_norm_exp(fn, e) for fn, e in _holder_norms(f, g, hp))
     m_rhs = "exact" if (m_f == "exact" and m_g == "exact") else "quadrature"
     tol = tol_exact if (m_lhs == "exact" and m_rhs == "exact") else tol_quad
     params = {
         "alpha": float(hp.alpha),
         "p": float(hp.p), "q": float(hp.q), "r": float(hp.r),
-        "f": _fn_json(f), "g": _fn_json(g),
+        "f": f.to_json_dict(), "g": g.to_json_dict(),
     }
     return InequalityReport.from_sides("holder", params, lhs, norm_f * norm_g, tol, m_lhs, m_rhs)
 
@@ -272,11 +267,11 @@ def classic_beckner_coeff_check(f: ChaosExpansion, alpha: float,
         d = sum(m)
         lhs += base * (1.0 - alpha**d)
         rhs += base * d * (1.0 - alpha)
-    params = {"alpha": float(alpha), "f": _fn_json(f)}
+    params = {"alpha": float(alpha), "f": f.to_json_dict()}
     return InequalityReport.from_sides("classic_beckner", params, lhs, rhs, tolerance)
 
 
-def strong_positivity_check(rho: ConvolutionMeasure, alpha: float, phi: ExpCombo,
+def strong_positivity_check(nu: DiscreteMeasure, alpha: float, phi: ExpCombo,
                             tolerance: float = DEFAULT_TOLS["exact"]) -> InequalityReport:
     """<Gamma(1/sqrt(a)) xi, phi> >= 0 for nonnegative test functions phi.
 
@@ -285,8 +280,8 @@ def strong_positivity_check(rho: ConvolutionMeasure, alpha: float, phi: ExpCombo
     """
     if np.any(phi.weights < 0):
         raise ValueError("phi must have nonnegative weights")
-    pairing = mu_inner_exp(gamma_xi(rho, alpha), phi)
-    params = {"alpha": float(alpha), "nu": rho.nu.to_json_dict(), "phi": _fn_json(phi)}
+    pairing = mu_inner_exp(gamma_xi(nu, alpha), phi)
+    params = {"alpha": float(alpha), "nu": nu.to_json_dict(), "phi": phi.to_json_dict()}
     return InequalityReport.from_sides("strong_positivity", params, 0.0, pairing, tolerance)
 
 
@@ -314,24 +309,24 @@ def covariance_gap(nu1: DiscreteMeasure, nu2: DiscreteMeasure, phi: ExpCombo,
     for c, gdir in zip(phi.weights, phi.directions):
         test += c * np.exp(dir_sums @ gdir)
     gap = float(np.sum(pair_w * test * bracket))
-    params = {"nu1": nu1.to_json_dict(), "nu2": nu2.to_json_dict(), "phi": _fn_json(phi)}
+    params = {"nu1": nu1.to_json_dict(), "nu2": nu2.to_json_dict(), "phi": phi.to_json_dict()}
     return InequalityReport.from_sides("covariance", params, 0.0, gap, tolerance)
 
 
-def g_lambda_bound_check(rho: ConvolutionMeasure, lam: float,
+def g_lambda_bound_check(nu: DiscreteMeasure, lam: float,
                          tolerance: float = DEFAULT_TOLS["exact"]) -> InequalityReport:
     """sqrt of the exact squared G_lambda norm is below the one-sided bound."""
-    norm_sq, bound = g_lambda_norm(rho, lam)
-    params = {"lambda": float(lam), "nu": rho.nu.to_json_dict()}
+    norm_sq, bound = g_lambda_norm(nu, lam)
+    params = {"lambda": float(lam), "nu": nu.to_json_dict()}
     return InequalityReport.from_sides("g_lambda_bound", params,
                                        math.sqrt(norm_sq), bound, tolerance)
 
 
-def oracle_triangle(f: ExpCombo, rho: ConvolutionMeasure, alpha: float,
+def oracle_triangle(f: ExpCombo, nu: DiscreteMeasure, alpha: float,
                     quad_order: int | None = None, mc_seed=0, mc_count: int = 100_000,
                     rel_tol: float = DEFAULT_TOLS["quadrature"],
                     sigmas: float = DEFAULT_TOLS["mc_sigmas"]) -> list[InequalityReport]:
-    """Cross-validate the closed-form rho-integrals against quadrature and MC.
+    """Cross-validate the closed-form rho-integrals, rho = mu * nu, against quadrature and MC.
 
     For each of int f^2, int f o_a f, int |Df|^2 the exact value, the
     quadratic form the deficit checks use (_deficit_integrals), is
@@ -340,8 +335,8 @@ def oracle_triangle(f: ExpCombo, rho: ConvolutionMeasure, alpha: float,
     Six rows per call.
     """
     check_alpha(alpha)
-    order = default_order(rho.dim) if quad_order is None else quad_order
-    grid = gauss_hermite_grid(rho.dim, order)
+    order = default_order(nu.dim) if quad_order is None else quad_order
+    grid = gauss_hermite_grid(nu.dim, order)
     grads = gradient_exp(f)
     prod = alpha_exp(f, f, alpha)
 
@@ -359,16 +354,16 @@ def oracle_triangle(f: ExpCombo, rho: ConvolutionMeasure, alpha: float,
         return total
 
     integrands = zip(("f_sq", "alpha_prod", "dirichlet"), (f_sq, prod.eval, dirichlet),
-                     _deficit_integrals(f, rho, alpha))
-    base = {"alpha": float(alpha), "f": _fn_json(f), "nu": rho.nu.to_json_dict()}
+                     _deficit_integrals(f, nu, alpha))
+    base = {"alpha": float(alpha), "f": f.to_json_dict(), "nu": nu.to_json_dict()}
     rows = []
     for idx, (name, fn, exact) in enumerate(integrands):
-        quad = integrate_rho(fn, rho, grid)
+        quad = integrate_rho(fn, nu, grid)
         qp = {**base, "integral": name, "route": "quadrature", "order": order, "value": quad, "exact": exact}
         rows.append(InequalityReport.from_sides(
             "oracle_triangle", qp, abs(quad - exact), rel_tol * max(1.0, abs(exact)),
             tolerance=0.0, method_lhs="quadrature", method_rhs="exact"))
-        est, se = mc_integral_rho(fn, rho, [mc_seed, idx], mc_count)
+        est, se = mc_integral_rho(fn, nu, [mc_seed, idx], mc_count)
         mp = {**base, "integral": name, "route": "mc", "count": mc_count,
               "seed": mc_seed, "value": est, "se": se, "exact": exact}
         rows.append(InequalityReport.from_sides(
@@ -383,10 +378,6 @@ def oracle_triangle(f: ExpCombo, rho: ConvolutionMeasure, alpha: float,
 
 def _nu(params, key="nu") -> DiscreteMeasure:
     return DiscreteMeasure.from_json_dict(params[key])
-
-
-def _rho(params, key="nu") -> ConvolutionMeasure:
-    return ConvolutionMeasure(_nu(params, key))
 
 
 def _functions(cfg, kind: str) -> list[dict]:
@@ -457,12 +448,12 @@ def _rand_vectors(rng, n, max_count=6, scale=COORD_SCALE) -> list:
 
 
 def _run_beckner(params, tols):
-    return [beckner_deficit(function_from_json(params["f"]), _rho(params),
+    return [beckner_deficit(function_from_json(params["f"]), _nu(params),
                             params["alpha"], tolerance=tols["exact"])]
 
 
 def _run_left(params, tols):
-    return [left_positivity(function_from_json(params["f"]), _rho(params),
+    return [left_positivity(function_from_json(params["f"]), _nu(params),
                             params["alpha"], tolerance=tols["exact"])]
 
 
@@ -482,7 +473,7 @@ def _random_deficit(rng, cfg, sweep):
 
 
 def _run_ab(params, tols):
-    return ab_matrix_check(params["hs"], _rho(params), params["alpha"], tolerance=tols["psd"])
+    return ab_matrix_check(params["hs"], _nu(params), params["alpha"], tolerance=tols["psd"])
 
 
 def _grid_ab(cfg):
@@ -571,7 +562,7 @@ def _random_classic(rng, cfg, sweep):
 
 
 def _run_strong_pos(params, tols):
-    return [strong_positivity_check(_rho(params), params["alpha"],
+    return [strong_positivity_check(_nu(params), params["alpha"],
                                     function_from_json(params["phi"]), tolerance=tols["exact"])]
 
 
@@ -628,7 +619,7 @@ def _random_wick_density(rng, cfg, sweep):
 
 
 def _run_g_lambda(params, tols):
-    return [g_lambda_bound_check(_rho(params), params["lambda"], tolerance=tols["exact"])]
+    return [g_lambda_bound_check(_nu(params), params["lambda"], tolerance=tols["exact"])]
 
 
 def _grid_g_lambda(cfg):
@@ -644,7 +635,7 @@ def _random_g_lambda(rng, cfg, sweep):
 
 def _run_oracle(params, tols):
     return oracle_triangle(
-        function_from_json(params["f"]), _rho(params), params["alpha"],
+        function_from_json(params["f"]), _nu(params), params["alpha"],
         quad_order=params.get("quad_order"), mc_seed=params.get("mc_seed", 0),
         mc_count=params.get("mc_count", 100_000),
         rel_tol=tols["quadrature"], sigmas=tols["mc_sigmas"])

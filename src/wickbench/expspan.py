@@ -23,6 +23,7 @@ import numpy as np
 from .chaos import (
     COEFF_EPS,
     ChaosExpansion,
+    _as_points,
     canonical_rows,
     check_alpha,
     check_dims,
@@ -35,8 +36,9 @@ class ExpCombo:
     """Finite combination sum_j weight_j * E(h_j), kept in canonical form.
 
     ``terms`` is any iterable of (weight, direction) pairs.  Construction
-    merges equal directions, removes zero weights, and orders terms, so
-    value equality of two combos is equality of their stored arrays.
+    merges equal directions, removes zero weights, orders terms and stores
+    a zero coordinate as +0.0, so value equality of two combos is equality
+    of their stored arrays.
     """
 
     __slots__ = ("dim", "weights", "directions")
@@ -49,6 +51,7 @@ class ExpCombo:
         keep = [i for i, c in enumerate(weights) if abs(c) >= COEFF_EPS]
         w = np.array([weights[i] for i in keep], dtype=float)
         d = np.array([dirs[i] for i in keep], dtype=float).reshape(len(keep), dim)
+        d += 0.0  # -0.0 + 0.0 is +0.0: canonical_rows keeps either sign of zero
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "directions", d)
@@ -81,8 +84,7 @@ class ExpCombo:
         return len(self.weights)
 
     def __add__(self, other: "ExpCombo") -> "ExpCombo":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
+        check_dims(self, other)
         return ExpCombo(self.dim, self.terms + other.terms)
 
     def __sub__(self, other: "ExpCombo") -> "ExpCombo":
@@ -109,6 +111,7 @@ class ExpCombo:
 
     def to_json_dict(self) -> dict:
         return {
+            "kind": "exp",
             "dim": self.dim,
             "terms": [{"coef": float(w), "h": [float(x) for x in d]} for w, d in zip(self.weights, self.directions)],
         }
@@ -126,11 +129,7 @@ class ExpCombo:
 
 def exp_eval(f: ExpCombo, w):
     """Evaluate at a point (n,) or batch (N, n) of points."""
-    pts = np.asarray(w, dtype=float)
-    batch = pts.ndim == 2
-    pts = np.atleast_2d(pts)
-    if pts.shape[1] != f.dim:
-        raise ValueError(f"point dimension {pts.shape[1]} does not match n={f.dim}")
+    pts, batch = _as_points(w, f.dim)
     if f.n_terms == 0:
         vals = np.zeros(pts.shape[0])
     else:

@@ -1,7 +1,8 @@
 """Discrete measures nu, Gaussian convolutions rho = mu * nu, and their calculus.
 
-For finitely supported nu = sum_i p_i delta_{y_i} every quantity the
-checks need has a closed form:
+nu determines rho, so every function here that integrates against rho
+takes nu itself.  For finitely supported nu = sum_i p_i delta_{y_i}
+every quantity the checks need has a closed form:
 
     density           xi(w) = drho/dmu = sum_i p_i E(y_i)
     exponential mean  int E(h) drho = sum_i p_i e^{<y_i,h>}
@@ -31,16 +32,18 @@ WEIGHT_SUM_TOL = 1e-12
 class DiscreteMeasure:
     """Probability measure with finitely many atoms on R^n.
 
-    Atoms are merged (coordinatewise within 1e-12) and sorted at
-    construction, so equal measures have equal stored arrays.
+    Atoms and weights must be finite numbers.  Atoms are merged
+    (coordinatewise within 1e-12) and sorted at construction, and a zero
+    coordinate is stored as +0.0, so equal measures have equal stored
+    arrays whatever the order of the input.
     """
 
     __slots__ = ("dim", "atoms", "weights")
 
     def __init__(self, dim: int, atoms, weights):
         dim = operator.index(dim)
-        atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
-        weights = np.asarray(weights, dtype=float).ravel()
+        atoms = np.atleast_2d(finite_array(atoms, "atoms"))
+        weights = finite_array(weights, "weights").ravel()
         if atoms.shape[0] != weights.size:
             raise ValueError("number of atoms and weights differ")
         if atoms.shape[1] != dim:
@@ -51,6 +54,7 @@ class DiscreteMeasure:
             raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
         ys, ps = canonical_rows(dim, zip(map(tuple, atoms.tolist()), weights.tolist()))
         a = np.array(ys, dtype=float).reshape(len(ys), dim)
+        a += 0.0  # -0.0 + 0.0 is +0.0: canonical_rows keeps either sign of zero
         w = np.array(ps, dtype=float)
         a.setflags(write=False)
         w.setflags(write=False)
@@ -79,51 +83,26 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiscreteMeasure":
-        return cls(int(data["dim"]), finite_array(data["atoms"], "atoms"),
-                   finite_array(data["weights"], "weights"))
+        return cls(int(data["dim"]), data["atoms"], data["weights"])
 
     def __repr__(self):
         return f"DiscreteMeasure(dim={self.dim}, atoms={self.n_atoms})"
 
 
-class ConvolutionMeasure:
-    """rho = mu * nu: the standard Gaussian convolved with a discrete nu."""
-
-    __slots__ = ("nu",)
-
-    def __init__(self, nu: DiscreteMeasure):
-        object.__setattr__(self, "nu", nu)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConvolutionMeasure is immutable")
-
-    @classmethod
-    def standard(cls, dim: int) -> "ConvolutionMeasure":
-        """Plain mu (nu = delta_0)."""
-        return cls(DiscreteMeasure.dirac(np.zeros(dim)))
-
-    @property
-    def dim(self) -> int:
-        return self.nu.dim
-
-    def __repr__(self):
-        return f"ConvolutionMeasure(nu={self.nu!r})"
+def density_xi(nu: DiscreteMeasure) -> ExpCombo:
+    """Density of mu * nu against mu: xi = sum_i p_i E(y_i), strictly positive."""
+    return ExpCombo(nu.dim, zip(nu.weights, nu.atoms))
 
 
-def density_xi(rho: ConvolutionMeasure) -> ExpCombo:
-    """Density of rho against mu: xi = sum_i p_i E(y_i), strictly positive."""
-    return ExpCombo(rho.dim, zip(rho.nu.weights, rho.nu.atoms))
-
-
-def gamma_xi(rho: ConvolutionMeasure, alpha: float) -> ExpCombo:
+def gamma_xi(nu: DiscreteMeasure, alpha: float) -> ExpCombo:
     """Gamma(1/sqrt(alpha)) applied to the density: directions y_i/sqrt(alpha)."""
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    return gamma_exp(1.0 / math.sqrt(alpha), density_xi(rho))
+    return gamma_exp(1.0 / math.sqrt(alpha), density_xi(nu))
 
 
-def g_lambda_norm(rho: ConvolutionMeasure, lam: float) -> tuple[float, float]:
-    """Squared G_lambda norm of the density and its one-sided bound.
+def g_lambda_norm(nu: DiscreteMeasure, lam: float) -> tuple[float, float]:
+    """Squared G_lambda norm of the density of mu * nu and its one-sided bound.
 
     Returns (norm_sq, bound) with
 
@@ -136,30 +115,30 @@ def g_lambda_norm(rho: ConvolutionMeasure, lam: float) -> tuple[float, float]:
     """
     if lam < 1:
         warnings.warn(f"lambda = {lam} < 1: outside the regularity scale of interest", stacklevel=2)
-    y = rho.nu.atoms
-    p = rho.nu.weights
+    y = nu.atoms
+    p = nu.weights
     lam2 = float(lam) ** 2
     norm_sq = float(p @ np.exp(lam2 * (y @ y.T)) @ p)
     bound = float(p @ np.exp(0.5 * lam2 * np.sum(y**2, axis=1)))
     return norm_sq, bound
 
 
-def rho_integral_exp(f: ExpCombo, rho: ConvolutionMeasure) -> float:
-    """int f drho = sum_j w_j sum_i p_i e^{<y_i, h_j>}, exactly."""
-    check_dims(f, rho)
+def rho_integral_exp(f: ExpCombo, nu: DiscreteMeasure) -> float:
+    """int f drho, rho = mu * nu: sum_j w_j sum_i p_i e^{<y_i, h_j>}, exactly."""
+    check_dims(f, nu)
     if f.n_terms == 0:
         return 0.0
-    return float(f.weights @ np.exp(f.directions @ rho.nu.atoms.T) @ rho.nu.weights)
+    return float(f.weights @ np.exp(f.directions @ nu.atoms.T) @ nu.weights)
 
 
-def rho_integral_chaos(f: ChaosExpansion, rho: ConvolutionMeasure) -> float:
-    """int f drho = sum_m c_m sum_i p_i y_i^m.
+def rho_integral_chaos(f: ChaosExpansion, nu: DiscreteMeasure) -> float:
+    """int f drho, rho = mu * nu: sum_m c_m sum_i p_i y_i^m.
 
     Uses the shift identity: the mu-mean of H_m(w + y) is y^m.
     """
-    check_dims(f, rho)
-    y = rho.nu.atoms
-    p = rho.nu.weights
+    check_dims(f, nu)
+    y = nu.atoms
+    p = nu.weights
     total = 0.0
     for m, c in f.coeffs.items():
         total += c * float(p @ np.prod(y ** np.asarray(m), axis=1))
@@ -194,8 +173,8 @@ def wick_density_identity_check(nu1: DiscreteMeasure, nu2: DiscreteMeasure,
     Both sides are canonical ExpCombos; the mismatch is the largest
     deviation in term count, directions, or weights.
     """
-    lhs = density_xi(ConvolutionMeasure(convolve_nu(nu1, nu2)))
-    rhs = wick_exp(density_xi(ConvolutionMeasure(nu1)), density_xi(ConvolutionMeasure(nu2)))
+    lhs = density_xi(convolve_nu(nu1, nu2))
+    rhs = wick_exp(density_xi(nu1), density_xi(nu2))
     if lhs.n_terms != rhs.n_terms:
         mismatch = float("inf")
     elif lhs.n_terms == 0:
@@ -209,12 +188,12 @@ def wick_density_identity_check(nu1: DiscreteMeasure, nu2: DiscreteMeasure,
     return InequalityReport.from_mismatch("wick_density_identity", params, mismatch, tolerance)
 
 
-def sample_rho(rho: ConvolutionMeasure, rng_seed, count: int) -> np.ndarray:
-    """Draw count points w = g + y with g ~ mu and y ~ nu; deterministic in the seed."""
+def sample_rho(nu: DiscreteMeasure, rng_seed, count: int) -> np.ndarray:
+    """Draw count points w = g + y of mu * nu, g ~ mu and y ~ nu; deterministic in the seed."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    gauss = rng.standard_normal((count, rho.dim))
-    idx = rng.choice(rho.nu.n_atoms, size=count, p=rho.nu.weights)
-    gauss += np.take(rho.nu.atoms, idx, axis=0)
+    gauss = rng.standard_normal((count, nu.dim))
+    idx = rng.choice(nu.n_atoms, size=count, p=nu.weights)
+    gauss += np.take(nu.atoms, idx, axis=0)
     return gauss

@@ -1,6 +1,7 @@
 """Independent numerical oracles: tensor Gauss-Hermite quadrature against
-the standard Gaussian, Monte Carlo against convolution measures, Lp norms,
-and the smoothing-kernel form of the Ornstein-Uhlenbeck semigroup.
+the standard Gaussian, quadrature and Monte Carlo against convolution
+measures rho = mu * nu (given by the discrete nu), Lp norms, and the
+smoothing-kernel form of the Ornstein-Uhlenbeck semigroup.
 
 Everything here evaluates functions at points; nothing reads chaos or
 exponential coefficients.  That independence is what makes these routines
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expspan import ExpCombo, mu_inner_exp, pointwise_exp
-from .measures import ConvolutionMeasure, sample_rho
+from .measures import DiscreteMeasure, sample_rho
 
 NODE_COUNT_WARN = 1_000_000
 # largest dimension whose default tensor grid lp_norm_exp will build
@@ -131,19 +132,19 @@ def mehler_ou(fn, tau: float, grid: QuadratureGrid):
     return smoothed
 
 
-def integrate_rho(fn, rho: ConvolutionMeasure, grid: QuadratureGrid) -> float:
-    """int fn drho = sum_i p_i int fn(w + y_i) dmu(w), each term by quadrature."""
+def integrate_rho(fn, nu: DiscreteMeasure, grid: QuadratureGrid) -> float:
+    """int fn d(mu * nu) = sum_i p_i int fn(w + y_i) dmu(w), each term by quadrature."""
     total = 0.0
-    for y, p in zip(rho.nu.atoms, rho.nu.weights):
+    for y, p in zip(nu.atoms, nu.weights):
         total += p * float(_eval_at(fn, grid.nodes + y) @ grid.weights)
     return total
 
 
-def mc_integral_rho(fn, rho: ConvolutionMeasure, seed, count: int) -> tuple[float, float]:
-    """Monte Carlo mean of fn under rho: (estimate, standard error)."""
+def mc_integral_rho(fn, nu: DiscreteMeasure, seed, count: int) -> tuple[float, float]:
+    """Monte Carlo mean of fn under rho = mu * nu: (estimate, standard error)."""
     if count < 2:
         raise ValueError("count must be >= 2")
-    vals = _eval_at(fn, sample_rho(rho, seed, count))
+    vals = _eval_at(fn, sample_rho(nu, seed, count))
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(count))
 
 
@@ -153,7 +154,7 @@ def has_exact_lp(f: ExpCombo, p: float) -> bool:
     return f.n_terms <= 1 or (float(p).is_integer() and int(p) % 2 == 0)
 
 
-def lp_norm_exp(f: ExpCombo, p: float, grid: QuadratureGrid | None = None) -> tuple[float, str]:
+def lp_norm_exp(f: ExpCombo, p: float) -> tuple[float, str]:
     """Lp(mu) norm of an exponential combination: (value, method tag).
 
     Exact routes (has_exact_lp): a single term has norm |w| e^{(p-1)|h|^2/2}
@@ -164,12 +165,10 @@ def lp_norm_exp(f: ExpCombo, p: float, grid: QuadratureGrid | None = None) -> tu
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if not has_exact_lp(f, p):
-        if grid is None:
-            if f.dim > QUADRATURE_MAX_DIM:
-                raise ValueError(f"no exact route and quadrature impractical for n > {QUADRATURE_MAX_DIM}; "
-                                 "use Monte Carlo")
-            grid = default_grid(f.dim)
-        return lp_norm_mu(f.eval, p, grid), "quadrature"
+        if f.dim > QUADRATURE_MAX_DIM:
+            raise ValueError(f"no exact route and quadrature impractical for n > {QUADRATURE_MAX_DIM}; "
+                             "use Monte Carlo")
+        return lp_norm_mu(f.eval, p, default_grid(f.dim)), "quadrature"
     if f.n_terms == 0:
         return 0.0, "exact"
     if f.n_terms == 1:

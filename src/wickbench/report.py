@@ -34,12 +34,6 @@ class InequalityReport:
                    gap >= -tolerance, method_lhs, method_rhs)
 
     @classmethod
-    def from_min_eig(cls, check, params, min_eig, tolerance) -> "InequalityReport":
-        min_eig = float(min_eig)
-        return cls(check, params, 0.0, min_eig, min_eig, float(tolerance),
-                   min_eig >= -tolerance, "exact", "exact")
-
-    @classmethod
     def from_mismatch(cls, check, params, mismatch, tolerance) -> "InequalityReport":
         mismatch = float(mismatch)
         return cls(check, params, mismatch, 0.0, -mismatch, float(tolerance),

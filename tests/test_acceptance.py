@@ -15,7 +15,6 @@ import pytest
 
 from wickbench import (
     ChaosExpansion,
-    ConvolutionMeasure,
     DiscreteMeasure,
     ExpCombo,
     HolderParams,
@@ -121,10 +120,9 @@ def test_04_wick_density_identity_and_moments(capsys):
             return DiscreteMeasure(n, rng.uniform(-1.5, 1.5, size=(k, n)),
                                    rng.dirichlet(np.ones(k)))
         nu1, nu2 = draw(), draw()
-        xi = wick_exp(density_xi(ConvolutionMeasure(nu1)),
-                      density_xi(ConvolutionMeasure(nu2)))
+        xi = wick_exp(density_xi(nu1), density_xi(nu2))
         chaos_side = to_chaos(xi, 4)
-        rho3 = ConvolutionMeasure(convolve_nu(nu1, nu2))
+        rho3 = convolve_nu(nu1, nu2)
         for m in multi_indices(n, 4):
             lhs = index_factorial(m) * chaos_side.coeffs.get(m, 0.0)
             rhs = rho_integral_chaos(ChaosExpansion.basis(m), rho3)
@@ -222,8 +220,7 @@ def test_08_oracle_triangle_battery(capsys):
     measures = []
     for j, atoms_count in enumerate((1, 2, 3, 2, 4)):
         atoms = clipped(rng.uniform(-1, 1, size=(atoms_count, 2)))
-        measures.append(ConvolutionMeasure(
-            DiscreteMeasure(2, atoms, rng.dirichlet(np.ones(atoms_count)))))
+        measures.append(DiscreteMeasure(2, atoms, rng.dirichlet(np.ones(atoms_count))))
 
     all_rows = []
     worst_rel = 0.0

@@ -11,7 +11,6 @@ import pytest
 
 from wickbench import (
     ChaosExpansion,
-    ConvolutionMeasure,
     DiscreteMeasure,
     ExpCombo,
     HolderParams,
@@ -34,9 +33,9 @@ from wickbench.checks import _deficit_integrals, _rand_chaos_json, _rand_nu_json
 from wickbench.suite import _ENCODE
 
 E1 = ExpCombo.exponential([1.0])
-RHO0 = ConvolutionMeasure.standard(1)
+RHO0 = DiscreteMeasure.dirac([0.0] * 1)
 SYM = DiscreteMeasure(1, [[1.0], [-1.0]], [0.5, 0.5])
-RHO_SYM = ConvolutionMeasure(SYM)
+RHO_SYM = SYM
 
 
 def test_report_shapes():
@@ -45,7 +44,7 @@ def test_report_shapes():
     n = r.negated()
     assert n.gap == -2.0 and not n.passed
     assert n.lhs == 3.0 and n.rhs == 1.0
-    psd = InequalityReport.from_min_eig("demo", {}, -1e-12, 1e-10)
+    psd = InequalityReport.from_sides("demo", {}, 0.0, -1e-12, 1e-10)
     assert psd.passed and psd.rhs == -1e-12
     ident = InequalityReport.from_mismatch("demo", {}, 5e-13, 1e-12)
     assert ident.passed and ident.gap == -5e-13
@@ -73,7 +72,7 @@ def test_beckner_deficit_convolution_case():
 
 def test_beckner_deficit_alpha_one_is_exactly_zero():
     for f in (E1, ExpCombo.exponential([0.3, -1.2], 2.0) + ExpCombo.exponential([0.9, 0.1], -0.5)):
-        rho = RHO_SYM if f.dim == 1 else ConvolutionMeasure.standard(2)
+        rho = RHO_SYM if f.dim == 1 else DiscreteMeasure.dirac([0.0] * 2)
         rep = beckner_deficit(f, rho, 1.0)
         assert rep.lhs == 0.0
         assert rep.rhs == 0.0
@@ -125,7 +124,7 @@ def test_ab_matrix_random_psd():
         atoms = rng.uniform(-1.5, 1.5, size=(int(rng.integers(1, 5)), dim))
         nu = DiscreteMeasure(dim, atoms, rng.dirichlet(np.ones(len(atoms))))
         alpha = int(rng.integers(0, 11)) / 10
-        rows = ab_matrix_check(hs, ConvolutionMeasure(nu), alpha)
+        rows = ab_matrix_check(hs, nu, alpha)
         assert all(r.rhs >= -1e-10 for r in rows)
 
 
@@ -176,6 +175,26 @@ def test_holder_quadrature_route():
     assert rep.passed
 
 
+F_TWO = {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [0.4]}, {"coef": 0.5, "h": [-0.3]}]}
+
+
+def test_holder_explicit_conjugate_exponents_match_default_family():
+    for alpha in (0.0, 0.5, 1.0):
+        e = 2.0 * (1.0 + alpha)
+        (default,) = run_check("holder", {"alpha": alpha, "f": F_TWO})
+        (explicit,) = run_check("holder", {"alpha": alpha, "f": F_TWO, "p": e, "q": e, "r": 2.0})
+        assert _ENCODE(explicit.as_dict()) == _ENCODE(default.as_dict())
+
+
+def test_holder_explicit_exponents_match_holder_check():
+    # at alpha = 0.5, p = r = 3 is admissible with q = 10.5, off the conjugate family
+    (row,) = run_check("holder", {"alpha": 0.5, "f": F_TWO, "p": 3.0, "q": 10.5, "r": 3.0})
+    f = function_from_json(F_TWO)
+    direct = holder_check(f, f, HolderParams(3.0, 10.5, 3.0, 0.5))
+    assert _ENCODE(row.as_dict()) == _ENCODE(direct.as_dict())
+    assert row.passed and row.method_rhs == "quadrature"
+
+
 def test_classic_beckner_values():
     h3 = ChaosExpansion.basis((3,))
     rep = classic_beckner_coeff_check(h3, 0.4)
@@ -206,7 +225,7 @@ def test_classic_beckner_random_nonnegative():
 
 def test_strong_positivity():
     nu = DiscreteMeasure(1, [[2.0], [-2.0]], [0.5, 0.5])
-    rep = strong_positivity_check(ConvolutionMeasure(nu), 0.25, E1)
+    rep = strong_positivity_check(nu, 0.25, E1)
     assert rep.rhs == pytest.approx(math.cosh(4.0), rel=1e-13)
     assert rep.passed
     one = strong_positivity_check(RHO_SYM, 0.5, ExpCombo.one(1))
@@ -250,7 +269,7 @@ def test_g_lambda_bound_check():
     assert rep.lhs == pytest.approx(math.sqrt(math.cosh(1.0)), rel=1e-14)
     assert rep.rhs == pytest.approx(math.exp(0.5), rel=1e-14)
     assert rep.passed
-    solo = g_lambda_bound_check(ConvolutionMeasure(DiscreteMeasure.dirac([1.2])), 1.4)
+    solo = g_lambda_bound_check(DiscreteMeasure.dirac([1.2]), 1.4)
     assert abs(solo.gap) <= 1e-9  # equality case
 
 
@@ -270,7 +289,7 @@ def test_oracle_triangle_exact_is_the_deficit_kernel():
     # f = E(h), h = 1e-10, under mu * delta_y, y = 0.5:
     # int |Df|^2 drho = h^2 e^{h^2} e^{2hy} = 1.0000000001e-20, up to 2e-20 relative
     f = ExpCombo.exponential([1e-10])
-    rho = ConvolutionMeasure(DiscreteMeasure.dirac([0.5]))
+    rho = DiscreteMeasure.dirac([0.5])
     rows = oracle_triangle(f, rho, 0.5, mc_count=1000)
     exact = {r.params["integral"]: r.params["exact"] for r in rows}
     assert exact["dirichlet"] == pytest.approx(1.0000000001e-20, rel=1e-15, abs=0.0)

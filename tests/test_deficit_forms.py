@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from wickbench import (
     ChaosExpansion,
-    ConvolutionMeasure,
     DiscreteMeasure,
     ExpCombo,
     alpha_chaos,
@@ -57,8 +56,8 @@ def _abs_scale(f, rho, alpha):
     if isinstance(f, ChaosExpansion):
         # the Hermite linearisation's terms carry the signs of c and y only
         f_abs = ChaosExpansion(f.dim, {m: abs(c) for m, c in f.coeffs.items()})
-        nu_abs = DiscreteMeasure(rho.dim, np.abs(rho.nu.atoms), rho.nu.weights)
-        return _product_route(f_abs, ConvolutionMeasure(nu_abs), alpha)
+        nu_abs = DiscreteMeasure(rho.dim, np.abs(rho.atoms), rho.weights)
+        return _product_route(f_abs, nu_abs, alpha)
     # every exponential factor is positive: only the weights carry signs
     w = np.abs(f.weights)
     sq, ap, _ = _product_route(ExpCombo(f.dim, zip(w, f.directions)), rho, alpha)
@@ -87,7 +86,7 @@ def measures(draw, dim):
     count = draw(st.integers(1, 4))
     atoms = [draw(st.lists(coord, min_size=dim, max_size=dim)) for _ in range(count)]
     raw = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=count, max_size=count)))
-    return ConvolutionMeasure(DiscreteMeasure(dim, atoms, raw / raw.sum()))
+    return DiscreteMeasure(dim, atoms, raw / raw.sum())
 
 
 @st.composite
@@ -138,7 +137,7 @@ def test_dense_chaos_forms_match_product_route(case):
     ChaosExpansion.basis((1, 2)),
 ])
 def test_deficit_checks_reject_dimension_mismatch(f):
-    rho = ConvolutionMeasure.standard(1)
+    rho = DiscreteMeasure.dirac([0.0] * 1)
     with pytest.raises(ValueError, match="dimension mismatch"):
         beckner_deficit(f, rho, 0.5)
     with pytest.raises(ValueError, match="dimension mismatch"):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wickbench import (
+    ChaosExpansion,
     ExpCombo,
     alpha_exp,
     eval_chaos,
@@ -252,6 +253,11 @@ def test_dim_mismatch_raises():
         wick_exp(ExpCombo.one(1), ExpCombo.one(2))
     with pytest.raises(ValueError):
         mu_inner_exp(ExpCombo.one(1), ExpCombo.one(2))
+    c1, c2 = ChaosExpansion.constant(1, 1.0), ChaosExpansion.constant(2, 1.0)
+    for mismatched in (lambda: ExpCombo.one(1) + ExpCombo.one(2), lambda: c1 + c2,
+                       lambda: l2_inner(c1, c2)):
+        with pytest.raises(ValueError, match="dimension mismatch: 1 vs 2"):
+            mismatched()
 
 
 def test_json_round_trip():

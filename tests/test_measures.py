@@ -7,7 +7,6 @@ import pytest
 
 from wickbench import (
     ChaosExpansion,
-    ConvolutionMeasure,
     DiscreteMeasure,
     ExpCombo,
     char_gram,
@@ -22,6 +21,7 @@ from wickbench import (
     sample_rho,
     wick_density_identity_check,
 )
+from wickbench.suite import _ENCODE
 
 
 def _two_atom(dim=1, a=1.0):
@@ -37,6 +37,25 @@ def test_discrete_measure_validation():
         DiscreteMeasure(1, [[0.0], [1.0]], [1.5, -0.5])
     with pytest.raises(ValueError):
         DiscreteMeasure(2, [[0.0]], [1.0])
+
+
+@pytest.mark.parametrize("atoms, weights, what", [
+    ([[math.nan]], [1.0], "atoms"),
+    ([[-math.inf]], [1.0], "atoms"),
+    ([[0.0]], [math.nan], "weights"),
+])
+def test_discrete_measure_rejects_non_finite_input(atoms, weights, what):
+    # a NaN weight compares false, so the sign and sum checks alone let it through
+    with pytest.raises(ValueError, match=f"{what} must be finite numbers"):
+        DiscreteMeasure(1, atoms, weights)
+
+
+def test_stored_zeros_do_not_depend_on_input_order():
+    # -0.0 == 0.0, so the merge of equal rows keeps whichever sign comes first
+    rows = [[0.0], [-0.0]]
+    for build in (lambda r: DiscreteMeasure(1, r, [0.5, 0.5]),
+                  lambda r: ExpCombo(1, [(0.5, h) for h in r])):
+        assert _ENCODE(build(rows).to_json_dict()) == _ENCODE(build(rows[::-1]).to_json_dict())
 
 
 def test_discrete_measure_merges_duplicates():
@@ -59,18 +78,18 @@ def test_measure_and_combo_share_canonical_form():
 
 
 def test_density_xi():
-    rho0 = ConvolutionMeasure.standard(1)
+    rho0 = DiscreteMeasure.dirac([0.0] * 1)
     assert density_xi(rho0).allclose(ExpCombo.one(1), tol=0.0)
-    rho_a = ConvolutionMeasure(DiscreteMeasure.dirac([0.7]))
+    rho_a = DiscreteMeasure.dirac([0.7])
     assert density_xi(rho_a).allclose(ExpCombo.exponential([0.7]), tol=0.0)
     # density integrates to one against the Gaussian
-    xi = density_xi(ConvolutionMeasure(_two_atom()))
+    xi = density_xi(_two_atom())
     assert mu_inner_exp(xi, ExpCombo.one(1)) == 1.0
     assert exp_eval(xi, [0.0]) == pytest.approx(math.exp(-0.5), rel=1e-15)
 
 
 def test_gamma_xi():
-    rho = ConvolutionMeasure(DiscreteMeasure.dirac([0.5]))
+    rho = DiscreteMeasure.dirac([0.5])
     assert gamma_xi(rho, 1.0).allclose(density_xi(rho), tol=0.0)
     assert gamma_xi(rho, 0.25).allclose(ExpCombo.exponential([1.0]), tol=0.0)
     with pytest.raises(ValueError):
@@ -78,36 +97,36 @@ def test_gamma_xi():
 
 
 def test_g_lambda_norm_values():
-    rho0 = ConvolutionMeasure.standard(2)
+    rho0 = DiscreteMeasure.dirac([0.0] * 2)
     assert g_lambda_norm(rho0, 1.5) == (1.0, 1.0)
-    rho = ConvolutionMeasure(_two_atom())
+    rho = _two_atom()
     norm_sq, bound = g_lambda_norm(rho, 1.0)
     assert norm_sq == pytest.approx(math.cosh(1.0), rel=1e-15)
     assert bound == pytest.approx(math.exp(0.5), rel=1e-15)
     assert norm_sq <= bound**2
     # a dirac meets the bound with equality
-    nsq, b = g_lambda_norm(ConvolutionMeasure(DiscreteMeasure.dirac([0.9])), 1.3)
+    nsq, b = g_lambda_norm(DiscreteMeasure.dirac([0.9]), 1.3)
     assert math.sqrt(nsq) == pytest.approx(b, rel=1e-14)
 
 
 def test_g_lambda_norm_warns_below_one():
     with pytest.warns(UserWarning):
-        g_lambda_norm(ConvolutionMeasure(_two_atom()), 0.5)
+        g_lambda_norm(_two_atom(), 0.5)
 
 
 def test_rho_integral_exp():
-    rho0 = ConvolutionMeasure.standard(1)
+    rho0 = DiscreteMeasure.dirac([0.0] * 1)
     assert rho_integral_exp(ExpCombo.exponential([0.8]), rho0) == 1.0
-    rho = ConvolutionMeasure(_two_atom())
+    rho = _two_atom()
     val = rho_integral_exp(ExpCombo.exponential([2.0]), rho)
     assert val == pytest.approx(math.cosh(2.0), rel=1e-15)
-    rho_a = ConvolutionMeasure(DiscreteMeasure.dirac([0.3, -0.4]))
+    rho_a = DiscreteMeasure.dirac([0.3, -0.4])
     val = rho_integral_exp(ExpCombo.exponential([1.0, 2.0]), rho_a)
     assert val == pytest.approx(math.exp(0.3 - 0.8), rel=1e-15)
 
 
 def test_rho_integral_exp_matches_sampling():
-    rho = ConvolutionMeasure(_two_atom())
+    rho = _two_atom()
     f = ExpCombo.exponential([0.5], 2.0)
     exact = rho_integral_exp(f, rho)
     pts = sample_rho(rho, 2024, 200_000)
@@ -117,7 +136,7 @@ def test_rho_integral_exp_matches_sampling():
 
 
 def test_rho_integral_chaos():
-    rho = ConvolutionMeasure(_two_atom())
+    rho = _two_atom()
     assert rho_integral_chaos(ChaosExpansion.constant(1, 3.0), rho) == 3.0
     # E_rho He_2 = mean of y^2 over the factor atoms
     assert rho_integral_chaos(ChaosExpansion.basis((2,)), rho) == 1.0
@@ -170,7 +189,7 @@ def test_wick_density_identity():
 
 
 def test_sample_rho():
-    rho = ConvolutionMeasure(_two_atom(2, 0.5))
+    rho = _two_atom(2, 0.5)
     a = sample_rho(rho, [1, 2], 1000)
     b = sample_rho(rho, [1, 2], 1000)
     assert a.shape == (1000, 2)
@@ -178,7 +197,7 @@ def test_sample_rho():
     c = sample_rho(rho, [1, 3], 1000)
     assert not np.array_equal(a, c)
     # dirac shift moves the sample mean
-    rho_a = ConvolutionMeasure(DiscreteMeasure.dirac([2.0]))
+    rho_a = DiscreteMeasure.dirac([2.0])
     pts = sample_rho(rho_a, 7, 40_000)
     assert abs(pts.mean() - 2.0) <= 4.0 / math.sqrt(40_000)
 
@@ -186,7 +205,7 @@ def test_sample_rho():
 def test_sample_rho_is_gauss_plus_chosen_atoms():
     # the in-place sum must give the bits of the textbook draw
     nu = DiscreteMeasure(2, [[0.1, -0.2], [0.4, 0.0], [-1.3, 0.7]], [0.2, 0.5, 0.3])
-    pts = sample_rho(ConvolutionMeasure(nu), [5, 6], 20_000)
+    pts = sample_rho(nu, [5, 6], 20_000)
     rng = np.random.default_rng([5, 6])
     gauss = rng.standard_normal((20_000, 2))
     idx = rng.choice(nu.n_atoms, size=20_000, p=nu.weights)

@@ -7,7 +7,6 @@ import pytest
 
 from wickbench import (
     ChaosExpansion,
-    ConvolutionMeasure,
     DiscreteMeasure,
     ExpCombo,
     eval_chaos,
@@ -124,14 +123,14 @@ def test_mehler_matches_coefficient_action():
 
 def test_integrate_rho_shifts():
     grid = gauss_hermite_grid(1, 25)
-    rho = ConvolutionMeasure(DiscreteMeasure(1, [[1.0], [-1.0]], [0.5, 0.5]))
+    rho = DiscreteMeasure(1, [[1.0], [-1.0]], [0.5, 0.5])
     f = ExpCombo.exponential([2.0])
     val = integrate_rho(f.eval, rho, grid)
     assert val == pytest.approx(math.cosh(2.0), rel=1e-10)
 
 
 def test_mc_integral_rho():
-    rho = ConvolutionMeasure(DiscreteMeasure(1, [[1.0], [-1.0]], [0.5, 0.5]))
+    rho = DiscreteMeasure(1, [[1.0], [-1.0]], [0.5, 0.5])
     est, se = mc_integral_rho(lambda p: np.ones(p.shape[0]), rho, 5, 1000)
     assert est == 1.0 and se == 0.0
     f = ExpCombo.exponential([2.0])

@@ -324,6 +324,12 @@ def test_cli_check_bad_inputs(capsys):
     capsys.readouterr()
 
 
+def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
+    params = json.dumps({"alpha": 1.0, "f": E_ONE, "p": 3.0, "q": 3.0, "r": 2.0})
+    assert main(["check", "holder", "--params", params]) == 2
+    assert "admissibility" in capsys.readouterr().err
+
+
 def test_cli_check_exit_one_on_failing_row(monkeypatch, capsys):
     # real rows pass (that is the point of the package), so fabricate a
     # failing one to pin the exit-code branch
