@@ -17,7 +17,6 @@ from .chaos import (
     hermite_eval,
     l2_inner,
     l2_norm,
-    multi_indices,
     number_apply,
     ou_apply,
 )
@@ -29,7 +28,6 @@ from .checks import (
     char_gram_psd_check,
     classic_beckner_coeff_check,
     covariance_gap,
-    function_from_json,
     g_lambda_bound_check,
     holder_check,
     left_positivity,
@@ -55,7 +53,6 @@ from .measures import (
     convolve_nu,
     density_xi,
     g_lambda_norm,
-    gamma_xi,
     rho_integral_chaos,
     rho_integral_exp,
     sample_rho,
@@ -64,21 +61,15 @@ from .measures import (
 from .products import (
     HolderParams,
     alpha_chaos,
-    holder_relation_check,
     pointwise_chaos,
     wick_chaos,
 )
 from .quadrature import (
-    QuadratureGrid,
     default_grid,
-    default_order,
     gauss_hermite_grid,
-    integrate_mu,
     integrate_rho,
     lp_norm_exp,
-    lp_norm_mu,
     mc_integral_rho,
-    mehler_ou,
 )
 from .report import InequalityReport
 from .suite import ConfigError, SuiteConfig, build_tasks, load_config, run_suite, write_reports
@@ -94,7 +85,6 @@ __all__ = [
     "ExpCombo",
     "HolderParams",
     "InequalityReport",
-    "QuadratureGrid",
     "SuiteConfig",
     "ab_matrix_check",
     "alpha_chaos",
@@ -107,35 +97,27 @@ __all__ = [
     "convolve_nu",
     "covariance_gap",
     "default_grid",
-    "default_order",
     "density_xi",
     "dirichlet_energy",
     "eval_chaos",
     "exp_eval",
-    "function_from_json",
     "g_lambda_bound_check",
     "g_lambda_norm",
     "gamma_apply",
     "gamma_exp",
-    "gamma_xi",
     "gauss_hermite_grid",
     "gradient",
     "gradient_exp",
     "hermite_eval",
     "holder_check",
-    "holder_relation_check",
-    "integrate_mu",
     "integrate_rho",
     "l2_inner",
     "l2_norm",
     "left_positivity",
     "load_config",
     "lp_norm_exp",
-    "lp_norm_mu",
     "mc_integral_rho",
-    "mehler_ou",
     "mu_inner_exp",
-    "multi_indices",
     "number_apply",
     "oracle_triangle",
     "ou_apply",

@@ -205,13 +205,7 @@ class ChaosExpansion:
 
 def hermite_eval(m, w) -> float | np.ndarray:
     """Evaluate the tensorized Hermite basis element H_m at point(s) w."""
-    m = multi_index(m)
-    pts, batch = _as_points(w, len(m))
-    vals = np.ones(pts.shape[0])
-    for k, mk in enumerate(m):
-        if mk:
-            vals = vals * _he_table(mk, pts[:, k])[mk]
-    return vals if batch else float(vals[0])
+    return eval_chaos(ChaosExpansion.basis(m), w)
 
 
 def eval_chaos(f: ChaosExpansion, w) -> float | np.ndarray:

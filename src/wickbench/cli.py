@@ -4,7 +4,8 @@
     wickbench check <name> --params '<json>' [--tol T]
     wickbench list-checks
 
-Exit codes: 0 all rows pass, 1 any row fails, 2 configuration error.
+Exit codes: 0 all rows pass, 1 any row fails, 2 the config, or a task it
+generates, cannot be computed.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .checks import CHECK_REGISTRY, DEFAULT_TOLS, run_check
-from .suite import _ENCODE, ConfigError, load_config, run_suite, write_reports
+from .suite import _ENCODE, INPUT_ERRORS, load_config, run_suite, write_reports
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,16 +43,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.tol is not None:
-            cfg.tolerances = {**cfg.tolerances, "exact": args.tol}
-        cfg.validate()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    cfg = load_config(args.config)
+    if args.seed is not None:
+        cfg.seed = args.seed
+    if args.tol is not None:
+        cfg.tolerances = {**cfg.tolerances, "exact": args.tol}
+    cfg.validate()
     out_dir = args.out or cfg.out or "."
     reports, code = run_suite(cfg, jobs=max(1, args.jobs))
     json_path, csv_path = write_reports(reports, out_dir)
@@ -64,17 +62,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        params = json.loads(args.params)
-    except json.JSONDecodeError as exc:
-        print(f"config error: --params is not valid JSON: {exc}", file=sys.stderr)
-        return 2
     tols = {"exact": args.tol} if args.tol is not None else None
-    try:
-        rows = run_check(args.name, params, tols)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    rows = run_check(args.name, json.loads(args.params), tols)
     for r in rows:
         print(_ENCODE(r.as_dict()))
     return 0 if all(r.passed for r in rows) else 1
@@ -89,12 +78,19 @@ def _cmd_list() -> int:
 
 
 def main(argv=None) -> int:
+    """0 when every row passes, 1 when any row fails, 2 when anything raises."""
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    return _cmd_list()
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "check":
+            return _cmd_check(args)
+        return _cmd_list()
+    except INPUT_ERRORS as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+    except Exception:
+        traceback.print_exc()
+    return 2
 
 
 if __name__ == "__main__":

@@ -113,6 +113,8 @@ def g_lambda_norm(nu: DiscreteMeasure, lam: float) -> tuple[float, float]:
     (equality for a single atom, so no hard assertion is made here; the
     harness checks it with a tolerance).
     """
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {lam}")
     if lam < 1:
         warnings.warn(f"lambda = {lam} < 1: outside the regularity scale of interest", stacklevel=2)
     y = nu.atoms
@@ -145,15 +147,21 @@ def rho_integral_chaos(f: ChaosExpansion, nu: DiscreteMeasure) -> float:
     return total
 
 
+def vector_rows(hs, dim: int) -> np.ndarray:
+    """hs as a (k, dim) array of finite numbers; ValueError otherwise."""
+    h = np.atleast_2d(finite_array(hs, "hs"))
+    if h.shape[1] != dim:
+        raise ValueError(f"vector dimension {h.shape[1]} does not match n={dim}")
+    return h
+
+
 def char_gram(nu: DiscreteMeasure, hs) -> np.ndarray:
     """Characteristic Gram G_jk = sum_i p_i e^{i <y_i, h_j - h_k>}.
 
     PSD for any probability measure: it is the nu-Gram of the functions
     w -> e^{i<w, h_j>}.
     """
-    h = np.atleast_2d(np.asarray(hs, dtype=float))
-    if h.shape[1] != nu.dim:
-        raise ValueError(f"vector dimension {h.shape[1]} does not match n={nu.dim}")
+    h = vector_rows(hs, nu.dim)
     phases = np.exp(1j * (nu.atoms @ h.T))
     return phases.T @ (nu.weights[:, None] * phases.conj())
 

@@ -18,33 +18,24 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .chaos import ChaosExpansion, check_alpha, check_dims
 
 
-def wick_chaos(f: ChaosExpansion, g: ChaosExpansion) -> ChaosExpansion:
-    """Wick product: (f diamond g)_m = sum_{a+b=m} c_a d_b; degrees add."""
-    check_dims(f, g)
-    out: dict[tuple, float] = {}
-    for a, ca in f.coeffs.items():
-        for b, cb in g.coeffs.items():
-            m = tuple(x + y for x, y in zip(a, b))
-            out[m] = out.get(m, 0.0) + ca * cb
-    return ChaosExpansion(f.dim, out)
-
-
-def pointwise_chaos(f: ChaosExpansion, g: ChaosExpansion, alpha: float = 1.0) -> ChaosExpansion:
-    """Exact polynomial product of two chaos expansions.
-
-    alpha < 1 weights each order-k term by alpha^|k|, which is f o_alpha g
-    (see alpha_chaos); alpha = 1 is the ordinary product.
-    """
+def _product_chaos(f: ChaosExpansion, g: ChaosExpansion, alpha: float) -> ChaosExpansion:
+    # shared kernel: the Hermite linearisation with each order-k term
+    # weighted by alpha^|k|; alpha = 0 keeps only k = 0, H_a H_b -> H_{a+b}
     check_dims(f, g)
     out: dict[tuple, float] = {}
     for a, ca in f.coeffs.items():
         for b, cb in g.coeffs.items():
             cab = ca * cb
+            if not alpha:
+                m = tuple(map(operator.add, a, b))
+                out[m] = out.get(m, 0.0) + cab
+                continue
             ranges = [range(min(ai, bi) + 1) for ai, bi in zip(a, b)]
             for k in itertools.product(*ranges):
                 coef = 1
@@ -55,6 +46,16 @@ def pointwise_chaos(f: ChaosExpansion, g: ChaosExpansion, alpha: float = 1.0) ->
     return ChaosExpansion(f.dim, out)
 
 
+def wick_chaos(f: ChaosExpansion, g: ChaosExpansion) -> ChaosExpansion:
+    """Wick product: (f diamond g)_m = sum_{a+b=m} c_a d_b; degrees add."""
+    return _product_chaos(f, g, 0.0)
+
+
+def pointwise_chaos(f: ChaosExpansion, g: ChaosExpansion) -> ChaosExpansion:
+    """Exact polynomial product of two chaos expansions."""
+    return _product_chaos(f, g, 1.0)
+
+
 def alpha_chaos(f: ChaosExpansion, g: ChaosExpansion, alpha: float) -> ChaosExpansion:
     """Interpolating product on chaos expansions, alpha in [0, 1].
 
@@ -62,7 +63,7 @@ def alpha_chaos(f: ChaosExpansion, g: ChaosExpansion, alpha: float) -> ChaosExpa
     is the pointwise product.
     """
     check_alpha(alpha)
-    return pointwise_chaos(f, g, float(alpha))
+    return _product_chaos(f, g, float(alpha))
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,8 @@ class HolderParams:
 
     def __post_init__(self):
         check_alpha(self.alpha)
+        if not all(map(math.isfinite, (self.p, self.q, self.r))):
+            raise ValueError("p, q and r must be finite")
         if self.p <= 1 or self.q <= 1:
             raise ValueError("p and q must be > 1")
         if self.r < 1:

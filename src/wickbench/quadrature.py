@@ -148,23 +148,18 @@ def mc_integral_rho(fn, nu: DiscreteMeasure, seed, count: int) -> tuple[float, f
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(count))
 
 
-def has_exact_lp(f: ExpCombo, p: float) -> bool:
-    """Whether lp_norm_exp has a closed form for ||f||_p: at most one term,
-    or p an even integer (p = 2 is a Gaussian inner product)."""
-    return f.n_terms <= 1 or (float(p).is_integer() and int(p) % 2 == 0)
-
-
 def lp_norm_exp(f: ExpCombo, p: float) -> tuple[float, str]:
     """Lp(mu) norm of an exponential combination: (value, method tag).
 
-    Exact routes (has_exact_lp): a single term has norm |w| e^{(p-1)|h|^2/2}
-    for any p; p = 2 is a Gaussian inner product; even integer p expands
-    the power.  Anything else takes quadrature, on the default grid only
-    for n <= QUADRATURE_MAX_DIM.
+    Exact routes: a single term has norm |w| e^{(p-1)|h|^2/2} for any p;
+    p = 2 is a Gaussian inner product; even integer p expands the power.
+    Anything else takes quadrature, on the default grid only for
+    n <= QUADRATURE_MAX_DIM; above that it raises ValueError.  The
+    one-term closed form raises OverflowError past float range.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    if not has_exact_lp(f, p):
+    if f.n_terms > 1 and not (float(p).is_integer() and int(p) % 2 == 0):
         if f.dim > QUADRATURE_MAX_DIM:
             raise ValueError(f"no exact route and quadrature impractical for n > {QUADRATURE_MAX_DIM}; "
                              "use Monte Carlo")

@@ -25,7 +25,16 @@ from .report import InequalityReport
 
 
 class ConfigError(ValueError):
-    """Malformed suite configuration; raised before any computation."""
+    """A config, or a task it generates, that cannot be computed.
+
+    load_config and SuiteConfig.validate raise it on malformed fields
+    before any computation; run_suite raises it when a task raises one of
+    INPUT_ERRORS, naming the task's check.
+    """
+
+
+# What a check raises on inputs it cannot compute; the CLI exits 2 on them.
+INPUT_ERRORS = (ValueError, KeyError, TypeError, ArithmeticError)
 
 
 ALPHA_GRID = [i / 10 for i in range(11)]
@@ -119,12 +128,6 @@ class SuiteConfig:
                 function_from_json(f)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad measure or function spec: {exc}") from exc
-        try:
-            for name in self.checks:
-                # a grid generator raises on a task its check cannot compute
-                list(CHECK_REGISTRY[name].grid(self))
-        except ValueError as exc:
-            raise ConfigError(f"grid task cannot run: {exc}") from exc
 
 
 def load_config(path) -> SuiteConfig:
@@ -158,14 +161,22 @@ def _task_key(task: dict) -> tuple:
 
 def _run_task(args):
     task, tols, negate = args
-    rows = run_check(task["check"], task["params"], tols)
+    try:
+        rows = run_check(task["check"], task["params"], tols)
+    except INPUT_ERRORS as exc:
+        raise ConfigError(f"{task['check']} task cannot run: {exc}") from exc
     if negate:
         rows = [r.negated() for r in rows]
     return _task_key(task), rows
 
 
 def run_suite(cfg: SuiteConfig, jobs: int = 1) -> tuple[list[InequalityReport], int]:
-    """Run all tasks; returns (rows in canonical order, exit code 0 or 1)."""
+    """Run all tasks; returns (rows in canonical order, exit code 0 or 1).
+
+    A task that raises one of INPUT_ERRORS raises ConfigError naming its
+    check; any other exception propagates as it is.  Either way nothing
+    is returned, at any jobs.
+    """
     tasks = build_tasks(cfg)
     tols = {**DEFAULT_TOLS, **cfg.tolerances}
     args = [(t, tols, cfg.negate) for t in tasks]

@@ -30,8 +30,6 @@ from wickbench import (
     gauss_hermite_grid,
     holder_check,
     left_positivity,
-    mehler_ou,
-    multi_indices,
     oracle_triangle,
     rho_integral_chaos,
     run_suite,
@@ -39,8 +37,9 @@ from wickbench import (
     wick_exp,
     write_reports,
 )
-from wickbench.chaos import index_factorial
+from wickbench.chaos import index_factorial, multi_indices
 from wickbench.cli import main as cli_main
+from wickbench.quadrature import mehler_ou
 
 SEED = 20260814
 

@@ -13,14 +13,13 @@ from wickbench import (
     gauss_hermite_grid,
     gradient,
     hermite_eval,
-    integrate_mu,
     l2_inner,
     l2_norm,
-    multi_indices,
     number_apply,
     ou_apply,
 )
-from wickbench.chaos import index_factorial, multi_index
+from wickbench.chaos import index_factorial, multi_index, multi_indices
+from wickbench.quadrature import integrate_mu
 
 
 def test_multi_index_basics():

@@ -21,7 +21,6 @@ from wickbench import (
     char_gram_psd_check,
     classic_beckner_coeff_check,
     covariance_gap,
-    function_from_json,
     g_lambda_bound_check,
     holder_check,
     left_positivity,
@@ -29,7 +28,7 @@ from wickbench import (
     run_check,
     strong_positivity_check,
 )
-from wickbench.checks import _deficit_integrals, _rand_chaos_json, _rand_nu_json
+from wickbench.checks import _deficit_integrals, _rand_chaos_json, _rand_nu_json, function_from_json
 from wickbench.suite import _ENCODE
 
 E1 = ExpCombo.exponential([1.0])

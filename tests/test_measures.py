@@ -13,7 +13,6 @@ from wickbench import (
     convolve_nu,
     density_xi,
     exp_eval,
-    gamma_xi,
     g_lambda_norm,
     mu_inner_exp,
     rho_integral_chaos,
@@ -21,6 +20,7 @@ from wickbench import (
     sample_rho,
     wick_density_identity_check,
 )
+from wickbench.measures import gamma_xi
 from wickbench.suite import _ENCODE
 
 
@@ -114,6 +114,12 @@ def test_g_lambda_norm_warns_below_one():
         g_lambda_norm(_two_atom(), 0.5)
 
 
+def test_g_lambda_norm_rejects_non_finite_lambda():
+    for lam in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            g_lambda_norm(_two_atom(), lam)
+
+
 def test_rho_integral_exp():
     rho0 = DiscreteMeasure.dirac([0.0] * 1)
     assert rho_integral_exp(ExpCombo.exponential([0.8]), rho0) == 1.0
@@ -154,6 +160,14 @@ def test_char_gram_values():
     expected = np.array([[1.0, math.cos(1.0)], [math.cos(1.0), 1.0]])
     assert np.allclose(g2, expected, atol=1e-15)
     assert np.linalg.eigvalsh(g2)[0] == pytest.approx(1.0 - math.cos(1.0), rel=1e-12)
+
+
+def test_char_gram_rejects_non_finite_or_misshapen_vectors():
+    for hs in ([[0.0], [math.nan]], [[math.inf]]):
+        with pytest.raises(ValueError, match="hs must be finite"):
+            char_gram(_two_atom(), hs)
+    with pytest.raises(ValueError, match="vector dimension 2 does not match n=1"):
+        char_gram(_two_atom(), [[0.0, 1.0]])
 
 
 def test_char_gram_psd_random():

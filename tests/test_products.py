@@ -13,11 +13,11 @@ from wickbench import (
     alpha_exp,
     eval_chaos,
     gamma_apply,
-    holder_relation_check,
     pointwise_chaos,
     to_chaos,
     wick_chaos,
 )
+from wickbench.products import holder_relation_check
 
 H1 = ChaosExpansion.basis((1,))
 H2 = ChaosExpansion.basis((2,))
@@ -161,6 +161,9 @@ def test_holder_params_validation():
         HolderParams(p=2.0, q=2.0, r=0.5, alpha=0.5)
     with pytest.raises(ValueError):
         HolderParams(p=2.0, q=2.0, r=2.0, alpha=1.5)
+    for p, q, r in ((math.inf, 1.75, 2.0), (2.0, math.nan, 2.0), (2.0, 2.0, math.inf)):
+        with pytest.raises(ValueError, match="p, q and r must be finite"):
+            HolderParams(p=p, q=q, r=r, alpha=0.5)
 
 
 def test_holder_relation_conjugate_family():

@@ -14,17 +14,14 @@ from wickbench import (
     gamma_apply,
     gauss_hermite_grid,
     default_grid,
-    default_order,
-    integrate_mu,
     integrate_rho,
     lp_norm_exp,
-    lp_norm_mu,
     mc_integral_rho,
-    mehler_ou,
     mu_inner_exp,
-    multi_indices,
     ou_apply,
 )
+from wickbench.chaos import multi_indices
+from wickbench.quadrature import default_order, integrate_mu, lp_norm_mu, mehler_ou
 
 
 def test_grid_structure():

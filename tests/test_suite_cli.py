@@ -29,6 +29,8 @@ NU_ZERO = {"dim": 1, "atoms": [[0.0]], "weights": [1.0]}
 NU_SYM = {"dim": 1, "atoms": [[1.0], [-1.0]], "weights": [0.5, 0.5]}
 F_DIM4 = {"kind": "exp", "dim": 4, "terms": [{"coef": 1.0, "h": [0.1, 0.2, 0.3, 0.4]},
                                             {"coef": 0.5, "h": [-0.2, 0.1, 0.0, 0.3]}]}
+# its L^p norm e^{(p-1)|h|^2/2} is far past float range
+E_HUGE = {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [1000.0]}]}
 
 
 def _small_config(**overrides):
@@ -267,6 +269,9 @@ def test_cli_run_config_error(tmp_path, capsys):
     ({"measures": [{"dim": 1, "atoms": [[float("nan")]], "weights": [1.0]}]}, []),
     # an L^2.6 norm of a 2-term function in dim 4: no closed form, no default grid
     ({"checks": ["holder"], "alphas": [0.3], "functions": [F_DIM4]}, []),
+    # an overflow is a task that cannot run, not a failed inequality
+    ({"checks": ["holder"], "alphas": [0.3], "functions": [E_HUGE]}, []),
+    ({"checks": ["holder"], "alphas": [0.3], "functions": [E_HUGE]}, ["--jobs", "2"]),
 ])
 def test_cli_run_rejects_bad_scalar_fields(tmp_path, capsys, overrides, argv):
     # each of these ran the suite before validation caught it: a traceback
@@ -278,6 +283,33 @@ def test_cli_run_rejects_bad_scalar_fields(tmp_path, capsys, overrides, argv):
     code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"), *argv])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("f, message", [(F_DIM4, "no exact route"), (E_HUGE, "math range error")],
+                         ids=["dim4", "overflow"])
+def test_run_suite_names_the_check_of_a_task_that_cannot_run(jobs, f, message):
+    # the config loads; its grid task raises when it runs
+    cfg = _small_config(checks=["holder"], alphas=[0.3], functions=[f], measures=[])
+    with pytest.raises(ConfigError, match=f"holder task cannot run: {message}"):
+        run_suite(cfg, jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cli_run_task_crash_exits_two_and_writes_nothing(tmp_path, capsys, monkeypatch, jobs):
+    # any other exception keeps its traceback; forked workers inherit the patch
+    def crash(params, tols):
+        raise RuntimeError("task crashed")
+
+    monkeypatch.setitem(CHECK_REGISTRY, "covariance", CHECK_REGISTRY["covariance"]._replace(run=crash))
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"checks": ["beckner_deficit", "covariance"], "random_sweeps": 4}))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--jobs", str(jobs)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: task crashed" in err
+    assert "config error" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -320,14 +352,35 @@ def test_cli_check_bad_inputs(capsys):
     assert main(["check", "beckner_deficit", "--params", "{oops"]) == 2
     assert main(["check", "made_up_check", "--params", "{}"]) == 2
     # structurally valid JSON but missing required parameters
-    assert main(["check", "beckner_deficit", "--params", "{}"]) == 2
-    capsys.readouterr()
+    for name in CHECK_REGISTRY:
+        assert main(["check", name, "--params", "{}"]) == 2, name
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 + len(CHECK_REGISTRY)
+    assert all(line.startswith("config error: ") for line in err)
 
 
 def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
     params = json.dumps({"alpha": 1.0, "f": E_ONE, "p": 3.0, "q": 3.0, "r": 2.0})
     assert main(["check", "holder", "--params", params]) == 2
     assert "admissibility" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("holder", {"alpha": 0.3, "f": E_HUGE}, "math range error"),
+    ("g_lambda_bound", {"nu": NU_SYM, "lambda": math.nan}, "lambda must be finite"),
+    ("g_lambda_bound", {"nu": NU_SYM, "lambda": math.inf}, "lambda must be finite"),
+    ("char_gram_psd", {"nu": NU_SYM, "hs": [[0.0], [math.nan]]}, "hs must be finite"),
+    ("char_gram_psd", {"nu": NU_SYM, "hs": [[math.inf]]}, "hs must be finite"),
+    ("ab_psd", {"alpha": 0.5, "nu": NU_SYM, "hs": [[0.0], [math.nan]]}, "hs must be finite"),
+    ("ab_psd", {"alpha": 0.5, "nu": NU_SYM, "hs": [[-math.inf], [1.0]]}, "hs must be finite"),
+    # admissible, and it passed only because its rhs was infinite
+    ("holder", {"alpha": 0.5, "f": E_ONE, "p": math.inf, "q": 1.75, "r": 2.0},
+     "p, q and r must be finite"),
+], ids=["holder-overflow", "g_lambda-nan", "g_lambda-inf", "char_gram-nan", "char_gram-inf",
+        "ab-nan", "ab-inf", "holder-inf-p"])
+def test_cli_check_rejects_params_it_cannot_compute(capsys, name, params, message):
+    assert main(["check", name, "--params", json.dumps(params)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_cli_check_exit_one_on_failing_row(monkeypatch, capsys):
