@@ -51,7 +51,7 @@ from .chaos import ChaosExpansion, check_alpha, check_dims, index_factorial
 from .expspan import ExpCombo, alpha_exp, exp_eval, gamma_exp, gradient_exp, mu_inner_exp
 from .measures import (
     DiscreteMeasure,
-    char_gram,
+    _char_gram_rows,
     g_lambda_norm,
     gamma_xi,
     vector_rows,
@@ -203,7 +203,7 @@ def char_gram_psd_check(nu: DiscreteMeasure, hs,
                         tolerance: float = DEFAULT_TOLS["psd"]) -> InequalityReport:
     """Minimum eigenvalue of the characteristic Gram matrix is >= 0."""
     h = vector_rows(hs, nu.dim)
-    min_eig = float(np.linalg.eigvalsh(char_gram(nu, h))[0])
+    min_eig = float(np.linalg.eigvalsh(_char_gram_rows(nu, h))[0])
     params = {"hs": h.tolist(), "nu": nu.to_json_dict()}
     return InequalityReport.from_sides("char_gram_psd", params, 0.0, min_eig, tolerance)
 

@@ -161,7 +161,11 @@ def char_gram(nu: DiscreteMeasure, hs) -> np.ndarray:
     PSD for any probability measure: it is the nu-Gram of the functions
     w -> e^{i<w, h_j>}.
     """
-    h = vector_rows(hs, nu.dim)
+    return _char_gram_rows(nu, vector_rows(hs, nu.dim))
+
+
+def _char_gram_rows(nu: DiscreteMeasure, h: np.ndarray) -> np.ndarray:
+    # char_gram of rows that vector_rows has already checked
     phases = np.exp(1j * (nu.atoms @ h.T))
     return phases.T @ (nu.weights[:, None] * phases.conj())
 

@@ -24,15 +24,23 @@ from dataclasses import dataclass
 from .chaos import ChaosExpansion, check_alpha, check_dims
 
 
-def _product_chaos(f: ChaosExpansion, g: ChaosExpansion, alpha: float) -> ChaosExpansion:
-    # shared kernel: the Hermite linearisation with each order-k term
-    # weighted by alpha^|k|; alpha = 0 keeps only k = 0, H_a H_b -> H_{a+b}
+def pointwise_chaos(f: ChaosExpansion, g: ChaosExpansion, alpha: float = 1.0) -> ChaosExpansion:
+    """Exact polynomial product of two chaos expansions.
+
+    alpha in [0, 1] weights each order-k term of the linearization by
+    alpha^|k|, which is f o_alpha g (see alpha_chaos); alpha = 1 is the
+    ordinary product and alpha = 0 the Wick product.
+    """
+    check_alpha(alpha)
     check_dims(f, g)
+    alpha = float(alpha)
     out: dict[tuple, float] = {}
     for a, ca in f.coeffs.items():
         for b, cb in g.coeffs.items():
             cab = ca * cb
             if not alpha:
+                # the Wick product's fast path: only k = 0 has weight,
+                # so skip the linearization sums
                 m = tuple(map(operator.add, a, b))
                 out[m] = out.get(m, 0.0) + cab
                 continue
@@ -48,12 +56,7 @@ def _product_chaos(f: ChaosExpansion, g: ChaosExpansion, alpha: float) -> ChaosE
 
 def wick_chaos(f: ChaosExpansion, g: ChaosExpansion) -> ChaosExpansion:
     """Wick product: (f diamond g)_m = sum_{a+b=m} c_a d_b; degrees add."""
-    return _product_chaos(f, g, 0.0)
-
-
-def pointwise_chaos(f: ChaosExpansion, g: ChaosExpansion) -> ChaosExpansion:
-    """Exact polynomial product of two chaos expansions."""
-    return _product_chaos(f, g, 1.0)
+    return pointwise_chaos(f, g, 0.0)
 
 
 def alpha_chaos(f: ChaosExpansion, g: ChaosExpansion, alpha: float) -> ChaosExpansion:
@@ -62,8 +65,7 @@ def alpha_chaos(f: ChaosExpansion, g: ChaosExpansion, alpha: float) -> ChaosExpa
     alpha = 0 keeps only the order-0 terms, the Wick product; alpha = 1
     is the pointwise product.
     """
-    check_alpha(alpha)
-    return _product_chaos(f, g, float(alpha))
+    return pointwise_chaos(f, g, alpha)
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,10 @@ def test_pointwise_chaos_values():
     # He_1 He_2 = He_3 + 2 He_1
     prod = pointwise_chaos(H1, H2)
     assert prod.allclose(H3 + 2.0 * H1, tol=0.0)
+    # alpha weights the order-k terms and must lie in [0, 1]
+    for alpha in (-0.5, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            pointwise_chaos(H1, H1, alpha)
 
 
 def test_pointwise_chaos_matches_evaluation():

@@ -18,7 +18,7 @@ from wickbench import (
     run_suite,
     write_reports,
 )
-from wickbench import suite
+from wickbench import cli, suite
 from wickbench.checks import run_check
 from wickbench.cli import main
 from wickbench.report import InequalityReport
@@ -273,17 +273,31 @@ def test_cli_run_config_error(tmp_path, capsys):
     ({"checks": ["holder"], "alphas": [0.3], "functions": [E_HUGE]}, []),
     ({"checks": ["holder"], "alphas": [0.3], "functions": [E_HUGE]}, ["--jobs", "2"]),
 ])
-def test_cli_run_rejects_bad_scalar_fields(tmp_path, capsys, overrides, argv):
+def test_cli_run_rejects_bad_scalar_fields(tmp_path, capsys, monkeypatch, overrides, argv):
     # each of these ran the suite before validation caught it: a traceback
     # and exit 1 (the failing-row code), or a silent run
+    suites = []
+
+    def spy(*args, **kwargs):
+        suites.append(args)
+        return run_suite(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_suite", spy)
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps({
         "checks": ["oracle_triangle"], "random_sweeps": 1, "mc_count": 100, **overrides,
     }))
     code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"), *argv])
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    if overrides.get("checks") == ["holder"]:
+        # the config loads; its holder grid task is what cannot run
+        assert suites and "holder task cannot run" in err
+    else:
+        # the loader caught the field before any task ran
+        assert not suites and "task cannot run" not in err
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
