@@ -16,7 +16,7 @@ import sys
 import traceback
 
 from .checks import CHECK_REGISTRY, DEFAULT_TOLS, run_check
-from .suite import _ENCODE, INPUT_ERRORS, load_config, run_suite, write_reports
+from .suite import _ENCODE, INPUT_ERRORS, ConfigError, load_config, run_rendered, write_rendered
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,6 +43,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be an integer >= 1, got {args.jobs}")
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seed = args.seed
@@ -50,15 +52,15 @@ def _cmd_run(args) -> int:
         cfg.tolerances = {**cfg.tolerances, "exact": args.tol}
     cfg.validate()
     out_dir = args.out or cfg.out or "."
-    reports, code = run_suite(cfg, jobs=max(1, args.jobs))
-    json_path, csv_path = write_reports(reports, out_dir)
-    failures = [r for r in reports if not r.passed]
-    for r in failures[:20]:
-        print(f"FAIL {r.check} gap={r.gap!r} tol={r.tolerance!r}", file=sys.stderr)
+    rendered = run_rendered(cfg, jobs=args.jobs)
+    json_path, csv_path = write_rendered(rendered, out_dir)
+    failures = [record for _, record in rendered if record[6] == "false"]
+    for check, _, _, _, gap, tol, _, _ in failures[:20]:
+        print(f"FAIL {check} gap={gap} tol={tol}", file=sys.stderr)
     if len(failures) > 20:
         print(f"... and {len(failures) - 20} more failures", file=sys.stderr)
-    print(f"{len(reports)} rows, {len(failures)} failed; wrote {json_path} and {csv_path}")
-    return code
+    print(f"{len(rendered)} rows, {len(failures)} failed; wrote {json_path} and {csv_path}")
+    return 1 if failures else 0
 
 
 def _cmd_check(args) -> int:

@@ -2,9 +2,17 @@
 across processes), and write reports whose bytes do not depend on the
 degree of parallelism.
 
-Each task is a plain dict (check name + JSON parameters), so it is
-picklable and pure: the same task always produces the same rows.  Rows
-are ordered canonically by (check, parameter JSON) before writing.
+Each task is a plain dict (check name + JSON parameters) and pure: the
+same task always produces the same rows.  run_rendered cuts the config
+into task descriptors, (check, grid params) or (check, sweep), and sends
+them out in chunks with the config and tolerances once per chunk.  Whoever
+runs a chunk (a pool worker at jobs > 1, this process otherwise) expands
+it with _expand, the routine build_tasks is built from, runs each task and
+at once renders its rows with _render, the renderer write_reports uses,
+into report.json lines and report.csv records.  So rows cross the process
+boundary as text, and the parent only sorts the tasks by (check, parameter
+JSON) and writes that text; run_suite decodes it back into rows for
+library callers.
 """
 
 from __future__ import annotations
@@ -141,55 +149,89 @@ def load_config(path) -> SuiteConfig:
     return SuiteConfig.from_json_dict(data)
 
 
+def _descriptors(cfg: SuiteConfig):
+    """(check, grid params) per grid task, then (check, sweep) per random
+    sweep, for each configured check: the tasks, not yet expanded."""
+    for name in cfg.checks:
+        for params in CHECK_REGISTRY[name].grid(cfg):
+            yield name, params
+        for sweep in range(cfg.random_sweeps):
+            yield name, sweep
+
+
+def _expand(cfg: SuiteConfig, descriptors) -> list[dict]:
+    """The task of each descriptor.  A sweep draws its params from its own
+    stream, seeded by (seed, check index, sweep), so any slice of the
+    descriptors expands to the same tasks as the whole."""
+    tasks = []
+    for name, item in descriptors:
+        if isinstance(item, dict):
+            params = item
+        else:
+            rng = np.random.default_rng([cfg.seed, _CHECK_INDEX[name], item])
+            params = CHECK_REGISTRY[name].random(rng, cfg, item)
+            params["sweep"] = item
+        tasks.append({"check": name, "params": params})
+    return tasks
+
+
 def build_tasks(cfg: SuiteConfig) -> list[dict]:
     """Grid tasks, then one task per random sweep, for each configured check."""
-    tasks = []
-    for name in cfg.checks:
-        spec = CHECK_REGISTRY[name]
-        tasks.extend({"check": name, "params": p} for p in spec.grid(cfg))
-        for sweep in range(cfg.random_sweeps):
-            rng = np.random.default_rng([cfg.seed, _CHECK_INDEX[name], sweep])
-            params = spec.random(rng, cfg, sweep)
-            params["sweep"] = sweep
-            tasks.append({"check": name, "params": params})
-    return tasks
+    return _expand(cfg, _descriptors(cfg))
 
 
 def _task_key(task: dict) -> tuple:
     return task["check"], _ENCODE(task["params"])
 
 
-def _run_task(args):
-    task, tols, negate = args
-    try:
-        rows = run_check(task["check"], task["params"], tols)
-    except INPUT_ERRORS as exc:
-        raise ConfigError(f"{task['check']} task cannot run: {exc}") from exc
-    if negate:
-        rows = [r.negated() for r in rows]
-    return _task_key(task), rows
+def _run_chunk(chunk) -> list[tuple[tuple, list]]:
+    """Expand a chunk, then run each task and render its rows at once, so
+    no row object outlives its task: (task key, rendered rows) per task."""
+    cfg, tols, descriptors = chunk
+    done = []
+    for task in _expand(cfg, descriptors):
+        try:
+            rows = run_check(task["check"], task["params"], tols)
+        except INPUT_ERRORS as exc:
+            raise ConfigError(f"{task['check']} task cannot run: {exc}") from exc
+        if cfg.negate:
+            rows = [r.negated() for r in rows]
+        done.append((_task_key(task), list(_render(rows))))
+    return done
+
+
+def run_rendered(cfg: SuiteConfig, jobs: int = 1) -> list[tuple[str, tuple]]:
+    """Run all tasks; returns each row's (report.json line, report.csv
+    record), ordered by (check, task params text).
+
+    At jobs > 1 a pool of jobs workers runs the 4 * jobs chunks.  A task
+    that raises one of INPUT_ERRORS raises ConfigError naming its check;
+    any other exception propagates as it is.  Either way nothing is
+    returned, at any jobs.
+    """
+    tols = {**DEFAULT_TOLS, **cfg.tolerances}
+    descriptors = list(_descriptors(cfg))
+    size = max(1, -(-len(descriptors) // (4 * max(1, jobs))))
+    chunks = [(cfg, tols, descriptors[i:i + size]) for i in range(0, len(descriptors), size)]
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            done = list(pool.map(_run_chunk, chunks))
+    else:
+        done = list(map(_run_chunk, chunks))
+    results = [item for chunk in done for item in chunk]
+    results.sort(key=lambda item: item[0])
+    return [row for _, rows in results for row in rows]
 
 
 def run_suite(cfg: SuiteConfig, jobs: int = 1) -> tuple[list[InequalityReport], int]:
     """Run all tasks; returns (rows in canonical order, exit code 0 or 1).
 
-    A task that raises one of INPUT_ERRORS raises ConfigError naming its
-    check; any other exception propagates as it is.  Either way nothing
-    is returned, at any jobs.
+    The rows are decoded from run_rendered's report.json lines, so they
+    equal run_check's rows field for field; rows that shared one params
+    object get equal copies.  Raises as run_rendered does.
     """
-    tasks = build_tasks(cfg)
-    tols = {**DEFAULT_TOLS, **cfg.tolerances}
-    args = [(t, tols, cfg.negate) for t in tasks]
-    if jobs <= 1:
-        results = [_run_task(a) for a in args]
-    else:
-        chunk = max(1, len(args) // (4 * jobs)) if args else 1
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_task, args, chunksize=chunk))
-    results.sort(key=lambda item: item[0])
-    reports = [row for _, rows in results for row in rows]
-    exit_code = 0 if all(r.passed for r in reports) else 1
-    return reports, exit_code
+    reports = [InequalityReport.from_json_line(line) for line, _ in run_rendered(cfg, jobs)]
+    return reports, 0 if all(r.passed for r in reports) else 1
 
 
 def _row_line(row: dict, params_text: str) -> str:
@@ -202,36 +244,56 @@ def _row_line(row: dict, params_text: str) -> str:
     return _ENCODE({**row, "params": None}).replace('"params":null', f'"params":{params_text}', 1)
 
 
-def write_reports(reports, out_dir) -> tuple[str, str]:
-    """Write report.json and report.csv in one streaming pass over the rows.
+def _render(reports):
+    """Yield each row's report.json line and report.csv record.
+
+    The line is ``_ENCODE(row.as_dict())``; the record is the row's
+    report.csv fields as strings, in _CSV_HEADER order, and its params cell
+    is the same params text.  Each params object is encoded once, and
+    consecutive rows sharing one (the three rows of an ab_psd task) share
+    its text.
+    """
+    params, params_text = None, "null"
+    for r in reports:
+        row = r.as_dict()
+        if row["params"] is not params:
+            params = row["params"]
+            params_text = _ENCODE(params)
+        yield _row_line(row, params_text), (
+            r.check, params_text,
+            repr(r.lhs), repr(r.rhs), repr(r.gap), repr(r.tolerance),
+            "true" if r.passed else "false",
+            r.method,
+        )
+
+
+_CSV_HEADER = ("check", "params", "lhs", "rhs", "gap", "tol", "pass", "method")
+
+
+def write_rendered(rendered, out_dir) -> tuple[str, str]:
+    """Write report.json and report.csv in one streaming pass over
+    rendered rows, (report.json line, report.csv record) pairs.
 
     report.json is a JSON array with one row per line: ``[``, then each
-    row's ``_ENCODE(row.as_dict())``, the lines separated by commas, then
-    ``]``; no rows give ``[]``.  Each report.csv record's params cell is
-    the same params text.  Each params object is encoded once, and
-    consecutive rows sharing one (the three rows of an ab_psd task) share
-    its text.  Byte-deterministic for given rows.
+    row's line, the lines separated by commas, then ``]``; no rows give
+    ``[]``.
     """
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "report.json")
     csv_path = os.path.join(out_dir, "report.csv")
     with open(json_path, "w") as json_fh, open(csv_path, "w", newline="") as csv_fh:
         writer = csv.writer(csv_fh, lineterminator="\n")
-        writer.writerow(["check", "params", "lhs", "rhs", "gap", "tol", "pass", "method"])
+        writer.writerow(_CSV_HEADER)
         sep = "[\n"
-        params, params_text = None, "null"
-        for r in reports:
-            row = r.as_dict()
-            if row["params"] is not params:
-                params = row["params"]
-                params_text = _ENCODE(params)
-            json_fh.write(sep + _row_line(row, params_text))
+        for line, record in rendered:
+            json_fh.write(sep + line)
             sep = ",\n"
-            writer.writerow([
-                r.check, params_text,
-                repr(r.lhs), repr(r.rhs), repr(r.gap), repr(r.tolerance),
-                "true" if r.passed else "false",
-                r.method,
-            ])
+            writer.writerow(record)
         json_fh.write("[]\n" if sep == "[\n" else "\n]\n")
     return json_path, csv_path
+
+
+def write_reports(reports, out_dir) -> tuple[str, str]:
+    """Write report.json and report.csv for rows: run_rendered's renderer,
+    then write_rendered.  Byte-deterministic for given rows."""
+    return write_rendered(_render(reports), out_dir)

@@ -50,6 +50,12 @@ def test_report_shapes():
     d = r.as_dict()
     assert d["pass"] is True and d["method"] == {"lhs": "exact", "rhs": "exact"}
     assert r.method == "exact"
+    # a non-finite side is no verdict, whichever row shape carries it
+    for lhs, rhs in ((math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)):
+        with pytest.raises(OverflowError, match="demo has a non-finite side"):
+            InequalityReport.from_sides("demo", {}, lhs, rhs, 1e-9)
+    with pytest.raises(OverflowError, match="demo has a non-finite side"):
+        InequalityReport.from_mismatch("demo", {}, math.nan, 1e-12)
 
 
 def test_beckner_deficit_gaussian_case():

@@ -22,7 +22,7 @@ from wickbench import cli, suite
 from wickbench.checks import run_check
 from wickbench.cli import main
 from wickbench.report import InequalityReport
-from wickbench.suite import _ENCODE
+from wickbench.suite import _ENCODE, run_rendered
 
 E_ONE = {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [1.0]}]}
 NU_ZERO = {"dim": 1, "atoms": [[0.0]], "weights": [1.0]}
@@ -31,6 +31,8 @@ F_DIM4 = {"kind": "exp", "dim": 4, "terms": [{"coef": 1.0, "h": [0.1, 0.2, 0.3, 
                                             {"coef": 0.5, "h": [-0.2, 0.1, 0.0, 0.3]}]}
 # its L^p norm e^{(p-1)|h|^2/2} is far past float range
 E_HUGE = {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [1000.0]}]}
+E_ZERO = {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [0.0]}]}
+NU_30 = {"dim": 1, "atoms": [[30.0]], "weights": [1.0]}
 
 
 def _small_config(**overrides):
@@ -144,6 +146,69 @@ def test_task_expansion_is_pinned(overrides, digest):
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
+def _row_fields(row):
+    # repr tells -0.0 from 0.0 and makes NaN equal to itself
+    return (row.check, row.params, repr(row.lhs), repr(row.rhs), repr(row.gap),
+            repr(row.tolerance), row.passed, row.method_lhs, row.method_rhs)
+
+
+def _report_bytes(out_dir):
+    return tuple((out_dir / name).read_bytes() for name in ("report.json", "report.csv"))
+
+
+def test_cli_bytes_match_the_replay_route_and_run_suite(tmp_path, capsys):
+    # all 11 checks on exp and chaos grid functions, measures in dims 1-3
+    # and random sweeps; the benchmark's replay (build_tasks, run_check per
+    # task, a sort by task key, write_reports) must write what the CLI writes
+    data = {"seed": 5, "alphas": [0.0, 0.5, 1.0], "functions": PIN_FUNCTIONS,
+            "measures": PIN_MEASURES, "checks": list(CHECK_REGISTRY), "random_sweeps": 3,
+            "mc_count": 200}
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(data))
+    cfg = SuiteConfig.from_json_dict(data)
+    tasks = sorted(build_tasks(cfg), key=suite._task_key)
+    assert {t["check"] for t in tasks} == set(CHECK_REGISTRY)
+    assert any("sweep" in t["params"] for t in tasks) and any("sweep" not in t["params"] for t in tasks)
+    rows = [r for t in tasks for r in run_check(t["check"], t["params"])]
+    write_reports(rows, tmp_path / "replay")
+    expected = _report_bytes(tmp_path / "replay")
+    expected_code = 0 if all(r.passed for r in rows) else 1
+    # wick_density_identity rows with no mismatch have gap -0.0
+    assert any(math.copysign(1.0, r.gap) < 0 and r.gap == 0 for r in rows)
+    for jobs in (1, 2):
+        cli_out = tmp_path / f"cli{jobs}"
+        code = main(["run", "--config", str(cfg_path), "--out", str(cli_out), "--jobs", str(jobs)])
+        assert code == expected_code
+        assert _report_bytes(cli_out) == expected
+        suite_rows, code = run_suite(cfg, jobs=jobs)
+        assert code == expected_code
+        assert [_row_fields(r) for r in suite_rows] == [_row_fields(r) for r in rows]
+        write_reports(suite_rows, tmp_path / f"suite{jobs}")
+        assert _report_bytes(tmp_path / f"suite{jobs}") == expected
+    capsys.readouterr()
+
+
+def test_cli_fail_summary_is_the_same_at_any_jobs(tmp_path, capsys):
+    # the FAIL lines come from rendered CSV records; they must say what the
+    # rows say, with the same counts, at --jobs 1 and 2
+    data = {"seed": 2, "alphas": [0.5], "functions": [E_ONE], "measures": [NU_ZERO, NU_SYM],
+            "checks": ["beckner_deficit", "covariance", "g_lambda_bound"], "random_sweeps": 10,
+            "negate": True}
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(data))
+    rows, code = run_suite(SuiteConfig.from_json_dict(data))
+    failures = [r for r in rows if not r.passed]
+    assert code == 1 and len(failures) > 20
+    want_err = [f"FAIL {r.check} gap={r.gap!r} tol={r.tolerance!r}" for r in failures[:20]]
+    want_err.append(f"... and {len(failures) - 20} more failures")
+    out_dir = tmp_path / "out"
+    for jobs in (1, 2):
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir), "--jobs", str(jobs)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == want_err
+        assert captured.out.startswith(f"{len(rows)} rows, {len(failures)} failed; wrote ")
+
+
 def test_run_suite_passes_and_orders():
     cfg = _small_config(random_sweeps=3)
     rows, code = run_suite(cfg)
@@ -178,10 +243,12 @@ def test_reports_byte_identical_across_jobs(tmp_path):
 
 def test_report_files_are_well_formed(tmp_path, monkeypatch):
     # ab_psd rows share one params object per task; beckner_deficit rows
-    # do not; the two fabricated rows carry non-finite sides
-    rows, _ = run_suite(_small_config(checks=["beckner_deficit", "ab_psd"]))
-    rows += [InequalityReport.from_sides("beckner_deficit", {"case": "nan"}, math.nan, math.inf, 1e-9),
-             InequalityReport.from_sides("beckner_deficit", {"case": "inf"}, math.inf, 1.0, 1e-9)]
+    # do not; the two fabricated rows carry non-finite sides, which no
+    # check returns (from_sides raises on them)
+    tasks = build_tasks(_small_config(checks=["beckner_deficit", "ab_psd"]))
+    rows = [r for t in tasks for r in run_check(t["check"], t["params"])]
+    rows += [InequalityReport("beckner_deficit", {"case": "nan"}, math.nan, math.inf, math.nan, 1e-9, False),
+             InequalityReport("beckner_deficit", {"case": "inf"}, math.inf, 1.0, -math.inf, 1e-9, False)]
     assert any(a.params is b.params for a, b in zip(rows, rows[1:]))
     encoded = []
     monkeypatch.setattr(suite, "_ENCODE", lambda value: encoded.append(value) or _ENCODE(value))
@@ -272,17 +339,20 @@ def test_cli_run_config_error(tmp_path, capsys):
     # an overflow is a task that cannot run, not a failed inequality
     ({"checks": ["holder"], "alphas": [0.3], "functions": [E_HUGE]}, []),
     ({"checks": ["holder"], "alphas": [0.3], "functions": [E_HUGE]}, ["--jobs", "2"]),
+    ({}, ["--jobs", "0"]),
+    ({}, ["--jobs", "-2"]),
 ])
 def test_cli_run_rejects_bad_scalar_fields(tmp_path, capsys, monkeypatch, overrides, argv):
     # each of these ran the suite before validation caught it: a traceback
-    # and exit 1 (the failing-row code), or a silent run
+    # and exit 1 (the failing-row code), or a silent run; --jobs below 1
+    # ran it in this process
     suites = []
 
     def spy(*args, **kwargs):
         suites.append(args)
-        return run_suite(*args, **kwargs)
+        return run_rendered(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "run_suite", spy)
+    monkeypatch.setattr(cli, "run_rendered", spy)
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps({
         "checks": ["oracle_triangle"], "random_sweeps": 1, "mc_count": 100, **overrides,
@@ -390,8 +460,17 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
     # admissible, and it passed only because its rhs was infinite
     ("holder", {"alpha": 0.5, "f": E_ONE, "p": math.inf, "q": 1.75, "r": 2.0},
      "p, q and r must be finite"),
+    # a side past float range is no verdict: these printed FAIL, FAIL and PASS
+    ("g_lambda_bound", {"nu": {"dim": 1, "atoms": [[1.5]], "weights": [1.0]}, "lambda": 40},
+     "g_lambda_bound has a non-finite side: lhs=inf, rhs=inf"),
+    ("beckner_deficit", {"alpha": 0.5, "f": {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [40.0]}]},
+                         "nu": NU_ZERO},
+     "beckner_deficit has a non-finite side: lhs=nan, rhs=inf"),
+    ("covariance", {"nu1": NU_30, "nu2": NU_30, "phi": E_ZERO},
+     "covariance has a non-finite side: lhs=0.0, rhs=inf"),
 ], ids=["holder-overflow", "g_lambda-nan", "g_lambda-inf", "char_gram-nan", "char_gram-inf",
-        "ab-nan", "ab-inf", "holder-inf-p"])
+        "ab-nan", "ab-inf", "holder-inf-p", "g_lambda-overflow", "beckner-overflow",
+        "covariance-overflow"])
 def test_cli_check_rejects_params_it_cannot_compute(capsys, name, params, message):
     assert main(["check", name, "--params", json.dumps(params)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
