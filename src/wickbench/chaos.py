@@ -13,7 +13,8 @@ usual operator calculus are exact finite sums:
 
 This module also holds what every value type of the package shares: the
 one canonical form (canonical_rows, used by ChaosExpansion, ExpCombo and
-DiscreteMeasure) and the argument guards.  All values are immutable after
+DiscreteMeasure, on a stack of T row sets at once), the helpers that
+build many values as one stack, and the argument guards.  All values are immutable after
 construction and every operation is pure, so they are safe to share
 across threads.
 """
@@ -43,6 +44,13 @@ def finite_array(values, what: str) -> np.ndarray:
     return arr
 
 
+def fill(obj, **fields):
+    """obj with its fields set, past the __setattr__ that keeps values immutable."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def check_alpha(alpha):
     """ValueError unless alpha is an interpolation parameter in [0, 1]."""
     if not 0.0 <= alpha <= 1.0:
@@ -55,28 +63,131 @@ def check_dims(f, g):
         raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
 
 
-def canonical_rows(dim, pairs):
-    """Canonical (rows, weights) lists from (row tuple, float weight) pairs.
+# From this magnitude on a float64 has no neighbour within MERGE_TOL
+# (its spacing is 2**-39 > MERGE_TOL), so each lattice cell holds one value.
+_LATTICE_LIMIT = 2.0**13
 
-    The pairs are sorted, rows lexicographically and equal rows by weight,
-    and a row within MERGE_TOL coordinatewise of the previous kept row
-    (exactly equal rows included) is folded into it.  So the result
-    depends on the multiset of pairs, not on their order, up to the
-    near-ties of MERGE_TOL.  ExpCombo directions, DiscreteMeasure atoms
-    and ChaosExpansion indices all take this form, so equal inputs give
-    equal stored values.
+
+def _lattice_cells(rows: np.ndarray) -> np.ndarray:
+    """int64 cell of each coordinate, ordered as the coordinates are.
+
+    Below _LATTICE_LIMIT the cell is the nearest multiple of MERGE_TOL (an
+    exact integer below 2**53); above it the value keeps its own cell,
+    keyed by its bits in sign-magnitude order, which lies outside the
+    lattice range.  So nothing overflows and no two distinct large values
+    share a cell.
     """
-    rows: list[tuple] = []
-    weights: list[float] = []
-    for row, w in sorted(pairs):
-        if len(row) != dim:
-            raise ValueError(f"row {row} has length {len(row)}, expected {dim}")
-        if rows and max((abs(a - b) for a, b in zip(row, rows[-1])), default=0.0) <= MERGE_TOL:
-            weights[-1] += w
-        else:
-            rows.append(row)
-            weights.append(w)
-    return rows, weights
+    small = np.abs(rows) < _LATTICE_LIMIT
+    if small.all():
+        return np.rint(rows / MERGE_TOL).astype(np.int64)
+    lattice = np.rint(np.where(small, rows, 0.0) / MERGE_TOL).astype(np.int64)
+    bits = rows.view(np.int64)
+    ordered = np.where(bits < 0, bits ^ np.int64(0x7FFFFFFFFFFFFFFF), bits)
+    return np.where(small, lattice, ordered)
+
+
+def canonical_rows(rows: np.ndarray, weights: np.ndarray):
+    """Canonical form of T stacked row sets: rows (T, k, n), weights (T, k).
+
+    Float rows that fall in one MERGE_TOL lattice cell are one row, and so
+    are equal integer rows.  Per task the rows are sorted by cell, then by
+    value and weight, and each group of one cell is stored as its smallest
+    original row with the sum of its weights, added in that order.  So the
+    result depends on the multiset of (row, weight) pairs only: not on
+    their order, and not on how a sum was split into terms.  Returns
+    (rows, weights, first), sorted per task, where first[t, j] marks the
+    first row of a group and weights[t, j] there holds the group's total.
+    ExpCombo directions, DiscreteMeasure atoms and ChaosExpansion indices
+    all take this form, so equal inputs give equal stored values.
+    """
+    t, k = weights.shape
+    if k < 2:
+        return rows, weights, np.ones((t, k), dtype=bool)
+    cells = rows if rows.dtype.kind in "iu" else _lattice_cells(rows)
+    tasks = np.arange(t)[:, None]
+    # sort by cell alone; only tasks with two rows in one cell, which are
+    # rare, need the value and weight keys to order them
+    keys = list(cells.transpose(2, 0, 1)[::-1])
+    same = None
+    if keys:
+        order = np.lexsort(keys, axis=-1)
+        ordered = cells[tasks, order]
+        same = (ordered[:, 1:] == ordered[:, :-1]).all(axis=-1)
+    if same is None or same.any():
+        order = np.lexsort([weights, *rows.transpose(2, 0, 1)[::-1], *keys], axis=-1)
+        ordered = cells[tasks, order]
+        same = (ordered[:, 1:] == ordered[:, :-1]).all(axis=-1)
+    rows, weights = rows[tasks, order], weights[tasks, order]
+    first = np.ones((t, k), dtype=bool)
+    first[:, 1:] = ~same
+    if not same.any():
+        return rows, weights, first
+    # running sums within each group, left to right; a group's total sits
+    # at its last row and moves to its first
+    total = weights.copy()
+    for j in np.flatnonzero(same.any(axis=0)) + 1:
+        total[:, j] = np.where(first[:, j], weights[:, j], total[:, j - 1] + weights[:, j])
+    last = np.ones_like(first)
+    last[:, :-1] = first[:, 1:]
+    weights = np.zeros_like(weights)
+    weights[first] = total[last]
+    return rows, weights, first
+
+
+def split_rows(rows, weights, keep):
+    """Per task (weights, rows) of the kept positions of float rows:
+    read-only arrays, a zero coordinate stored as +0.0 (-0.0 + 0.0 is
+    +0.0)."""
+    every = keep.all()
+    w, r = (weights.copy(), rows + 0.0) if every else (weights[keep], rows[keep] + 0.0)
+    r.setflags(write=False)
+    w.setflags(write=False)
+    if every:
+        return zip(w, r)
+    counts = keep.sum(axis=1)
+    if (counts == counts[0]).all():
+        return zip(w.reshape(len(counts), -1), r.reshape(len(counts), -1, rows.shape[2]))
+    bounds = np.cumsum(counts)[:-1]
+    return zip(np.split(w, bounds), np.split(r, bounds))
+
+
+# What a value, a check or a task raises on inputs it cannot compute.
+INPUT_ERRORS = (ValueError, KeyError, TypeError, ArithmeticError)
+
+
+def stacked(build, items) -> list:
+    """build(items): one result per item, built as one stack.  When that
+    raises one of INPUT_ERRORS, each item is built alone instead, so a
+    stack of mixed shapes still builds and an error names its own item."""
+    if not items:
+        return []
+    try:
+        return build(items)
+    except INPUT_ERRORS:
+        if len(items) < 2:
+            raise
+    return [out for item in items for out in build([item])]
+
+
+def per_shape(keys, run) -> list:
+    """run(indices) on each group of equal keys, in order of first
+    appearance; returns the results of all tasks in input order."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(keys)
+    for idx in groups.values():
+        for i, result in zip(idx, run(idx)):
+            out[i] = result
+    return out
+
+
+def common_dim(datas) -> int:
+    """The one "dim" of JSON values stacked together; ValueError if they differ."""
+    dims = {int(d["dim"]) for d in datas}
+    if len(dims) != 1:
+        raise ValueError(f"dimensions differ: {sorted(dims)}")
+    return dims.pop()
 
 
 def multi_index(m) -> tuple:
@@ -85,6 +196,25 @@ def multi_index(m) -> tuple:
     if any(e < 0 for e in m):
         raise ValueError(f"multi-index entries must be >= 0, got {m}")
     return m
+
+
+def _index_rows(dim: int, indices) -> np.ndarray:
+    """Multi-indices as a (k, dim) int64 array; the errors of multi_index,
+    and ValueError on a row whose length is not dim."""
+    try:
+        arr = np.array(indices)
+    except ValueError:  # rows of different lengths
+        arr = None
+    if (arr is not None and arr.ndim == 2 and arr.shape[1] == dim
+            and (arr.dtype.kind in "iub" or arr.size == 0) and not (arr < 0).any()):
+        return arr.astype(np.int64)
+    if not indices:
+        return np.zeros((0, dim), dtype=np.int64)
+    for m in indices:
+        m = multi_index(m)
+        if len(m) != dim:
+            raise ValueError(f"row {m} has length {len(m)}, expected {dim}")
+    raise TypeError("multi-indices must be rows of integers")
 
 
 def index_factorial(m) -> int:
@@ -139,10 +269,10 @@ class ChaosExpansion:
         dim = operator.index(dim)
         if dim < 0:
             raise ValueError("dimension must be >= 0")
-        pairs = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        rows, cs = canonical_rows(dim, ((multi_index(m), float(c)) for m, c in pairs))
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "coeffs", {m: c for m, c in zip(rows, cs) if abs(c) >= COEFF_EPS})
+        pairs = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
+        idx = _index_rows(dim, [m for m, _ in pairs])
+        cs = np.array([c for _, c in pairs], dtype=float)
+        fill(self, dim=dim, coeffs=_canonical_coeffs(idx[None], cs[None])[0])
 
     def __setattr__(self, name, value):
         raise AttributeError("ChaosExpansion is immutable")
@@ -201,6 +331,32 @@ class ChaosExpansion:
 
     def __repr__(self):
         return f"ChaosExpansion(dim={self.dim}, terms={len(self.coeffs)}, degree={self.degree})"
+
+
+def _canonical_coeffs(idx: np.ndarray, cs: np.ndarray) -> list[dict]:
+    # per task {index tuple: coefficient} of the canonical form, COEFF_EPS dropped
+    rows, cs, keep = canonical_rows(idx, cs)
+    keep &= np.abs(cs) >= COEFF_EPS
+    return [dict(zip(map(tuple, r[k].tolist()), c[k].tolist())) for r, c, k in zip(rows, cs, keep)]
+
+
+def _build_chaos(datas) -> list[ChaosExpansion]:
+    if len(datas) == 1:
+        return [ChaosExpansion.from_json_dict(datas[0])]
+    dim = common_dim(datas)
+    cs = finite_array([[t["c"] for t in d["terms"]] for d in datas], "chaos coefficients")
+    idx = np.array([[t["m"] for t in d["terms"]] for d in datas])
+    if idx.shape != (*cs.shape, dim) or idx.dtype.kind not in "iu" or (idx < 0).any():
+        raise ValueError("chaos indices of different shapes")
+    return [fill(object.__new__(ChaosExpansion), dim=dim, coeffs=c)
+            for c in _canonical_coeffs(idx.astype(np.int64), cs)]
+
+
+def chaos_from_json(datas) -> list[ChaosExpansion]:
+    """ChaosExpansion.from_json_dict of each JSON function, parsed, checked
+    and brought to canonical form as one stack; a list of mixed shapes
+    falls back to one at a time."""
+    return stacked(_build_chaos, datas)
 
 
 def hermite_eval(m, w) -> float | np.ndarray:

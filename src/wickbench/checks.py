@@ -35,9 +35,20 @@ quadrature and Monte Carlo integrals of the product functions
 route (alpha_* / pointwise_* then rho_integral_*).
 
 CHECK_REGISTRY maps each check name to one CheckSpec: its description,
-its runner on JSON parameters, and the grid and random generators that
-expand a suite config into its tasks.  The harness, the CLI and the
-workers all read that one table, so a check's JSON schema lives here.
+its runner on the JSON parameters of many tasks, and the grid and random
+generators that expand a suite config into its tasks.  The harness, the
+CLI and the workers all read that one table, so a check's JSON schema
+lives here.
+
+A runner parses, checks and computes the tasks of one shape (numbers of
+terms and atoms, dimension) as stacked (T, k, n) arrays, with one numpy
+call per step for all of them.  Only each row's last reduction (w' K w,
+p' E p, a sum) runs per task: stacked matmul, exp, sort and eigvalsh
+steps give each task the bits it gets alone, but a stacked reduction
+(einsum over the task axis) does not.  The per-object checks below are
+the same kernels on a stack of one.  classic_beckner's coefficient loop
+and oracle_triangle's quadrature and Monte Carlo gain nothing from
+stacking and run their tasks one at a time.
 """
 
 from __future__ import annotations
@@ -47,15 +58,27 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .chaos import ChaosExpansion, check_alpha, check_dims, index_factorial
-from .expspan import ExpCombo, alpha_exp, exp_eval, gamma_exp, gradient_exp, mu_inner_exp
+from .chaos import ChaosExpansion, chaos_from_json, check_alpha, check_dims, index_factorial, per_shape
+from .expspan import (
+    ExpCombo,
+    _stack,
+    alpha_exp,
+    exp_eval,
+    exps_from_json,
+    gammas_exp,
+    gradient_exp,
+    mu_inner_exp,
+    products_exp,
+)
 from .measures import (
     DiscreteMeasure,
-    _char_gram_rows,
-    g_lambda_norm,
-    gamma_xi,
+    char_gram_stack,
+    g_lambda_norms,
+    gammas_xi,
+    measures_from_json,
     vector_rows,
-    wick_density_identity_check,
+    vector_stacks,
+    wick_density_identity_rows,
 )
 from .products import HolderParams, holder_relation_check
 from .quadrature import default_order, gauss_hermite_grid, integrate_rho, lp_norm_exp, mc_integral_rho
@@ -88,12 +111,31 @@ def function_from_json(data) -> ExpCombo | ChaosExpansion:
     raise ValueError(f"unknown function kind {kind!r}")
 
 
-def _exp_gram(h: np.ndarray, nu: DiscreteMeasure):
-    """S = H H' (symmetrised), e^S and B_jk = sum_i p_i e^{<y_i, h_j + h_k>}."""
-    s = h @ h.T
-    s = 0.5 * (s + s.T)
-    v = np.exp(nu.atoms @ h.T)
-    return s, np.exp(s), v.T @ (nu.weights[:, None] * v)
+_FROM_JSON = {"exp": exps_from_json, "chaos": chaos_from_json}
+
+
+def functions_from_json(datas) -> list:
+    """function_from_json of each JSON function; functions of one kind and
+    shape parse as one stack (exps_from_json, chaos_from_json)."""
+    kinds = [_fn_kind(d) for d in datas]
+
+    def run(idx):
+        parse = _FROM_JSON.get(kinds[idx[0]])
+        if parse is None:
+            return [function_from_json(datas[i]) for i in idx]
+        return parse([datas[i] for i in idx])
+
+    return per_shape(kinds, run)
+
+
+def _exp_gram(h: np.ndarray, y: np.ndarray, p: np.ndarray):
+    """S = H H' (symmetrised), e^S and B_jk = sum_i p_i e^{<y_i, h_j + h_k>}
+    for T stacked tasks: directions h (T, k, n), atoms y (T, a, n) and
+    weights p (T, a)."""
+    s = h @ h.transpose(0, 2, 1)
+    s = 0.5 * (s + s.transpose(0, 2, 1))
+    v = np.exp(y @ h.transpose(0, 2, 1))
+    return s, np.exp(s), v.transpose(0, 2, 1) @ (p[:, :, None] * v)
 
 
 def _hermite_pair_tables(y: np.ndarray, top: int, alpha: float) -> np.ndarray:
@@ -107,17 +149,8 @@ def _hermite_pair_tables(y: np.ndarray, top: int, alpha: float) -> np.ndarray:
     return np.einsum("rsk,ixrsk->ixrs", coef, powers[..., expo])
 
 
-def _deficit_integrals(f, nu: DiscreteMeasure, alpha: float):
-    """(int f^2 drho, int f o_a f drho, int |Df|^2 drho), rho = mu * nu, as the
-    quadratic forms of the module docstring; int f o_1 f is bitwise int f^2."""
-    if not isinstance(f, (ExpCombo, ChaosExpansion)):
-        raise TypeError(f"expected ExpCombo or ChaosExpansion, got {type(f).__name__}")
-    check_dims(f, nu)
-    if isinstance(f, ExpCombo):
-        w = f.weights
-        s, _, b = _exp_gram(f.directions, nu)
-        k1, ka = (np.exp(a * s) * b for a in (1.0, alpha))
-        return float(w @ k1 @ w), float(w @ ka @ w), float(w @ (s * k1) @ w)
+def _chaos_deficit(f: ChaosExpansion, nu: DiscreteMeasure, alpha: float):
+    # the three integrals of one chaos function, from the pair tables
     idx = np.array(list(f.coeffs), dtype=int).reshape(-1, f.dim)
     c = np.array(list(f.coeffs.values()), dtype=float)
     p = nu.weights
@@ -138,15 +171,40 @@ def _deficit_integrals(f, nu: DiscreteMeasure, alpha: float):
     return form(t1, idx, c), form(ta, idx, c), energy
 
 
-def beckner_deficit(f, nu: DiscreteMeasure, alpha: float,
-                    tolerance: float = DEFAULT_TOLS["exact"]) -> InequalityReport:
-    """int f^2 drho - int (f o_a f) drho <= (1 - a) int |Df|^2 drho.
+def _deficit_batch(fs, nus, alphas) -> list[tuple[float, float, float]]:
+    """(int f^2 drho, int f o_a f drho, int |Df|^2 drho), rho = mu * nu, per
+    task, as the quadratic forms of the module docstring; int f o_1 f is
+    bitwise int f^2.  Exponential combinations of one shape are one stack
+    up to the last quadratic form of each task; chaos functions run one
+    at a time."""
+    for f, nu in zip(fs, nus):
+        if not isinstance(f, (ExpCombo, ChaosExpansion)):
+            raise TypeError(f"expected ExpCombo or ChaosExpansion, got {type(f).__name__}")
+        check_dims(f, nu)
 
-    The interpolation-deficit inequality for rho = mu * nu; at alpha = 1
-    both sides vanish, at alpha = 0 it is the Wick-form bound.
-    """
-    check_alpha(alpha)
-    sq, ap, en = _deficit_integrals(f, nu, alpha)
+    def run(idx):
+        if isinstance(fs[idx[0]], ChaosExpansion):
+            return [_chaos_deficit(fs[i], nus[i], alphas[i]) for i in idx]
+        s, exp_s, b = _exp_gram(_stack(fs, "directions", idx), _stack(nus, "atoms", idx),
+                                _stack(nus, "weights", idx))
+        alpha = np.array([float(alphas[i]) for i in idx])[:, None, None]
+        k1, ka = exp_s * b, np.exp(alpha * s) * b
+        kd = s * k1
+        return [(float(w @ k1[t] @ w), float(w @ ka[t] @ w), float(w @ kd[t] @ w))
+                for t, w in enumerate(_stack(fs, "weights", idx))]
+
+    keys = [(f.n_terms, nu.n_atoms, f.dim) if isinstance(f, ExpCombo) else ChaosExpansion
+            for f, nu in zip(fs, nus)]
+    return per_shape(keys, run)
+
+
+def _deficit_integrals(f, nu: DiscreteMeasure, alpha: float):
+    """_deficit_batch of one task."""
+    return _deficit_batch([f], [nu], [alpha])[0]
+
+
+def _beckner_row(f, nu, alpha, integrals, tolerance):
+    sq, ap, en = integrals
     params = {
         "alpha": float(alpha),
         "f": f.to_json_dict(),
@@ -158,11 +216,8 @@ def beckner_deficit(f, nu: DiscreteMeasure, alpha: float,
                                        tolerance=tolerance)
 
 
-def left_positivity(f, nu: DiscreteMeasure, alpha: float,
-                    tolerance: float = DEFAULT_TOLS["exact"]) -> InequalityReport:
-    """int (f o_a f) drho <= int f^2 drho, rho = mu * nu; equality at alpha = 1."""
-    check_alpha(alpha)
-    sq, ap, _ = _deficit_integrals(f, nu, alpha)
+def _left_row(f, nu, alpha, integrals, tolerance):
+    sq, ap, _ = integrals
     params = {
         "alpha": float(alpha),
         "f": f.to_json_dict(),
@@ -171,6 +226,55 @@ def left_positivity(f, nu: DiscreteMeasure, alpha: float,
     }
     return InequalityReport.from_sides("left_positivity", params,
                                        lhs=ap, rhs=sq, tolerance=tolerance)
+
+
+def _deficit_checks(row, fs, nus, alphas, tolerance) -> list[list[InequalityReport]]:
+    for alpha in alphas:
+        check_alpha(alpha)
+    return [[row(f, nu, alpha, integrals, tolerance)]
+            for f, nu, alpha, integrals in zip(fs, nus, alphas, _deficit_batch(fs, nus, alphas))]
+
+
+def beckner_deficit(f, nu: DiscreteMeasure, alpha: float,
+                    tolerance: float = DEFAULT_TOLS["exact"]) -> InequalityReport:
+    """int f^2 drho - int (f o_a f) drho <= (1 - a) int |Df|^2 drho.
+
+    The interpolation-deficit inequality for rho = mu * nu; at alpha = 1
+    both sides vanish, at alpha = 0 it is the Wick-form bound.
+    """
+    return _deficit_checks(_beckner_row, [f], [nu], [alpha], tolerance)[0][0]
+
+
+def left_positivity(f, nu: DiscreteMeasure, alpha: float,
+                    tolerance: float = DEFAULT_TOLS["exact"]) -> InequalityReport:
+    """int (f o_a f) drho <= int f^2 drho, rho = mu * nu; equality at alpha = 1."""
+    return _deficit_checks(_left_row, [f], [nu], [alpha], tolerance)[0][0]
+
+
+_AB_ROWS = ("ab_matrix_a", "ab_matrix_b", "ab_matrix_hadamard")
+
+
+def _ab_checks(hs, nus, alphas, tolerance) -> list[list[InequalityReport]]:
+    # hs holds each task's checked (k, n) rows; one eigvalsh call per shape
+    # takes the three matrices of every task
+    for alpha in alphas:
+        check_alpha(alpha)
+
+    def run(idx):
+        s, exp_s, b = _exp_gram(np.array([hs[i] for i in idx]), _stack(nus, "atoms", idx),
+                                _stack(nus, "weights", idx))
+        alpha = np.array([float(alphas[i]) for i in idx])[:, None, None]
+        a = np.exp(alpha * s) - exp_s + (1.0 - alpha) * s * exp_s
+        mats = np.stack([a, b, a * b], axis=1)
+        return np.linalg.eigvalsh(0.5 * (mats + mats.swapaxes(-1, -2)))[..., 0].tolist()
+
+    min_eigs = per_shape([(len(h), nu.n_atoms, nu.dim) for h, nu in zip(hs, nus)], run)
+    rows = []
+    for h, nu, alpha, eigs in zip(hs, nus, alphas, min_eigs):
+        params = {"alpha": float(alpha), "hs": h.tolist(), "nu": nu.to_json_dict()}
+        rows.append([InequalityReport.from_sides(name, params, 0.0, eig, tolerance)
+                     for name, eig in zip(_AB_ROWS, eigs)])
+    return rows
 
 
 def ab_matrix_check(hs, nu: DiscreteMeasure, alpha: float,
@@ -184,28 +288,48 @@ def ab_matrix_check(hs, nu: DiscreteMeasure, alpha: float,
     here are what make the main inequality work.
     """
     check_alpha(alpha)
-    h = vector_rows(hs, nu.dim)
-    s, exp_s, b = _exp_gram(h, nu)
-    a = np.exp(alpha * s) - exp_s + (1.0 - alpha) * s * exp_s
-    params = {
-        "alpha": float(alpha),
-        "hs": h.tolist(),
-        "nu": nu.to_json_dict(),
-    }
-    rows = []
-    for name, mat in (("ab_matrix_a", a), ("ab_matrix_b", b), ("ab_matrix_hadamard", a * b)):
-        min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
-        rows.append(InequalityReport.from_sides(name, params, 0.0, min_eig, tolerance))
-    return rows
+    return _ab_checks([vector_rows(hs, nu.dim)], [nu], [alpha], tolerance)[0]
+
+
+def _char_gram_checks(nus, hs, tolerance) -> list[list[InequalityReport]]:
+    def run(idx):
+        gram = char_gram_stack(_stack(nus, "atoms", idx), _stack(nus, "weights", idx),
+                               np.array([hs[i] for i in idx]))
+        return np.linalg.eigvalsh(gram)[:, 0].tolist()
+
+    min_eigs = per_shape([(len(h), nu.n_atoms, nu.dim) for h, nu in zip(hs, nus)], run)
+    return [[InequalityReport.from_sides("char_gram_psd", {"hs": h.tolist(), "nu": nu.to_json_dict()},
+                                         0.0, eig, tolerance)]
+            for nu, h, eig in zip(nus, hs, min_eigs)]
 
 
 def char_gram_psd_check(nu: DiscreteMeasure, hs,
                         tolerance: float = DEFAULT_TOLS["psd"]) -> InequalityReport:
     """Minimum eigenvalue of the characteristic Gram matrix is >= 0."""
-    h = vector_rows(hs, nu.dim)
-    min_eig = float(np.linalg.eigvalsh(_char_gram_rows(nu, h))[0])
-    params = {"hs": h.tolist(), "nu": nu.to_json_dict()}
-    return InequalityReport.from_sides("char_gram_psd", params, 0.0, min_eig, tolerance)
+    return _char_gram_checks([nu], [vector_rows(hs, nu.dim)], tolerance)[0][0]
+
+
+def _holder_checks(fs, gs, hps, tol_exact, tol_quad) -> list[list[InequalityReport]]:
+    # the products and their Gamma images are stacked; the norms run per task
+    for hp in hps:
+        ok, residual = holder_relation_check(hp)
+        if not ok:
+            raise ValueError(f"exponents fail the admissibility relation, residual {residual:g}")
+    prods = gammas_exp([math.sqrt((1.0 + hp.alpha) / 2.0) for hp in hps],
+                       products_exp(fs, gs, [float(hp.alpha) for hp in hps]))
+    rows = []
+    for f, g, hp, prod in zip(fs, gs, hps, prods):
+        (lhs, m_lhs), (norm_f, m_f), (norm_g, m_g) = (
+            lp_norm_exp(fn, e) for fn, e in ((prod, hp.r), (f, hp.p), (g, hp.q)))
+        m_rhs = "exact" if (m_f == "exact" and m_g == "exact") else "quadrature"
+        tol = tol_exact if (m_lhs == "exact" and m_rhs == "exact") else tol_quad
+        params = {
+            "alpha": float(hp.alpha),
+            "p": float(hp.p), "q": float(hp.q), "r": float(hp.r),
+            "f": f.to_json_dict(), "g": g.to_json_dict(),
+        }
+        rows.append([InequalityReport.from_sides("holder", params, lhs, norm_f * norm_g, tol, m_lhs, m_rhs)])
+    return rows
 
 
 def holder_check(f: ExpCombo, g: ExpCombo, hp: HolderParams,
@@ -217,20 +341,7 @@ def holder_check(f: ExpCombo, g: ExpCombo, hp: HolderParams,
     exponent, r = 2, even integer exponents); otherwise quadrature, and
     the row tolerance widens accordingly.
     """
-    ok, residual = holder_relation_check(hp)
-    if not ok:
-        raise ValueError(f"exponents fail the admissibility relation, residual {residual:g}")
-    prod = gamma_exp(math.sqrt((1.0 + hp.alpha) / 2.0), alpha_exp(f, g, hp.alpha))
-    (lhs, m_lhs), (norm_f, m_f), (norm_g, m_g) = (
-        lp_norm_exp(fn, e) for fn, e in ((prod, hp.r), (f, hp.p), (g, hp.q)))
-    m_rhs = "exact" if (m_f == "exact" and m_g == "exact") else "quadrature"
-    tol = tol_exact if (m_lhs == "exact" and m_rhs == "exact") else tol_quad
-    params = {
-        "alpha": float(hp.alpha),
-        "p": float(hp.p), "q": float(hp.q), "r": float(hp.r),
-        "f": f.to_json_dict(), "g": g.to_json_dict(),
-    }
-    return InequalityReport.from_sides("holder", params, lhs, norm_f * norm_g, tol, m_lhs, m_rhs)
+    return _holder_checks([f], [g], [hp], tol_exact, tol_quad)[0][0]
 
 
 def classic_beckner_coeff_check(f: ChaosExpansion, alpha: float,
@@ -254,6 +365,18 @@ def classic_beckner_coeff_check(f: ChaosExpansion, alpha: float,
     return InequalityReport.from_sides("classic_beckner", params, lhs, rhs, tolerance)
 
 
+def _strong_pos_checks(nus, alphas, phis, tolerance) -> list[list[InequalityReport]]:
+    for phi in phis:
+        if np.any(phi.weights < 0):
+            raise ValueError("phi must have nonnegative weights")
+    rows = []
+    for nu, alpha, phi, xi in zip(nus, alphas, phis, gammas_xi(nus, alphas)):
+        params = {"alpha": float(alpha), "nu": nu.to_json_dict(), "phi": phi.to_json_dict()}
+        rows.append([InequalityReport.from_sides("strong_positivity", params, 0.0,
+                                                 mu_inner_exp(xi, phi), tolerance)])
+    return rows
+
+
 def strong_positivity_check(nu: DiscreteMeasure, alpha: float, phi: ExpCombo,
                             tolerance: float = DEFAULT_TOLS["exact"]) -> InequalityReport:
     """<Gamma(1/sqrt(a)) xi, phi> >= 0 for nonnegative test functions phi.
@@ -261,11 +384,33 @@ def strong_positivity_check(nu: DiscreteMeasure, alpha: float, phi: ExpCombo,
     phi must be a positive-weight combination (those are nonnegative
     functions); the pairing is then a positive sum by inspection.
     """
-    if np.any(phi.weights < 0):
-        raise ValueError("phi must have nonnegative weights")
-    pairing = mu_inner_exp(gamma_xi(nu, alpha), phi)
-    params = {"alpha": float(alpha), "nu": nu.to_json_dict(), "phi": phi.to_json_dict()}
-    return InequalityReport.from_sides("strong_positivity", params, 0.0, pairing, tolerance)
+    return _strong_pos_checks([nu], [alpha], [phi], tolerance)[0][0]
+
+
+def _covariance_checks(nu1s, nu2s, phis, tolerance) -> list[list[InequalityReport]]:
+    for nu1, nu2, phi in zip(nu1s, nu2s, phis):
+        check_dims(nu1, nu2)
+        check_dims(phi, nu1)
+        if np.any(phi.weights < 0):
+            raise ValueError("phi must have nonnegative weights")
+
+    def run(idx):
+        y1, y2 = _stack(nu1s, "atoms", idx), _stack(nu2s, "atoms", idx)
+        s = y1 @ y2.transpose(0, 2, 1)
+        bracket = np.expm1(s) - s
+        pair_w = _stack(nu1s, "weights", idx)[:, :, None] * _stack(nu2s, "weights", idx)[:, None, :]
+        test = np.zeros_like(s)
+        dir_sums = y1[:, :, None, :] + y2[:, None, :, :]
+        cs, gdirs = _stack(phis, "weights", idx), _stack(phis, "directions", idx)
+        for j in range(cs.shape[1]):
+            test += cs[:, j, None, None] * np.exp(dir_sums @ gdirs[:, None, j, :, None])[..., 0]
+        return [float(np.sum(terms)) for terms in pair_w * test * bracket]
+
+    keys = [(nu1.n_atoms, nu2.n_atoms, phi.n_terms, nu1.dim) for nu1, nu2, phi in zip(nu1s, nu2s, phis)]
+    gaps = per_shape(keys, run)
+    return [[InequalityReport.from_sides(
+        "covariance", {"nu1": nu1.to_json_dict(), "nu2": nu2.to_json_dict(), "phi": phi.to_json_dict()},
+        0.0, gap, tolerance)] for nu1, nu2, phi, gap in zip(nu1s, nu2s, phis, gaps)]
 
 
 def covariance_gap(nu1: DiscreteMeasure, nu2: DiscreteMeasure, phi: ExpCombo,
@@ -280,29 +425,19 @@ def covariance_gap(nu1: DiscreteMeasure, nu2: DiscreteMeasure, phi: ExpCombo,
     with M_ij = <E(y_i + z_j), phi> > 0, so every summand is nonnegative
     and the computed gap cannot go negative by cancellation.
     """
-    check_dims(nu1, nu2)
-    check_dims(phi, nu1)
-    if np.any(phi.weights < 0):
-        raise ValueError("phi must have nonnegative weights")
-    s = nu1.atoms @ nu2.atoms.T
-    bracket = np.expm1(s) - s
-    pair_w = np.outer(nu1.weights, nu2.weights)
-    test = np.zeros_like(s)
-    dir_sums = nu1.atoms[:, None, :] + nu2.atoms[None, :, :]
-    for c, gdir in zip(phi.weights, phi.directions):
-        test += c * np.exp(dir_sums @ gdir)
-    gap = float(np.sum(pair_w * test * bracket))
-    params = {"nu1": nu1.to_json_dict(), "nu2": nu2.to_json_dict(), "phi": phi.to_json_dict()}
-    return InequalityReport.from_sides("covariance", params, 0.0, gap, tolerance)
+    return _covariance_checks([nu1], [nu2], [phi], tolerance)[0][0]
+
+
+def _g_lambda_checks(nus, lams, tolerance) -> list[list[InequalityReport]]:
+    return [[InequalityReport.from_sides("g_lambda_bound", {"lambda": float(lam), "nu": nu.to_json_dict()},
+                                         math.sqrt(norm_sq), bound, tolerance)]
+            for nu, lam, (norm_sq, bound) in zip(nus, lams, g_lambda_norms(nus, lams))]
 
 
 def g_lambda_bound_check(nu: DiscreteMeasure, lam: float,
                          tolerance: float = DEFAULT_TOLS["exact"]) -> InequalityReport:
     """sqrt of the exact squared G_lambda norm is below the one-sided bound."""
-    norm_sq, bound = g_lambda_norm(nu, lam)
-    params = {"lambda": float(lam), "nu": nu.to_json_dict()}
-    return InequalityReport.from_sides("g_lambda_bound", params,
-                                       math.sqrt(norm_sq), bound, tolerance)
+    return _g_lambda_checks([nu], [lam], tolerance)[0][0]
 
 
 def oracle_triangle(f: ExpCombo, nu: DiscreteMeasure, alpha: float,
@@ -359,8 +494,8 @@ def oracle_triangle(f: ExpCombo, nu: DiscreteMeasure, alpha: float,
 # check specs: JSON params -> report rows, and suite config -> task params
 
 
-def _nu(params, key="nu") -> DiscreteMeasure:
-    return DiscreteMeasure.from_json_dict(params[key])
+def _nus(tasks, key="nu") -> list[DiscreteMeasure]:
+    return measures_from_json([params[key] for params in tasks])
 
 
 def _functions(cfg, kind: str) -> list[dict]:
@@ -430,14 +565,17 @@ def _rand_vectors(rng, n, max_count=6, scale=COORD_SCALE) -> list:
     return rng.uniform(-scale, scale, size=(count, n)).tolist()
 
 
-def _run_beckner(params, tols):
-    return [beckner_deficit(function_from_json(params["f"]), _nu(params),
-                            params["alpha"], tolerance=tols["exact"])]
+def _deficit_inputs(tasks):
+    return (functions_from_json([params["f"] for params in tasks]), _nus(tasks),
+            [params["alpha"] for params in tasks])
 
 
-def _run_left(params, tols):
-    return [left_positivity(function_from_json(params["f"]), _nu(params),
-                            params["alpha"], tolerance=tols["exact"])]
+def _run_beckner(tasks, tols):
+    return _deficit_checks(_beckner_row, *_deficit_inputs(tasks), tols["exact"])
+
+
+def _run_left(tasks, tols):
+    return _deficit_checks(_left_row, *_deficit_inputs(tasks), tols["exact"])
 
 
 def _grid_deficit(cfg):
@@ -455,8 +593,13 @@ def _random_deficit(rng, cfg, sweep):
             "nu": _rand_nu_json(rng, n)}
 
 
-def _run_ab(params, tols):
-    return ab_matrix_check(params["hs"], _nu(params), params["alpha"], tolerance=tols["psd"])
+def _vectors(tasks, nus) -> list[np.ndarray]:
+    return vector_stacks([params["hs"] for params in tasks], [nu.dim for nu in nus])
+
+
+def _run_ab(tasks, tols):
+    nus = _nus(tasks)
+    return _ab_checks(_vectors(tasks, nus), nus, [params["alpha"] for params in tasks], tols["psd"])
 
 
 def _grid_ab(cfg):
@@ -471,8 +614,9 @@ def _random_ab(rng, cfg, sweep):
             "nu": _rand_nu_json(rng, n)}
 
 
-def _run_char_gram(params, tols):
-    return [char_gram_psd_check(_nu(params), params["hs"], tolerance=tols["psd"])]
+def _run_char_gram(tasks, tols):
+    nus = _nus(tasks)
+    return _char_gram_checks(nus, _vectors(tasks, nus), tols["psd"])
 
 
 def _grid_char_gram(cfg):
@@ -488,20 +632,22 @@ def _random_char_gram(rng, cfg, sweep):
     return {"hs": _rand_vectors(rng, n), "nu": _rand_nu_json(rng, n)}
 
 
-def _holder_inputs(params):
+def _holder_params(params) -> HolderParams:
     alpha = params["alpha"]
     if "p" in params:
-        hp = HolderParams(params["p"], params["q"], params["r"], alpha)
-    else:
-        hp = HolderParams.conjugate_family(alpha)
-    f = function_from_json(params["f"])
-    g = function_from_json(params["g"]) if "g" in params else f
-    return f, g, hp
+        return HolderParams(params["p"], params["q"], params["r"], alpha)
+    return HolderParams.conjugate_family(alpha)
 
 
-def _run_holder(params, tols):
-    f, g, hp = _holder_inputs(params)
-    return [holder_check(f, g, hp, tol_exact=tols["exact"], tol_quad=tols["quadrature"])]
+def _run_holder(tasks, tols):
+    # g defaults to f itself, the same object, as f o_a f
+    hps = [_holder_params(params) for params in tasks]
+    fs = functions_from_json([params["f"] for params in tasks])
+    gs = list(fs)
+    with_g = [i for i, params in enumerate(tasks) if "g" in params]
+    for i, g in zip(with_g, functions_from_json([tasks[i]["g"] for i in with_g])):
+        gs[i] = g
+    return _holder_checks(fs, gs, hps, tols["exact"], tols["quadrature"])
 
 
 def _grid_holder(cfg):
@@ -519,9 +665,10 @@ def _random_holder(rng, cfg, sweep):
             "g": _rand_exp_json(rng, n, max_terms=3, scale=0.75)}
 
 
-def _run_classic(params, tols):
-    return [classic_beckner_coeff_check(function_from_json(params["f"]),
-                                        params["alpha"], tolerance=tols["identity"])]
+def _run_classic(tasks, tols):
+    fs = functions_from_json([params["f"] for params in tasks])
+    return [[classic_beckner_coeff_check(f, params["alpha"], tolerance=tols["identity"])]
+            for f, params in zip(fs, tasks)]
 
 
 def _grid_classic(cfg):
@@ -535,9 +682,9 @@ def _random_classic(rng, cfg, sweep):
     return {"alpha": _rand_alpha(rng), "f": _rand_chaos_json(rng, n)}
 
 
-def _run_strong_pos(params, tols):
-    return [strong_positivity_check(_nu(params), params["alpha"],
-                                    function_from_json(params["phi"]), tolerance=tols["exact"])]
+def _run_strong_pos(tasks, tols):
+    return _strong_pos_checks(_nus(tasks), [params["alpha"] for params in tasks],
+                              functions_from_json([params["phi"] for params in tasks]), tols["exact"])
 
 
 def _grid_strong_pos(cfg):
@@ -554,9 +701,9 @@ def _random_strong_pos(rng, cfg, sweep):
             "phi": _rand_exp_json(rng, n, positive=True)}
 
 
-def _run_covariance(params, tols):
-    return [covariance_gap(_nu(params, "nu1"), _nu(params, "nu2"),
-                           function_from_json(params["phi"]), tolerance=tols["psd"])]
+def _run_covariance(tasks, tols):
+    return _covariance_checks(_nus(tasks, "nu1"), _nus(tasks, "nu2"),
+                              functions_from_json([params["phi"] for params in tasks]), tols["psd"])
 
 
 def _grid_covariance(cfg):
@@ -575,9 +722,9 @@ def _random_covariance(rng, cfg, sweep):
     return {"nu1": nu1, "nu2": nu2, "phi": {"kind": "exp", "dim": n, "terms": [{"coef": 1.0, "h": h}]}}
 
 
-def _run_wick_density(params, tols):
-    return [wick_density_identity_check(_nu(params, "nu1"), _nu(params, "nu2"),
-                                        tolerance=tols["identity"])]
+def _run_wick_density(tasks, tols):
+    rows = wick_density_identity_rows(_nus(tasks, "nu1"), _nus(tasks, "nu2"), tols["identity"])
+    return [[row] for row in rows]
 
 
 def _grid_wick_density(cfg):
@@ -592,8 +739,8 @@ def _random_wick_density(rng, cfg, sweep):
             "nu2": _rand_nu_json(rng, n, max_atoms=4)}
 
 
-def _run_g_lambda(params, tols):
-    return [g_lambda_bound_check(_nu(params), params["lambda"], tolerance=tols["exact"])]
+def _run_g_lambda(tasks, tols):
+    return _g_lambda_checks(_nus(tasks), [params["lambda"] for params in tasks], tols["exact"])
 
 
 def _grid_g_lambda(cfg):
@@ -607,12 +754,12 @@ def _random_g_lambda(rng, cfg, sweep):
     return {"nu": _rand_nu_json(rng, n), "lambda": float(rng.uniform(1.0, 2.0))}
 
 
-def _run_oracle(params, tols):
-    return oracle_triangle(
-        function_from_json(params["f"]), _nu(params), params["alpha"],
+def _run_oracle(tasks, tols):
+    return [oracle_triangle(
+        function_from_json(params["f"]), DiscreteMeasure.from_json_dict(params["nu"]), params["alpha"],
         quad_order=params.get("quad_order"), mc_seed=params.get("mc_seed", 0),
         mc_count=params.get("mc_count", 100_000),
-        rel_tol=tols["quadrature"], sigmas=tols["mc_sigmas"])
+        rel_tol=tols["quadrature"], sigmas=tols["mc_sigmas"]) for params in tasks]
 
 
 def _grid_oracle(cfg):
@@ -640,14 +787,17 @@ def _random_oracle(rng, cfg, sweep):
 class CheckSpec(NamedTuple):
     """One named check.
 
-    run(params, tols) returns the rows of one task, and raises on params
-    it cannot compute; grid(cfg) returns the params of the config's grid
-    tasks; random(rng, cfg, sweep) draws the params of one random sweep
-    from rng.
+    run(tasks, tols) takes the params of many tasks and returns each
+    task's rows, in input order, and raises on params it cannot compute.
+    It parses, checks and computes tasks of one exact shape as stacked
+    arrays, down to each row's last reduction; a list of mixed shapes
+    runs too, one shape at a time.  grid(cfg) returns the params of the
+    config's grid tasks; random(rng, cfg, sweep) draws the params of one
+    random sweep from rng.
     """
 
     describe: str
-    run: Callable[[dict, dict], list[InequalityReport]]
+    run: Callable[[list, dict], list[list[InequalityReport]]]
     grid: Callable[..., Iterable[dict]]
     random: Callable[..., dict]
 
@@ -686,4 +836,4 @@ def run_check(name: str, params: dict, tols: dict | None = None) -> list[Inequal
     """Run one named check on JSON-style parameters."""
     if name not in CHECK_REGISTRY:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(sorted(CHECK_REGISTRY))}")
-    return CHECK_REGISTRY[name].run(params, {**DEFAULT_TOLS, **(tols or {})})
+    return CHECK_REGISTRY[name].run([params], {**DEFAULT_TOLS, **(tols or {})})[0]

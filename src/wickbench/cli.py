@@ -54,9 +54,10 @@ def _cmd_run(args) -> int:
     out_dir = args.out or cfg.out or "."
     rendered = run_rendered(cfg, jobs=args.jobs)
     json_path, csv_path = write_rendered(rendered, out_dir)
-    failures = [record for _, record in rendered if record[6] == "false"]
-    for check, _, _, _, gap, tol, _, _ in failures[:20]:
-        print(f"FAIL {check} gap={gap} tol={tol}", file=sys.stderr)
+    failures = [line for line, _, passed in rendered if not passed]
+    for line in failures[:20]:
+        row = json.loads(line)
+        print(f"FAIL {row['check']} gap={row['gap']!r} tol={row['tolerance']!r}", file=sys.stderr)
     if len(failures) > 20:
         print(f"... and {len(failures) - 20} more failures", file=sys.stderr)
     print(f"{len(rendered)} rows, {len(failures)} failed; wrote {json_path} and {csv_path}")

@@ -27,18 +27,25 @@ from .chaos import (
     canonical_rows,
     check_alpha,
     check_dims,
+    common_dim,
+    fill,
     finite_array,
     index_factorial,
     multi_indices,
+    per_shape,
+    split_rows,
+    stacked,
 )
+
 
 class ExpCombo:
     """Finite combination sum_j weight_j * E(h_j), kept in canonical form.
 
     ``terms`` is any iterable of (weight, direction) pairs.  Construction
-    merges equal directions, removes zero weights, orders terms and stores
-    a zero coordinate as +0.0, so value equality of two combos is equality
-    of their stored arrays.
+    brings them to the form of ``canonical_rows`` (directions in one
+    MERGE_TOL cell merged, terms ordered), removes weights below
+    COEFF_EPS and stores a zero coordinate as +0.0, so value equality of
+    two combos is equality of their stored arrays.
     """
 
     __slots__ = ("dim", "weights", "directions")
@@ -47,16 +54,13 @@ class ExpCombo:
         dim = operator.index(dim)
         if dim < 0:
             raise ValueError("dimension must be >= 0")
-        dirs, weights = canonical_rows(dim, ((tuple(map(float, h)), float(c)) for c, h in terms))
-        keep = [i for i, c in enumerate(weights) if abs(c) >= COEFF_EPS]
-        w = np.array([weights[i] for i in keep], dtype=float)
-        d = np.array([dirs[i] for i in keep], dtype=float).reshape(len(keep), dim)
-        d += 0.0  # -0.0 + 0.0 is +0.0: canonical_rows keeps either sign of zero
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "directions", d)
-        w.setflags(write=False)
-        d.setflags(write=False)
+        terms = list(terms)
+        w = np.array([c for c, _ in terms], dtype=float)
+        d = np.array([h for _, h in terms], dtype=float).reshape(len(terms), -1) if terms else np.zeros((0, dim))
+        if d.shape[1] != dim:
+            raise ValueError(f"directions have length {d.shape[1]}, expected {dim}")
+        ((w, d),) = _canonical_terms(w[None], d[None])
+        fill(self, dim=dim, weights=w, directions=d)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExpCombo is immutable")
@@ -85,13 +89,15 @@ class ExpCombo:
 
     def __add__(self, other: "ExpCombo") -> "ExpCombo":
         check_dims(self, other)
-        return ExpCombo(self.dim, self.terms + other.terms)
+        w = np.concatenate([self.weights, other.weights])
+        d = np.concatenate([self.directions, other.directions])
+        return exp_combos(self.dim, w[None], d[None])[0]
 
     def __sub__(self, other: "ExpCombo") -> "ExpCombo":
         return self + (-1.0) * other
 
     def __mul__(self, scalar: float) -> "ExpCombo":
-        return ExpCombo(self.dim, [(scalar * w, d) for w, d in self.terms])
+        return exp_combos(self.dim, (scalar * self.weights)[None], self.directions[None])[0]
 
     __rmul__ = __mul__
 
@@ -113,18 +119,49 @@ class ExpCombo:
         return {
             "kind": "exp",
             "dim": self.dim,
-            "terms": [{"coef": float(w), "h": [float(x) for x in d]} for w, d in zip(self.weights, self.directions)],
+            "terms": [{"coef": w, "h": d} for w, d in zip(self.weights.tolist(), self.directions.tolist())],
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExpCombo":
-        terms = data["terms"]
-        coefs = finite_array([t["coef"] for t in terms], "coefficients")
-        dirs = finite_array([t["h"] for t in terms], "directions")
-        return cls(int(data["dim"]), zip(coefs.tolist(), dirs.tolist()))
+        return exps_from_json([data])[0]
 
     def __repr__(self):
         return f"ExpCombo(dim={self.dim}, terms={self.n_terms})"
+
+
+def _canonical_terms(weights: np.ndarray, directions: np.ndarray):
+    # per task (weights, directions) of the canonical form, COEFF_EPS dropped
+    rows, w, keep = canonical_rows(directions, weights)
+    keep &= np.abs(w) >= COEFF_EPS
+    return split_rows(rows, w, keep)
+
+
+def exp_combos(dim: int, weights: np.ndarray, directions: np.ndarray) -> list[ExpCombo]:
+    """The canonical ExpCombo of each of T stacked term sets, weights
+    (T, k) and directions (T, k, dim), by one canonical_rows call."""
+    return [fill(object.__new__(ExpCombo), dim=dim, weights=w, directions=d)
+            for w, d in _canonical_terms(weights, directions)]
+
+
+def _build_exps(datas) -> list[ExpCombo]:
+    dim = common_dim(datas)
+    coefs = finite_array([[t["coef"] for t in d["terms"]] for d in datas], "coefficients")
+    dirs = finite_array([[t["h"] for t in d["terms"]] for d in datas], "directions")
+    if dim < 0:
+        raise ValueError("dimension must be >= 0")
+    if dirs.size == 0:
+        dirs = dirs.reshape(*coefs.shape, dim)
+    if dirs.shape != (*coefs.shape, dim):
+        raise ValueError(f"directions have shape {dirs.shape[1:]}, expected {(coefs.shape[1], dim)}")
+    return exp_combos(dim, coefs, dirs)
+
+
+def exps_from_json(datas) -> list[ExpCombo]:
+    """ExpCombo.from_json_dict of each JSON function, parsed, checked and
+    brought to canonical form as one stack; a list of mixed shapes falls
+    back to one at a time."""
+    return stacked(_build_exps, datas)
 
 
 def exp_eval(f: ExpCombo, w):
@@ -141,14 +178,32 @@ def exp_eval(f: ExpCombo, w):
     return vals if batch else float(vals[0])
 
 
+def _stack(values, attr: str, idx) -> np.ndarray:
+    return np.array([getattr(values[i], attr) for i in idx])
+
+
+def products_exp(fs, gs, scales) -> list[ExpCombo]:
+    """f_t o g_t per task: weights w_j v_k e^{scale_t <h_j,k_k>} and
+    directions h_j + k_k, each shape of (f, g) as one stack."""
+    for f, g in zip(fs, gs):
+        check_dims(f, g)
+
+    def run(idx):
+        fw, fd = _stack(fs, "weights", idx), _stack(fs, "directions", idx)
+        # f o f stacks f once, so <h_j, h_k> takes the route it takes unstacked
+        same = fs[idx[0]] is gs[idx[0]]
+        gw, gd = (fw, fd) if same else (_stack(gs, "weights", idx), _stack(gs, "directions", idx))
+        scale = np.array([float(scales[i]) for i in idx])[:, None, None]
+        w = fw[:, :, None] * gw[:, None, :] * np.exp(scale * (fd @ gd.transpose(0, 2, 1)))
+        d = fd[:, :, None, :] + gd[:, None, :, :]
+        dim = fd.shape[2]
+        return exp_combos(dim, w.reshape(len(idx), -1), d.reshape(len(idx), -1, dim))
+
+    return per_shape([(f.n_terms, g.n_terms, f.dim, f is g) for f, g in zip(fs, gs)], run)
+
+
 def _product_exp(f: ExpCombo, g: ExpCombo, scale: float) -> ExpCombo:
-    # shared kernel: weight_jk = w_j v_k e^{scale <h_j,k_k>}, direction h_j + k_k
-    check_dims(f, g)
-    if f.n_terms == 0 or g.n_terms == 0:
-        return ExpCombo(f.dim)
-    w = np.outer(f.weights, g.weights) * np.exp(scale * (f.directions @ g.directions.T))
-    d = f.directions[:, None, :] + g.directions[None, :, :]
-    return ExpCombo(f.dim, zip(w.ravel(), d.reshape(-1, f.dim)))
+    return products_exp([f], [g], [scale])[0]
 
 
 def wick_exp(f: ExpCombo, g: ExpCombo) -> ExpCombo:
@@ -171,19 +226,30 @@ def alpha_exp(f: ExpCombo, g: ExpCombo, alpha: float) -> ExpCombo:
     return _product_exp(f, g, float(alpha))
 
 
+def gammas_exp(lams, fs) -> list[ExpCombo]:
+    """Gamma(lam_t) f_t per task, E(h) -> E(lam h), each shape as one stack."""
+    for lam in lams:
+        if lam < 0:
+            raise ValueError("lambda must be >= 0")
+
+    def run(idx):
+        lam = np.array([float(lams[i]) for i in idx])[:, None, None]
+        return exp_combos(fs[idx[0]].dim, _stack(fs, "weights", idx), lam * _stack(fs, "directions", idx))
+
+    return per_shape([(f.n_terms, f.dim) for f in fs], run)
+
+
 def gamma_exp(lam: float, f: ExpCombo) -> ExpCombo:
     """Second quantization on exponentials: Gamma(lam) E(h) = E(lam h)."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    return ExpCombo(f.dim, zip(f.weights, float(lam) * f.directions))
+    return gammas_exp([lam], [f])[0]
 
 
 def gradient_exp(f: ExpCombo) -> list[ExpCombo]:
-    """Coordinate partials: d_k E(h) = h_k E(h)."""
-    return [
-        ExpCombo(f.dim, zip(f.weights * f.directions[:, k], f.directions))
-        for k in range(f.dim)
-    ]
+    """Coordinate partials: d_k E(h) = h_k E(h), the n of them as one stack."""
+    if f.dim == 0:
+        return []
+    dirs = np.broadcast_to(f.directions, (f.dim, *f.directions.shape))
+    return exp_combos(f.dim, f.weights * f.directions.T, dirs)
 
 
 def mu_inner_exp(f: ExpCombo, g: ExpCombo) -> float:

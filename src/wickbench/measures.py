@@ -22,45 +22,61 @@ import warnings
 
 import numpy as np
 
-from .chaos import ChaosExpansion, canonical_rows, check_dims, finite_array
-from .expspan import ExpCombo, gamma_exp, wick_exp
+from .chaos import (
+    ChaosExpansion,
+    canonical_rows,
+    check_dims,
+    common_dim,
+    fill,
+    finite_array,
+    per_shape,
+    split_rows,
+    stacked,
+)
+from .expspan import ExpCombo, _stack, exp_combos, gammas_exp, products_exp
 from .report import InequalityReport
 
 WEIGHT_SUM_TOL = 1e-12
 
 
+def _canonical_measures(dim: int, atoms: np.ndarray, weights: np.ndarray):
+    """Per task (weights, atoms) of T stacked measures, atoms (T, a, n) and
+    weights (T, a): checked, then in the canonical form of canonical_rows."""
+    if not np.isfinite(atoms).all():
+        raise ValueError("atoms must be finite numbers")
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite numbers")
+    if atoms.shape[:2] != weights.shape:
+        raise ValueError("number of atoms and weights differ")
+    if atoms.shape[2] != dim:
+        raise ValueError(f"atom dimension {atoms.shape[2]} does not match n={dim}")
+    if np.any(weights < 0):
+        raise ValueError("weights must be nonnegative")
+    sums = weights.sum(axis=1)
+    off = np.abs(sums - 1.0) > WEIGHT_SUM_TOL
+    if off.any():
+        raise ValueError(f"weights must sum to 1, got {sums[off.argmax()]!r}")
+    return split_rows(*canonical_rows(atoms, weights))
+
+
 class DiscreteMeasure:
     """Probability measure with finitely many atoms on R^n.
 
-    Atoms and weights must be finite numbers.  Atoms are merged
-    (coordinatewise within 1e-12) and sorted at construction, and a zero
-    coordinate is stored as +0.0, so equal measures have equal stored
-    arrays whatever the order of the input.
+    Atoms and weights must be finite numbers.  Atoms are brought to the
+    form of ``canonical_rows`` at construction (atoms in one MERGE_TOL
+    cell merged, sorted), and a zero coordinate is stored as +0.0, so
+    equal measures have equal stored arrays whatever the order of the
+    input.
     """
 
     __slots__ = ("dim", "atoms", "weights")
 
     def __init__(self, dim: int, atoms, weights):
         dim = operator.index(dim)
-        atoms = np.atleast_2d(finite_array(atoms, "atoms"))
-        weights = finite_array(weights, "weights").ravel()
-        if atoms.shape[0] != weights.size:
-            raise ValueError("number of atoms and weights differ")
-        if atoms.shape[1] != dim:
-            raise ValueError(f"atom dimension {atoms.shape[1]} does not match n={dim}")
-        if np.any(weights < 0):
-            raise ValueError("weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights must sum to 1, got {weights.sum()!r}")
-        ys, ps = canonical_rows(dim, zip(map(tuple, atoms.tolist()), weights.tolist()))
-        a = np.array(ys, dtype=float).reshape(len(ys), dim)
-        a += 0.0  # -0.0 + 0.0 is +0.0: canonical_rows keeps either sign of zero
-        w = np.array(ps, dtype=float)
-        a.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "atoms", a)
-        object.__setattr__(self, "weights", w)
+        atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+        weights = np.asarray(weights, dtype=float).ravel()
+        ((w, a),) = _canonical_measures(dim, atoms[None], weights[None])
+        fill(self, dim=dim, atoms=a, weights=w)
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteMeasure is immutable")
@@ -77,8 +93,8 @@ class DiscreteMeasure:
     def to_json_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "atoms": [[float(v) for v in y] for y in self.atoms],
-            "weights": [float(p) for p in self.weights],
+            "atoms": self.atoms.tolist(),
+            "weights": self.weights.tolist(),
         }
 
     @classmethod
@@ -89,16 +105,54 @@ class DiscreteMeasure:
         return f"DiscreteMeasure(dim={self.dim}, atoms={self.n_atoms})"
 
 
+def discrete_measures(dim: int, atoms: np.ndarray, weights: np.ndarray) -> list[DiscreteMeasure]:
+    """The DiscreteMeasure of each of T stacked atom sets, atoms (T, a, dim)
+    and weights (T, a), checked and canonical by one canonical_rows call."""
+    return [fill(object.__new__(DiscreteMeasure), dim=dim, atoms=a, weights=w)
+            for w, a in _canonical_measures(dim, atoms, weights)]
+
+
+def _build_measures(datas) -> list[DiscreteMeasure]:
+    if len(datas) == 1:
+        return [DiscreteMeasure.from_json_dict(datas[0])]
+    atoms = np.array([d["atoms"] for d in datas], dtype=float)
+    weights = np.array([d["weights"] for d in datas], dtype=float)
+    if atoms.ndim != 3:
+        raise ValueError("atom lists of different shapes")
+    return discrete_measures(common_dim(datas), atoms, weights)
+
+
+def measures_from_json(datas) -> list[DiscreteMeasure]:
+    """DiscreteMeasure.from_json_dict of each JSON measure, parsed, checked
+    and brought to canonical form as one stack; a list of mixed shapes
+    falls back to one at a time."""
+    return stacked(_build_measures, datas)
+
+
+def densities_xi(nus) -> list[ExpCombo]:
+    """density_xi of each measure, each shape as one stack."""
+    def run(idx):
+        return exp_combos(nus[idx[0]].dim, _stack(nus, "weights", idx), _stack(nus, "atoms", idx))
+
+    return per_shape([(nu.n_atoms, nu.dim) for nu in nus], run)
+
+
 def density_xi(nu: DiscreteMeasure) -> ExpCombo:
     """Density of mu * nu against mu: xi = sum_i p_i E(y_i), strictly positive."""
-    return ExpCombo(nu.dim, zip(nu.weights, nu.atoms))
+    return densities_xi([nu])[0]
+
+
+def gammas_xi(nus, alphas) -> list[ExpCombo]:
+    """gamma_xi of each (nu, alpha), each shape as one stack."""
+    for alpha in alphas:
+        if alpha <= 0:
+            raise ValueError(f"alpha must be > 0, got {alpha}")
+    return gammas_exp([1.0 / math.sqrt(alpha) for alpha in alphas], densities_xi(nus))
 
 
 def gamma_xi(nu: DiscreteMeasure, alpha: float) -> ExpCombo:
     """Gamma(1/sqrt(alpha)) applied to the density: directions y_i/sqrt(alpha)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    return gamma_exp(1.0 / math.sqrt(alpha), density_xi(nu))
+    return gammas_xi([nu], [alpha])[0]
 
 
 def g_lambda_norm(nu: DiscreteMeasure, lam: float) -> tuple[float, float]:
@@ -113,16 +167,26 @@ def g_lambda_norm(nu: DiscreteMeasure, lam: float) -> tuple[float, float]:
     (equality for a single atom, so no hard assertion is made here; the
     harness checks it with a tolerance).
     """
-    if not math.isfinite(lam):
-        raise ValueError(f"lambda must be finite, got {lam}")
-    if lam < 1:
-        warnings.warn(f"lambda = {lam} < 1: outside the regularity scale of interest", stacklevel=2)
-    y = nu.atoms
-    p = nu.weights
-    lam2 = float(lam) ** 2
-    norm_sq = float(p @ np.exp(lam2 * (y @ y.T)) @ p)
-    bound = float(p @ np.exp(0.5 * lam2 * np.sum(y**2, axis=1)))
-    return norm_sq, bound
+    return g_lambda_norms([nu], [lam])[0]
+
+
+def g_lambda_norms(nus, lams) -> list[tuple[float, float]]:
+    """g_lambda_norm of each (nu, lambda); each shape of nu is one stack,
+    and only the last sums run per task."""
+    for lam in lams:
+        if not math.isfinite(lam):
+            raise ValueError(f"lambda must be finite, got {lam}")
+        if lam < 1:
+            warnings.warn(f"lambda = {lam} < 1: outside the regularity scale of interest", stacklevel=3)
+
+    def run(idx):
+        y, p = _stack(nus, "atoms", idx), _stack(nus, "weights", idx)
+        lam2 = np.array([float(lams[i]) ** 2 for i in idx])
+        grams = np.exp(lam2[:, None, None] * (y @ y.transpose(0, 2, 1)))
+        tails = np.exp((0.5 * lam2)[:, None] * np.sum(y**2, axis=2))
+        return [(float(pt @ g @ pt), float(pt @ e)) for pt, g, e in zip(p, grams, tails)]
+
+    return per_shape([(nu.n_atoms, nu.dim) for nu in nus], run)
 
 
 def rho_integral_exp(f: ExpCombo, nu: DiscreteMeasure) -> float:
@@ -155,27 +219,76 @@ def vector_rows(hs, dim: int) -> np.ndarray:
     return h
 
 
+def vector_stacks(hss, dims) -> list[np.ndarray]:
+    """vector_rows of each (hs, dim), parsed and checked as one stack when
+    they share a shape."""
+    def build(items):
+        if len(items) == 1:
+            return [vector_rows(*items[0])]
+        h = finite_array([hs for hs, _ in items], "hs")
+        if h.ndim != 3 or {dim for _, dim in items} != {h.shape[2]}:
+            raise ValueError("vector lists of different shapes")
+        return list(h)
+
+    return stacked(build, list(zip(hss, dims)))
+
+
 def char_gram(nu: DiscreteMeasure, hs) -> np.ndarray:
     """Characteristic Gram G_jk = sum_i p_i e^{i <y_i, h_j - h_k>}.
 
     PSD for any probability measure: it is the nu-Gram of the functions
     w -> e^{i<w, h_j>}.
     """
-    return _char_gram_rows(nu, vector_rows(hs, nu.dim))
+    return char_gram_stack(nu.atoms[None], nu.weights[None], vector_rows(hs, nu.dim)[None])[0]
 
 
-def _char_gram_rows(nu: DiscreteMeasure, h: np.ndarray) -> np.ndarray:
-    # char_gram of rows that vector_rows has already checked
-    phases = np.exp(1j * (nu.atoms @ h.T))
-    return phases.T @ (nu.weights[:, None] * phases.conj())
+def char_gram_stack(y: np.ndarray, p: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """char_gram of T stacked measures, atoms y (T, a, n) and weights p
+    (T, a), and checked rows h (T, k, n): (T, k, k)."""
+    phases = np.exp(1j * (y @ h.transpose(0, 2, 1)))
+    return phases.transpose(0, 2, 1) @ (p[:, :, None] * phases.conj())
+
+
+def convolutions(nu1s, nu2s) -> list[DiscreteMeasure]:
+    """nu1 * nu2 per task: atoms y_i + z_j, weights p_i q_j, merged; each
+    shape as one stack."""
+    for nu1, nu2 in zip(nu1s, nu2s):
+        check_dims(nu1, nu2)
+
+    def run(idx):
+        y1, y2 = _stack(nu1s, "atoms", idx), _stack(nu2s, "atoms", idx)
+        p1, p2 = _stack(nu1s, "weights", idx), _stack(nu2s, "weights", idx)
+        dim = y1.shape[2]
+        atoms = (y1[:, :, None, :] + y2[:, None, :, :]).reshape(len(idx), -1, dim)
+        return discrete_measures(dim, atoms, (p1[:, :, None] * p2[:, None, :]).reshape(len(idx), -1))
+
+    return per_shape([(nu1.n_atoms, nu2.n_atoms, nu1.dim) for nu1, nu2 in zip(nu1s, nu2s)], run)
 
 
 def convolve_nu(nu1: DiscreteMeasure, nu2: DiscreteMeasure) -> DiscreteMeasure:
     """nu1 * nu2: atoms y_i + z_j, weights p_i q_j, merged."""
-    check_dims(nu1, nu2)
-    atoms = (nu1.atoms[:, None, :] + nu2.atoms[None, :, :]).reshape(-1, nu1.dim)
-    weights = np.outer(nu1.weights, nu2.weights).ravel()
-    return DiscreteMeasure(nu1.dim, atoms, weights)
+    return convolutions([nu1], [nu2])[0]
+
+
+def wick_density_identity_rows(nu1s, nu2s, tolerance: float) -> list[InequalityReport]:
+    """wick_density_identity_check of each (nu1, nu2): the convolutions and
+    the Wick products of the densities, each shape as one stack."""
+    lhs = densities_xi(convolutions(nu1s, nu2s))
+    rhs = products_exp(densities_xi(nu1s), densities_xi(nu2s), [0.0] * len(nu1s))
+    rows = []
+    for nu1, nu2, left, right in zip(nu1s, nu2s, lhs, rhs):
+        if left.n_terms != right.n_terms:
+            mismatch = float("inf")
+        elif left.n_terms == 0:
+            mismatch = 0.0
+        else:
+            mismatch = max(
+                float(np.max(np.abs(left.directions - right.directions))),
+                float(np.max(np.abs(left.weights - right.weights))),
+            )
+        params = {"nu1": nu1.to_json_dict(), "nu2": nu2.to_json_dict()}
+        rows.append(InequalityReport.from_mismatch("wick_density_identity", params, mismatch, tolerance))
+    return rows
 
 
 def wick_density_identity_check(nu1: DiscreteMeasure, nu2: DiscreteMeasure,
@@ -185,19 +298,7 @@ def wick_density_identity_check(nu1: DiscreteMeasure, nu2: DiscreteMeasure,
     Both sides are canonical ExpCombos; the mismatch is the largest
     deviation in term count, directions, or weights.
     """
-    lhs = density_xi(convolve_nu(nu1, nu2))
-    rhs = wick_exp(density_xi(nu1), density_xi(nu2))
-    if lhs.n_terms != rhs.n_terms:
-        mismatch = float("inf")
-    elif lhs.n_terms == 0:
-        mismatch = 0.0
-    else:
-        mismatch = max(
-            float(np.max(np.abs(lhs.directions - rhs.directions))),
-            float(np.max(np.abs(lhs.weights - rhs.weights))),
-        )
-    params = {"nu1": nu1.to_json_dict(), "nu2": nu2.to_json_dict()}
-    return InequalityReport.from_mismatch("wick_density_identity", params, mismatch, tolerance)
+    return wick_density_identity_rows([nu1], [nu2], tolerance)[0]
 
 
 def sample_rho(nu: DiscreteMeasure, rng_seed, count: int) -> np.ndarray:

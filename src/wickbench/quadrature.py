@@ -59,6 +59,9 @@ def gauss_hermite_grid(n: int, order: int) -> QuadratureGrid:
     """Gauss-Hermite rule for the standard normal weight, tensorized to R^n.
 
     Exact for polynomial integrands of per-axis degree <= 2*order - 1.
+    Grids of at most NODE_COUNT_WARN nodes are built once per (n, order)
+    and shared, as their arrays are read-only; a larger one is built, with
+    a warning, on every call.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -66,6 +69,12 @@ def gauss_hermite_grid(n: int, order: int) -> QuadratureGrid:
         raise ValueError("order must be >= 1")
     if order**n > NODE_COUNT_WARN:
         warnings.warn(f"grid has {order**n} nodes; consider Monte Carlo instead", stacklevel=2)
+        return _tensor_grid.__wrapped__(n, order)
+    return _tensor_grid(n, order)
+
+
+@functools.lru_cache(maxsize=16)
+def _tensor_grid(n: int, order: int) -> QuadratureGrid:
     x, w = _hermite_rule(order)
     meshes = np.meshgrid(*([x] * n), indexing="ij")
     nodes = np.stack([m.ravel() for m in meshes], axis=1)

@@ -7,27 +7,27 @@ same task always produces the same rows.  run_rendered cuts the config
 into task descriptors, (check, grid params) or (check, sweep), and sends
 them out in chunks with the config and tolerances once per chunk.  Whoever
 runs a chunk (a pool worker at jobs > 1, this process otherwise) expands
-it with _expand, the routine build_tasks is built from, runs each task and
-at once renders its rows with _render, the renderer write_reports uses,
-into report.json lines and report.csv records.  So rows cross the process
-boundary as text, and the parent only sorts the tasks by (check, parameter
-JSON) and writes that text; run_suite decodes it back into rows for
-library callers.
+it with _expand, the routine build_tasks is built from, and groups its
+tasks into buckets of one check and one _shape.  Each bucket goes to the
+check's spec.run as one stack, and its rows are at once rendered with
+_render, the renderer write_reports uses, into report.json and report.csv
+lines.  So rows cross the process boundary as text, and the parent only
+sorts the tasks by (check, parameter JSON) and writes that text;
+run_suite decodes it back into rows for library callers.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import _CHECK_INDEX, CHECK_REGISTRY, DEFAULT_TOLS, function_from_json, run_check
+from .chaos import INPUT_ERRORS
+from .checks import _CHECK_INDEX, CHECK_REGISTRY, DEFAULT_TOLS, function_from_json
 from .measures import DiscreteMeasure
 from .report import InequalityReport
 
@@ -39,10 +39,6 @@ class ConfigError(ValueError):
     before any computation; run_suite raises it when a task raises one of
     INPUT_ERRORS, naming the task's check.
     """
-
-
-# What a check raises on inputs it cannot compute; the CLI exits 2 on them.
-INPUT_ERRORS = (ValueError, KeyError, TypeError, ArithmeticError)
 
 
 ALPHA_GRID = [i / 10 for i in range(11)]
@@ -184,25 +180,51 @@ def _task_key(task: dict) -> tuple:
     return task["check"], _ENCODE(task["params"])
 
 
+def _shape(params) -> tuple | None:
+    """A task's bucket: the kind, dim and term or atom count of each
+    function or measure in its params, and the length of each list.
+    Tasks of one check and one bucket run as one stack.  None when a field
+    is not of these types: such tasks share a bucket, and each raises its
+    own error."""
+    key = []
+    try:
+        for name, value in params.items():
+            if isinstance(value, dict):
+                count = len(value["terms"]) if "terms" in value else len(value.get("atoms", ()))
+                key.append((name, value.get("kind"), value.get("dim"), count))
+            elif isinstance(value, list):
+                key.append((name, len(value)))
+        hash(tuple(key))
+    except (AttributeError, TypeError):
+        return None
+    return tuple(key)
+
+
 def _run_chunk(chunk) -> list[tuple[tuple, list]]:
-    """Expand a chunk, then run each task and render its rows at once, so
-    no row object outlives its task: (task key, rendered rows) per task."""
+    """Expand a chunk and give each bucket of it, the tasks of one check
+    and one _shape, to the check's spec.run; render each bucket's rows as
+    soon as it returns, so no row object outlives its bucket: (task key,
+    rendered rows) per task."""
     cfg, tols, descriptors = chunk
-    done = []
+    buckets: dict = {}
     for task in _expand(cfg, descriptors):
+        buckets.setdefault((task["check"], _shape(task["params"])), []).append(task)
+    done = []
+    for (name, _), tasks in buckets.items():
         try:
-            rows = run_check(task["check"], task["params"], tols)
+            results = CHECK_REGISTRY[name].run([task["params"] for task in tasks], tols)
         except INPUT_ERRORS as exc:
-            raise ConfigError(f"{task['check']} task cannot run: {exc}") from exc
-        if cfg.negate:
-            rows = [r.negated() for r in rows]
-        done.append((_task_key(task), list(_render(rows))))
+            raise ConfigError(f"{name} task cannot run: {exc}") from exc
+        for task, rows in zip(tasks, results):
+            if cfg.negate:
+                rows = [r.negated() for r in rows]
+            done.append((_task_key(task), list(_render(rows))))
     return done
 
 
-def run_rendered(cfg: SuiteConfig, jobs: int = 1) -> list[tuple[str, tuple]]:
+def run_rendered(cfg: SuiteConfig, jobs: int = 1) -> list[tuple[str, str, bool]]:
     """Run all tasks; returns each row's (report.json line, report.csv
-    record), ordered by (check, task params text).
+    line, pass), ordered by (check, task params text).
 
     At jobs > 1 a pool of jobs workers runs the 4 * jobs chunks.  A task
     that raises one of INPUT_ERRORS raises ConfigError naming its check;
@@ -214,6 +236,9 @@ def run_rendered(cfg: SuiteConfig, jobs: int = 1) -> list[tuple[str, tuple]]:
     size = max(1, -(-len(descriptors) // (4 * max(1, jobs))))
     chunks = [(cfg, tols, descriptors[i:i + size]) for i in range(0, len(descriptors), size)]
     if jobs > 1:
+        # imported here: the pool module costs every run some 15 ms to import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             done = list(pool.map(_run_chunk, chunks))
     else:
@@ -230,7 +255,7 @@ def run_suite(cfg: SuiteConfig, jobs: int = 1) -> tuple[list[InequalityReport], 
     equal run_check's rows field for field; rows that shared one params
     object get equal copies.  Raises as run_rendered does.
     """
-    reports = [InequalityReport.from_json_line(line) for line, _ in run_rendered(cfg, jobs)]
+    reports = [InequalityReport.from_json_line(line) for line, _, _ in run_rendered(cfg, jobs)]
     return reports, 0 if all(r.passed for r in reports) else 1
 
 
@@ -244,35 +269,42 @@ def _row_line(row: dict, params_text: str) -> str:
     return _ENCODE({**row, "params": None}).replace('"params":null', f'"params":{params_text}', 1)
 
 
-def _render(reports):
-    """Yield each row's report.json line and report.csv record.
+def _csv_cell(text: str) -> str:
+    """text as csv.writer writes a cell (excel dialect, "\\n" line ends):
+    quoted, with quotes doubled, when it holds a comma, a quote or a line
+    end."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
-    The line is ``_ENCODE(row.as_dict())``; the record is the row's
-    report.csv fields as strings, in _CSV_HEADER order, and its params cell
-    is the same params text.  Each params object is encoded once, and
-    consecutive rows sharing one (the three rows of an ab_psd task) share
-    its text.
+
+def _render(reports):
+    """Yield each row's report.json line, report.csv line and pass flag.
+
+    The JSON line is ``_ENCODE(row.as_dict())``; the CSV line holds the
+    row's report.csv fields in _CSV_HEADER order, as csv.writer writes
+    them, and its params cell is the same params text.  Each params object
+    is encoded once, and consecutive rows sharing one (the three rows of
+    an ab_psd task) share its text.
     """
-    params, params_text = None, "null"
+    params, params_text, params_cell = None, "null", "null"
     for r in reports:
         row = r.as_dict()
         if row["params"] is not params:
             params = row["params"]
             params_text = _ENCODE(params)
-        yield _row_line(row, params_text), (
-            r.check, params_text,
-            repr(r.lhs), repr(r.rhs), repr(r.gap), repr(r.tolerance),
-            "true" if r.passed else "false",
-            r.method,
-        )
+            params_cell = _csv_cell(params_text)
+        fields = (_csv_cell(r.check), params_cell, repr(r.lhs), repr(r.rhs), repr(r.gap),
+                  repr(r.tolerance), "true" if r.passed else "false", _csv_cell(r.method))
+        yield _row_line(row, params_text), ",".join(fields) + "\n", r.passed
 
 
-_CSV_HEADER = ("check", "params", "lhs", "rhs", "gap", "tol", "pass", "method")
+_CSV_HEADER = "check,params,lhs,rhs,gap,tol,pass,method\n"
 
 
 def write_rendered(rendered, out_dir) -> tuple[str, str]:
-    """Write report.json and report.csv in one streaming pass over
-    rendered rows, (report.json line, report.csv record) pairs.
+    """Write report.json and report.csv from a list of rendered rows,
+    (report.json line, report.csv line, pass) triples.
 
     report.json is a JSON array with one row per line: ``[``, then each
     row's line, the lines separated by commas, then ``]``; no rows give
@@ -282,18 +314,14 @@ def write_rendered(rendered, out_dir) -> tuple[str, str]:
     json_path = os.path.join(out_dir, "report.json")
     csv_path = os.path.join(out_dir, "report.csv")
     with open(json_path, "w") as json_fh, open(csv_path, "w", newline="") as csv_fh:
-        writer = csv.writer(csv_fh, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        sep = "[\n"
-        for line, record in rendered:
-            json_fh.write(sep + line)
-            sep = ",\n"
-            writer.writerow(record)
-        json_fh.write("[]\n" if sep == "[\n" else "\n]\n")
+        json_fh.writelines((",\n" if i else "[\n") + line for i, (line, _, _) in enumerate(rendered))
+        json_fh.write("\n]\n" if rendered else "[]\n")
+        csv_fh.write(_CSV_HEADER)
+        csv_fh.writelines(line for _, line, _ in rendered)
     return json_path, csv_path
 
 
 def write_reports(reports, out_dir) -> tuple[str, str]:
     """Write report.json and report.csv for rows: run_rendered's renderer,
     then write_rendered.  Byte-deterministic for given rows."""
-    return write_rendered(_render(reports), out_dir)
+    return write_rendered(list(_render(reports)), out_dir)

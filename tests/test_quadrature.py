@@ -20,6 +20,7 @@ from wickbench import (
     mu_inner_exp,
     ou_apply,
 )
+from wickbench import quadrature
 from wickbench.chaos import multi_indices
 from wickbench.quadrature import default_order, integrate_mu, lp_norm_mu, mehler_ou
 
@@ -38,6 +39,20 @@ def test_grid_structure():
 def test_grid_warns_on_huge_node_count():
     with pytest.warns(UserWarning):
         gauss_hermite_grid(3, 101)
+
+
+def test_small_grids_are_built_once_and_large_ones_warn_every_time(monkeypatch):
+    grid = gauss_hermite_grid(2, 7)
+    assert gauss_hermite_grid(2, 7) is grid
+    assert not grid.nodes.flags.writeable and not grid.weights.flags.writeable
+    # a grid past NODE_COUNT_WARN is neither shared nor silent
+    monkeypatch.setattr(quadrature, "NODE_COUNT_WARN", 10)
+    grids = []
+    for _ in range(2):
+        with pytest.warns(UserWarning, match="grid has 16 nodes"):
+            grids.append(gauss_hermite_grid(2, 4))
+    assert grids[0] is not grids[1]
+    assert np.array_equal(grids[0].nodes, grids[1].nodes)
 
 
 def test_grid_is_immutable():

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -186,6 +187,114 @@ def test_cli_bytes_match_the_replay_route_and_run_suite(tmp_path, capsys):
         write_reports(suite_rows, tmp_path / f"suite{jobs}")
         assert _report_bytes(tmp_path / f"suite{jobs}") == expected
     capsys.readouterr()
+
+
+# Grid inputs whose tasks share buckets: each (function, measure) pair
+# gives one task per alpha, all of one shape.  They also hit the merge and
+# drop rules inside a bucket: a term below COEFF_EPS, repeated chaos
+# indices, holder grid tasks with g = f (the product directions h_j + h_k
+# and h_k + h_j are exact duplicates), and a measure whose atom sums with
+# itself coincide (0 + 1 = 1 + 0) in wick_density_identity.
+BUCKET_FUNCTIONS = [
+    {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [0.5]}, {"coef": -0.7, "h": [-0.25]},
+                                        {"coef": 1e-16, "h": [1.0]}]},
+    {"kind": "exp", "dim": 1, "terms": [{"coef": 0.25, "h": [0.75]}, {"coef": 0.5, "h": [-0.5]}]},
+    {"kind": "exp", "dim": 2, "terms": [{"coef": 0.5, "h": [0.3, -0.2]}, {"coef": 1.0, "h": [-0.4, 0.1]}]},
+    {"kind": "chaos", "dim": 1, "terms": [{"m": [1], "c": 1.0}, {"m": [3], "c": -0.2}, {"m": [1], "c": 0.5}]},
+]
+BUCKET_MEASURES = [
+    {"dim": 1, "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5]},
+    {"dim": 1, "atoms": [[-0.5], [0.5]], "weights": [0.25, 0.75]},
+    {"dim": 2, "atoms": [[0.0, 0.5], [0.5, 0.0]], "weights": [0.5, 0.5]},
+]
+
+
+def _bucket_config(**overrides):
+    return {"seed": 9, "functions": BUCKET_FUNCTIONS, "measures": BUCKET_MEASURES,
+            "checks": list(CHECK_REGISTRY), "random_sweeps": 40, "quad_order": 8, "mc_count": 200,
+            **overrides}
+
+
+def test_buckets_write_the_bytes_of_one_task_at_a_time(tmp_path, capsys):
+    # the CLI at --jobs 1 and 2 and run_suite run each bucket of tasks as
+    # one stack; run_check runs one task at a time; all write one report
+    data = _bucket_config()
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(data))
+    cfg = SuiteConfig.from_json_dict(data)
+    tasks = sorted(build_tasks(cfg), key=suite._task_key)
+    buckets = {}
+    for t in tasks:
+        buckets.setdefault((t["check"], suite._shape(t["params"])), []).append(t)
+    assert max(len(b) for b in buckets.values()) >= 20 and len(buckets) < len(tasks) / 2
+    alone = [run_check(t["check"], t["params"]) for t in tasks]
+    rows = [r for rs in alone for r in rs]
+    write_reports(rows, tmp_path / "replay")
+    expected = _report_bytes(tmp_path / "replay")
+    expected_code = 0 if all(r.passed for r in rows) else 1
+    text = expected[0].decode()
+    assert '"coef":1e-16' not in text and '{"c":1.5,"m":[1]}' in text
+    for jobs in (1, 2):
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / f"cli{jobs}"),
+                     "--jobs", str(jobs)])
+        assert code == expected_code
+        assert _report_bytes(tmp_path / f"cli{jobs}") == expected
+    suite_rows, code = run_suite(cfg)
+    assert code == expected_code
+    assert [_row_fields(r) for r in suite_rows] == [_row_fields(r) for r in rows]
+    # each check's whole task list in one call: a stack of mixed shapes
+    tols = dict(suite.DEFAULT_TOLS)
+    for name in CHECK_REGISTRY:
+        mine = [i for i, t in enumerate(tasks) if t["check"] == name]
+        together = CHECK_REGISTRY[name].run([tasks[i]["params"] for i in mine], tols)
+        assert [[_row_fields(r) for r in rs] for rs in together] == \
+            [[_row_fields(r) for r in alone[i]] for i in mine]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("check, functions, message", [
+    ("holder", [E_ONE, E_HUGE], "holder task cannot run: math range error"),
+    ("beckner_deficit", [E_ONE, {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [40.0]}]}],
+     "beckner_deficit task cannot run: beckner_deficit has a non-finite side"),
+], ids=["holder-overflow", "beckner-overflow"])
+def test_a_bucket_task_that_cannot_run_exits_two(tmp_path, capsys, jobs, check, functions, message):
+    # the bad task shares its bucket with good ones of the same shape
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(_bucket_config(checks=[check], functions=functions,
+                                                  measures=[NU_ZERO], random_sweeps=40)))
+    cfg = SuiteConfig.from_json_dict(json.loads(cfg_path.read_text()))
+    shapes = [suite._shape(t["params"]) for t in build_tasks(cfg) if t["params"]["f"] in functions]
+    assert len(set(shapes)) == 1 and len(shapes) > 2
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--jobs", str(jobs)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_csv_lines_are_what_csv_writer_writes(tmp_path):
+    rows = [
+        InequalityReport("a,\"b\"", {"s": 'q"uo,te', "t": "x\ny"}, 1.0, -0.0, -1.0, 1e-9, False,
+                         "exact", 'm,"x'),
+        InequalityReport("c", {}, math.nan, -math.inf, math.nan, 0.0, False, "mc", "exact"),
+        InequalityReport("line\nend", {"k": "v"}, 0.0, 0.0, 0.0, 0.0, True, "exact", "two\nlines"),
+        InequalityReport("d", {"k": [1, 2]}, math.inf, 2.5, -math.inf, 1e-10, True),
+    ]
+    lines = [line for _, line, _ in suite._render(rows)]
+    for row, line in zip(rows, lines):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(
+            (row.check, _ENCODE(row.params), repr(row.lhs), repr(row.rhs), repr(row.gap),
+             repr(row.tolerance), "true" if row.passed else "false", row.method))
+        assert line == buf.getvalue()
+    _, csv_path = write_reports(rows, tmp_path / "some")
+    with open(csv_path, newline="") as fh:
+        assert list(csv.reader(fh))[2][2:6] == ["nan", "-inf", "nan", "0.0"]
+    _, csv_path = write_reports([], tmp_path / "none")
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(("check", "params", "lhs", "rhs", "gap", "tol", "pass", "method"))
+    assert open(csv_path, newline="").read() == buf.getvalue()
 
 
 def test_cli_fail_summary_is_the_same_at_any_jobs(tmp_path, capsys):
@@ -494,6 +603,14 @@ def test_cli_list_checks(capsys):
     for name in ("beckner_deficit", "oracle_triangle", "wick_density_identity"):
         assert name in out
     assert "default tolerances" in out
+
+
+def test_process_pool_is_imported_only_where_it_starts():
+    # importing concurrent.futures' pool costs every run some 15 ms
+    code = ("import sys, wickbench, wickbench.cli\n"
+            "assert 'concurrent.futures.process' not in sys.modules, sorted(sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_installed():
