@@ -13,15 +13,18 @@ usual operator calculus are exact finite sums:
 
 This module also holds what every value type of the package shares: the
 one canonical form (canonical_rows, used by ChaosExpansion, ExpCombo and
-DiscreteMeasure, on a stack of T row sets at once), the helpers that
-build many values as one stack, and the argument guards.  All values are immutable after
-construction and every operation is pure, so they are safe to share
-across threads.
+DiscreteMeasure, on a stack of T row sets at once), the argument guards,
+and the two groupings that let values be built as stacks: json_stacks
+groups JSON values by JSON shape (dim and term, atom or row count) for
+their parser, and per_shape groups built values by canonical shape for a
+kernel.  All values are immutable after construction and every
+operation is pure, so they are safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -155,20 +158,6 @@ def split_rows(rows, weights, keep):
 INPUT_ERRORS = (ValueError, KeyError, TypeError, ArithmeticError)
 
 
-def stacked(build, items) -> list:
-    """build(items): one result per item, built as one stack.  When that
-    raises one of INPUT_ERRORS, each item is built alone instead, so a
-    stack of mixed shapes still builds and an error names its own item."""
-    if not items:
-        return []
-    try:
-        return build(items)
-    except INPUT_ERRORS:
-        if len(items) < 2:
-            raise
-    return [out for item in items for out in build([item])]
-
-
 def per_shape(keys, run) -> list:
     """run(indices) on each group of equal keys, in order of first
     appearance; returns the results of all tasks in input order."""
@@ -182,12 +171,22 @@ def per_shape(keys, run) -> list:
     return out
 
 
-def common_dim(datas) -> int:
-    """The one "dim" of JSON values stacked together; ValueError if they differ."""
-    dims = {int(d["dim"]) for d in datas}
-    if len(dims) != 1:
-        raise ValueError(f"dimensions differ: {sorted(dims)}")
-    return dims.pop()
+def json_stacks(build, datas, kind, *fields) -> list:
+    """build(dim, group) on each group of JSON values of one JSON shape,
+    the same "dim" and the same length of each field; one value per item,
+    in input order.  This is the one parse path of ChaosExpansion, ExpCombo
+    and DiscreteMeasure, a single value being a group of one.  ValueError
+    unless each "dim" is an integer >= 0 and not a bool (1.9, true and "1"
+    are not 1), or when a function names a kind other than kind."""
+    keys = []
+    for data in datas:
+        dim = data["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 0:
+            raise ValueError(f"dim must be an integer >= 0, got {dim!r}")
+        if kind and data.get("kind", kind) != kind:
+            raise ValueError(f"expected {kind} functions, got kind {data['kind']!r}")
+        keys.append((int(dim), *(len(data[name]) for name in fields)))
+    return per_shape(keys, lambda idx: build(keys[idx[0]][0], [datas[i] for i in idx]))
 
 
 def multi_index(m) -> tuple:
@@ -199,18 +198,19 @@ def multi_index(m) -> tuple:
 
 
 def _index_rows(dim: int, indices) -> np.ndarray:
-    """Multi-indices as a (k, dim) int64 array; the errors of multi_index,
-    and ValueError on a row whose length is not dim."""
+    """T lists of k multi-indices each as a (T, k, dim) int64 array; the
+    errors of multi_index, and ValueError on a row whose length is not dim."""
+    t, k = len(indices), len(indices[0])
+    if k == 0:
+        return np.zeros((t, 0, dim), dtype=np.int64)
     try:
         arr = np.array(indices)
     except ValueError:  # rows of different lengths
         arr = None
-    if (arr is not None and arr.ndim == 2 and arr.shape[1] == dim
+    if (arr is not None and arr.shape == (t, k, dim)
             and (arr.dtype.kind in "iub" or arr.size == 0) and not (arr < 0).any()):
         return arr.astype(np.int64)
-    if not indices:
-        return np.zeros((0, dim), dtype=np.int64)
-    for m in indices:
+    for m in (m for item in indices for m in item):
         m = multi_index(m)
         if len(m) != dim:
             raise ValueError(f"row {m} has length {len(m)}, expected {dim}")
@@ -270,9 +270,9 @@ class ChaosExpansion:
         if dim < 0:
             raise ValueError("dimension must be >= 0")
         pairs = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
-        idx = _index_rows(dim, [m for m, _ in pairs])
-        cs = np.array([c for _, c in pairs], dtype=float)
-        fill(self, dim=dim, coeffs=_canonical_coeffs(idx[None], cs[None])[0])
+        idx = _index_rows(dim, [[m for m, _ in pairs]])
+        cs = np.array([[c for _, c in pairs]], dtype=float)
+        fill(self, dim=dim, coeffs=_canonical_coeffs(idx, cs)[0])
 
     def __setattr__(self, name, value):
         raise AttributeError("ChaosExpansion is immutable")
@@ -325,9 +325,7 @@ class ChaosExpansion:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChaosExpansion":
-        terms = data["terms"]
-        cs = finite_array([t["c"] for t in terms], "chaos coefficients")
-        return cls(int(data["dim"]), zip((t["m"] for t in terms), cs.tolist()))
+        return chaos_from_json([data])[0]
 
     def __repr__(self):
         return f"ChaosExpansion(dim={self.dim}, terms={len(self.coeffs)}, degree={self.degree})"
@@ -340,23 +338,16 @@ def _canonical_coeffs(idx: np.ndarray, cs: np.ndarray) -> list[dict]:
     return [dict(zip(map(tuple, r[k].tolist()), c[k].tolist())) for r, c, k in zip(rows, cs, keep)]
 
 
-def _build_chaos(datas) -> list[ChaosExpansion]:
-    if len(datas) == 1:
-        return [ChaosExpansion.from_json_dict(datas[0])]
-    dim = common_dim(datas)
+def _build_chaos(dim: int, datas) -> list[ChaosExpansion]:
     cs = finite_array([[t["c"] for t in d["terms"]] for d in datas], "chaos coefficients")
-    idx = np.array([[t["m"] for t in d["terms"]] for d in datas])
-    if idx.shape != (*cs.shape, dim) or idx.dtype.kind not in "iu" or (idx < 0).any():
-        raise ValueError("chaos indices of different shapes")
-    return [fill(object.__new__(ChaosExpansion), dim=dim, coeffs=c)
-            for c in _canonical_coeffs(idx.astype(np.int64), cs)]
+    idx = _index_rows(dim, [[t["m"] for t in d["terms"]] for d in datas])
+    return [fill(object.__new__(ChaosExpansion), dim=dim, coeffs=c) for c in _canonical_coeffs(idx, cs)]
 
 
 def chaos_from_json(datas) -> list[ChaosExpansion]:
-    """ChaosExpansion.from_json_dict of each JSON function, parsed, checked
-    and brought to canonical form as one stack; a list of mixed shapes
-    falls back to one at a time."""
-    return stacked(_build_chaos, datas)
+    """The ChaosExpansion of each JSON function, parsed, checked and brought
+    to canonical form as one stack per JSON shape (json_stacks)."""
+    return json_stacks(_build_chaos, datas, "chaos", "terms")
 
 
 def hermite_eval(m, w) -> float | np.ndarray:

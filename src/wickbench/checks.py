@@ -40,15 +40,16 @@ generators that expand a suite config into its tasks.  The harness, the
 CLI and the workers all read that one table, so a check's JSON schema
 lives here.
 
-A runner parses, checks and computes the tasks of one shape (numbers of
-terms and atoms, dimension) as stacked (T, k, n) arrays, with one numpy
-call per step for all of them.  Only each row's last reduction (w' K w,
-p' E p, a sum) runs per task: stacked matmul, exp, sort and eigvalsh
-steps give each task the bits it gets alone, but a stacked reduction
-(einsum over the task axis) does not.  The per-object checks below are
-the same kernels on a stack of one.  classic_beckner's coefficient loop
-and oracle_triangle's quadrature and Monte Carlo gain nothing from
-stacking and run their tasks one at a time.
+A runner takes all of its tasks at once.  The JSON parsers stack them by
+JSON shape (dim and term, atom or row count) and the kernels by canonical
+shape (numbers of terms and atoms after merging, dimension), so each step
+is one numpy call on stacked (T, k, n) arrays.  Only each row's last
+reduction (w' K w, p' E p, a sum) runs per task: stacked matmul, exp,
+sort and eigvalsh steps give each task the bits it gets alone, but a
+stacked reduction (einsum over the task axis) does not.  The per-object
+checks below are the same kernels on a stack of one.  classic_beckner's
+coefficient loop and oracle_triangle's quadrature and Monte Carlo gain
+nothing from stacking and run their tasks one at a time.
 """
 
 from __future__ import annotations
@@ -102,30 +103,21 @@ def _fn_kind(data: dict) -> str:
     return kind
 
 
-def function_from_json(data) -> ExpCombo | ChaosExpansion:
-    kind = _fn_kind(data)
-    if kind == "exp":
-        return ExpCombo.from_json_dict(data)
-    if kind == "chaos":
-        return ChaosExpansion.from_json_dict(data)
-    raise ValueError(f"unknown function kind {kind!r}")
-
-
 _FROM_JSON = {"exp": exps_from_json, "chaos": chaos_from_json}
 
 
 def functions_from_json(datas) -> list:
-    """function_from_json of each JSON function; functions of one kind and
-    shape parse as one stack (exps_from_json, chaos_from_json)."""
+    """The ExpCombo or ChaosExpansion of each JSON function, by its kind;
+    each kind's parser builds one stack per JSON shape."""
     kinds = [_fn_kind(d) for d in datas]
+    for kind in kinds:
+        if kind not in _FROM_JSON:
+            raise ValueError(f"unknown function kind {kind!r}")
+    return per_shape(kinds, lambda idx: _FROM_JSON[kinds[idx[0]]]([datas[i] for i in idx]))
 
-    def run(idx):
-        parse = _FROM_JSON.get(kinds[idx[0]])
-        if parse is None:
-            return [function_from_json(datas[i]) for i in idx]
-        return parse([datas[i] for i in idx])
 
-    return per_shape(kinds, run)
+def function_from_json(data) -> ExpCombo | ChaosExpansion:
+    return functions_from_json([data])[0]
 
 
 def _exp_gram(h: np.ndarray, y: np.ndarray, p: np.ndarray):
@@ -453,6 +445,8 @@ def oracle_triangle(f: ExpCombo, nu: DiscreteMeasure, alpha: float,
     Six rows per call.
     """
     check_alpha(alpha)
+    if isinstance(f, ChaosExpansion):
+        raise ValueError("expected exp functions, got kind 'chaos'")
     order = default_order(nu.dim) if quad_order is None else quad_order
     grid = gauss_hermite_grid(nu.dim, order)
     grads = gradient_exp(f)
@@ -642,10 +636,10 @@ def _holder_params(params) -> HolderParams:
 def _run_holder(tasks, tols):
     # g defaults to f itself, the same object, as f o_a f
     hps = [_holder_params(params) for params in tasks]
-    fs = functions_from_json([params["f"] for params in tasks])
+    fs = exps_from_json([params["f"] for params in tasks])
     gs = list(fs)
     with_g = [i for i, params in enumerate(tasks) if "g" in params]
-    for i, g in zip(with_g, functions_from_json([tasks[i]["g"] for i in with_g])):
+    for i, g in zip(with_g, exps_from_json([tasks[i]["g"] for i in with_g])):
         gs[i] = g
     return _holder_checks(fs, gs, hps, tols["exact"], tols["quadrature"])
 
@@ -666,7 +660,7 @@ def _random_holder(rng, cfg, sweep):
 
 
 def _run_classic(tasks, tols):
-    fs = functions_from_json([params["f"] for params in tasks])
+    fs = chaos_from_json([params["f"] for params in tasks])
     return [[classic_beckner_coeff_check(f, params["alpha"], tolerance=tols["identity"])]
             for f, params in zip(fs, tasks)]
 
@@ -684,7 +678,7 @@ def _random_classic(rng, cfg, sweep):
 
 def _run_strong_pos(tasks, tols):
     return _strong_pos_checks(_nus(tasks), [params["alpha"] for params in tasks],
-                              functions_from_json([params["phi"] for params in tasks]), tols["exact"])
+                              exps_from_json([params["phi"] for params in tasks]), tols["exact"])
 
 
 def _grid_strong_pos(cfg):
@@ -703,7 +697,7 @@ def _random_strong_pos(rng, cfg, sweep):
 
 def _run_covariance(tasks, tols):
     return _covariance_checks(_nus(tasks, "nu1"), _nus(tasks, "nu2"),
-                              functions_from_json([params["phi"] for params in tasks]), tols["psd"])
+                              exps_from_json([params["phi"] for params in tasks]), tols["psd"])
 
 
 def _grid_covariance(cfg):
@@ -756,10 +750,9 @@ def _random_g_lambda(rng, cfg, sweep):
 
 def _run_oracle(tasks, tols):
     return [oracle_triangle(
-        function_from_json(params["f"]), DiscreteMeasure.from_json_dict(params["nu"]), params["alpha"],
-        quad_order=params.get("quad_order"), mc_seed=params.get("mc_seed", 0),
-        mc_count=params.get("mc_count", 100_000),
-        rel_tol=tols["quadrature"], sigmas=tols["mc_sigmas"]) for params in tasks]
+        f, nu, alpha, quad_order=params.get("quad_order"), mc_seed=params.get("mc_seed", 0),
+        mc_count=params.get("mc_count", 100_000), rel_tol=tols["quadrature"], sigmas=tols["mc_sigmas"])
+        for params, f, nu, alpha in zip(tasks, *_deficit_inputs(tasks))]
 
 
 def _grid_oracle(cfg):
@@ -787,13 +780,12 @@ def _random_oracle(rng, cfg, sweep):
 class CheckSpec(NamedTuple):
     """One named check.
 
-    run(tasks, tols) takes the params of many tasks and returns each
-    task's rows, in input order, and raises on params it cannot compute.
-    It parses, checks and computes tasks of one exact shape as stacked
-    arrays, down to each row's last reduction; a list of mixed shapes
-    runs too, one shape at a time.  grid(cfg) returns the params of the
-    config's grid tasks; random(rng, cfg, sweep) draws the params of one
-    random sweep from rng.
+    run(tasks, tols) takes the params of any number of tasks, of any
+    shapes, and returns each task's rows, in input order, and raises on
+    params it cannot compute.  Its parsers and kernels stack the tasks of
+    one shape, down to each row's last reduction.  grid(cfg) returns the
+    params of the config's grid tasks; random(rng, cfg, sweep) draws the
+    params of one random sweep from rng.
     """
 
     describe: str
@@ -809,9 +801,11 @@ CHECK_REGISTRY = {
                                  _run_beckner, _grid_deficit, _random_deficit),
     "left_positivity": CheckSpec("int (f o_a f) drho <= int f^2 drho",
                                  _run_left, _grid_deficit, _random_deficit),
-    "ab_psd": CheckSpec("PSD of the deficit matrices A, B and their Hadamard product",
+    "ab_psd": CheckSpec("PSD of the deficit matrices A, B and A o B; ab_matrix_b is a Gram V'PV, "
+                        "PSD by construction, so that row tests eigvalsh",
                         _run_ab, _grid_ab, _random_ab),
-    "char_gram_psd": CheckSpec("PSD of the characteristic Gram matrix of nu",
+    "char_gram_psd": CheckSpec("PSD of the characteristic Gram matrix of nu, a Gram V'PV: PSD by "
+                               "construction, so the row tests eigvalsh",
                                _run_char_gram, _grid_char_gram, _random_char_gram),
     "holder": CheckSpec("norm inequality for the interpolating product",
                         _run_holder, _grid_holder, _random_holder),

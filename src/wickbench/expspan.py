@@ -27,14 +27,13 @@ from .chaos import (
     canonical_rows,
     check_alpha,
     check_dims,
-    common_dim,
     fill,
     finite_array,
     index_factorial,
+    json_stacks,
     multi_indices,
     per_shape,
     split_rows,
-    stacked,
 )
 
 
@@ -144,12 +143,9 @@ def exp_combos(dim: int, weights: np.ndarray, directions: np.ndarray) -> list[Ex
             for w, d in _canonical_terms(weights, directions)]
 
 
-def _build_exps(datas) -> list[ExpCombo]:
-    dim = common_dim(datas)
+def _build_exps(dim: int, datas) -> list[ExpCombo]:
     coefs = finite_array([[t["coef"] for t in d["terms"]] for d in datas], "coefficients")
     dirs = finite_array([[t["h"] for t in d["terms"]] for d in datas], "directions")
-    if dim < 0:
-        raise ValueError("dimension must be >= 0")
     if dirs.size == 0:
         dirs = dirs.reshape(*coefs.shape, dim)
     if dirs.shape != (*coefs.shape, dim):
@@ -158,10 +154,9 @@ def _build_exps(datas) -> list[ExpCombo]:
 
 
 def exps_from_json(datas) -> list[ExpCombo]:
-    """ExpCombo.from_json_dict of each JSON function, parsed, checked and
-    brought to canonical form as one stack; a list of mixed shapes falls
-    back to one at a time."""
-    return stacked(_build_exps, datas)
+    """The ExpCombo of each JSON function, parsed, checked and brought to
+    canonical form as one stack per JSON shape (json_stacks)."""
+    return json_stacks(_build_exps, datas, "exp", "terms")
 
 
 def exp_eval(f: ExpCombo, w):

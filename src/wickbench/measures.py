@@ -26,12 +26,11 @@ from .chaos import (
     ChaosExpansion,
     canonical_rows,
     check_dims,
-    common_dim,
     fill,
     finite_array,
+    json_stacks,
     per_shape,
     split_rows,
-    stacked,
 )
 from .expspan import ExpCombo, _stack, exp_combos, gammas_exp, products_exp
 from .report import InequalityReport
@@ -99,7 +98,7 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DiscreteMeasure":
-        return cls(int(data["dim"]), data["atoms"], data["weights"])
+        return measures_from_json([data])[0]
 
     def __repr__(self):
         return f"DiscreteMeasure(dim={self.dim}, atoms={self.n_atoms})"
@@ -112,21 +111,17 @@ def discrete_measures(dim: int, atoms: np.ndarray, weights: np.ndarray) -> list[
             for w, a in _canonical_measures(dim, atoms, weights)]
 
 
-def _build_measures(datas) -> list[DiscreteMeasure]:
-    if len(datas) == 1:
-        return [DiscreteMeasure.from_json_dict(datas[0])]
+def _build_measures(dim: int, datas) -> list[DiscreteMeasure]:
     atoms = np.array([d["atoms"] for d in datas], dtype=float)
-    weights = np.array([d["weights"] for d in datas], dtype=float)
     if atoms.ndim != 3:
-        raise ValueError("atom lists of different shapes")
-    return discrete_measures(common_dim(datas), atoms, weights)
+        raise ValueError("atoms must be a list of points")
+    return discrete_measures(dim, atoms, np.array([d["weights"] for d in datas], dtype=float))
 
 
 def measures_from_json(datas) -> list[DiscreteMeasure]:
-    """DiscreteMeasure.from_json_dict of each JSON measure, parsed, checked
-    and brought to canonical form as one stack; a list of mixed shapes
-    falls back to one at a time."""
-    return stacked(_build_measures, datas)
+    """The DiscreteMeasure of each JSON measure, parsed, checked and brought
+    to canonical form as one stack per JSON shape (json_stacks)."""
+    return json_stacks(_build_measures, datas, None, "atoms", "weights")
 
 
 def densities_xi(nus) -> list[ExpCombo]:
@@ -213,24 +208,23 @@ def rho_integral_chaos(f: ChaosExpansion, nu: DiscreteMeasure) -> float:
 
 def vector_rows(hs, dim: int) -> np.ndarray:
     """hs as a (k, dim) array of finite numbers; ValueError otherwise."""
-    h = np.atleast_2d(finite_array(hs, "hs"))
-    if h.shape[1] != dim:
-        raise ValueError(f"vector dimension {h.shape[1]} does not match n={dim}")
-    return h
+    return vector_stacks([hs], [dim])[0]
+
+
+def _build_vectors(dim: int, hss) -> list[np.ndarray]:
+    h = finite_array(hss, "hs")
+    if h.ndim != 3:
+        raise ValueError("hs must be a list of vectors")
+    if h.shape[2] != dim:
+        raise ValueError(f"vector dimension {h.shape[2]} does not match n={dim}")
+    return list(h)
 
 
 def vector_stacks(hss, dims) -> list[np.ndarray]:
-    """vector_rows of each (hs, dim), parsed and checked as one stack when
-    they share a shape."""
-    def build(items):
-        if len(items) == 1:
-            return [vector_rows(*items[0])]
-        h = finite_array([hs for hs, _ in items], "hs")
-        if h.ndim != 3 or {dim for _, dim in items} != {h.shape[2]}:
-            raise ValueError("vector lists of different shapes")
-        return list(h)
-
-    return stacked(build, list(zip(hss, dims)))
+    """vector_rows of each (hs, dim), parsed and checked as one stack per
+    shape, the same dim and number of vectors."""
+    keys = [(dim, len(hs)) for hs, dim in zip(hss, dims)]
+    return per_shape(keys, lambda idx: _build_vectors(keys[idx[0]][0], [hss[i] for i in idx]))
 
 
 def char_gram(nu: DiscreteMeasure, hs) -> np.ndarray:

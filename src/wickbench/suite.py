@@ -7,28 +7,32 @@ same task always produces the same rows.  run_rendered cuts the config
 into task descriptors, (check, grid params) or (check, sweep), and sends
 them out in chunks with the config and tolerances once per chunk.  Whoever
 runs a chunk (a pool worker at jobs > 1, this process otherwise) expands
-it with _expand, the routine build_tasks is built from, and groups its
-tasks into buckets of one check and one _shape.  Each bucket goes to the
-check's spec.run as one stack, and its rows are at once rendered with
-_render, the renderer write_reports uses, into report.json and report.csv
-lines.  So rows cross the process boundary as text, and the parent only
-sorts the tasks by (check, parameter JSON) and writes that text;
-run_suite decodes it back into rows for library callers.
+it with _expand, the routine build_tasks is built from, and gives the
+tasks of each check, which are contiguous in a chunk, to the check's
+spec.run in one call.  The harness groups tasks by check only: the JSON
+parsers stack them by JSON shape, and the kernels by canonical shape.
+The rows are at once rendered with _render, the renderer write_reports
+uses, into report.json and report.csv lines.  So rows cross the process
+boundary as text, and the parent only sorts the tasks by (check,
+parameter JSON) and writes that text; run_suite decodes it back into
+rows for library callers.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chaos import INPUT_ERRORS
-from .checks import _CHECK_INDEX, CHECK_REGISTRY, DEFAULT_TOLS, function_from_json
-from .measures import DiscreteMeasure
+from .checks import _CHECK_INDEX, CHECK_REGISTRY, DEFAULT_TOLS, functions_from_json
+from .measures import measures_from_json
 from .report import InequalityReport
 
 
@@ -126,10 +130,8 @@ class SuiteConfig:
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a path string or null, got {self.out!r}")
         try:
-            for m in self.measures:
-                DiscreteMeasure.from_json_dict(m)
-            for f in self.functions:
-                function_from_json(f)
+            measures_from_json(self.measures)
+            functions_from_json(self.functions)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad measure or function spec: {exc}") from exc
 
@@ -180,37 +182,14 @@ def _task_key(task: dict) -> tuple:
     return task["check"], _ENCODE(task["params"])
 
 
-def _shape(params) -> tuple | None:
-    """A task's bucket: the kind, dim and term or atom count of each
-    function or measure in its params, and the length of each list.
-    Tasks of one check and one bucket run as one stack.  None when a field
-    is not of these types: such tasks share a bucket, and each raises its
-    own error."""
-    key = []
-    try:
-        for name, value in params.items():
-            if isinstance(value, dict):
-                count = len(value["terms"]) if "terms" in value else len(value.get("atoms", ()))
-                key.append((name, value.get("kind"), value.get("dim"), count))
-            elif isinstance(value, list):
-                key.append((name, len(value)))
-        hash(tuple(key))
-    except (AttributeError, TypeError):
-        return None
-    return tuple(key)
-
-
 def _run_chunk(chunk) -> list[tuple[tuple, list]]:
-    """Expand a chunk and give each bucket of it, the tasks of one check
-    and one _shape, to the check's spec.run; render each bucket's rows as
-    soon as it returns, so no row object outlives its bucket: (task key,
-    rendered rows) per task."""
+    """Expand a chunk and give the tasks of each check, which are
+    contiguous in it, to the check's spec.run in one call; render their
+    rows as soon as it returns: (task key, rendered rows) per task."""
     cfg, tols, descriptors = chunk
-    buckets: dict = {}
-    for task in _expand(cfg, descriptors):
-        buckets.setdefault((task["check"], _shape(task["params"])), []).append(task)
     done = []
-    for (name, _), tasks in buckets.items():
+    for name, group in itertools.groupby(_expand(cfg, descriptors), operator.itemgetter("check")):
+        tasks = list(group)
         try:
             results = CHECK_REGISTRY[name].run([task["params"] for task in tasks], tols)
         except INPUT_ERRORS as exc:

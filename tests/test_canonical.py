@@ -1,7 +1,8 @@
 """The one canonical form: MERGE_TOL lattice cells, order independence,
-and the stacked constructors that the checks run a bucket of tasks through."""
+and the stacked parsers and constructors that the checks run their tasks through."""
 
 import itertools
+import json
 import math
 import warnings
 
@@ -11,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wickbench import ChaosExpansion, DiscreteMeasure, ExpCombo
-from wickbench.chaos import MERGE_TOL, canonical_rows
+from wickbench import chaos, expspan, measures
+from wickbench.chaos import MERGE_TOL, canonical_rows, chaos_from_json
 from wickbench.expspan import exp_combos, exps_from_json
-from wickbench.measures import discrete_measures, measures_from_json
+from wickbench.measures import discrete_measures, measures_from_json, vector_stacks
 
 ROADMAP_TERMS = [(1.0, (0.0, 1.0)), (1.0, (5e-14, 0.0)), (1.0, (1e-13, 1.0))]
 
@@ -98,6 +100,76 @@ def test_json_stacks_of_mixed_shapes_parse_like_each_alone():
     bad = [datas[0], {"kind": "exp", "dim": 1, "terms": [{"coef": math.nan, "h": [0.0]}]}, datas[0]]
     with pytest.raises(ValueError, match="coefficients must be finite numbers"):
         exps_from_json(bad)
+
+
+# JSON shapes (dim, term, atom or vector count), interleaved and repeated
+MIXED_SHAPES = [(1, 2), (2, 1), (1, 2), (1, 3), (2, 1), (1, 2), (2, 3)]
+
+
+def _exp_json(dim, k):
+    return {"kind": "exp", "dim": dim, "terms": [{"coef": 1.0 + j, "h": [0.25 * j - 0.5] * dim} for j in range(k)]}
+
+
+def _measure_json(dim, k):
+    return {"dim": dim, "atoms": [[0.5 * j - 0.25] * dim for j in range(k)], "weights": [1.0 / k] * k}
+
+
+def _chaos_json(dim, k):
+    return {"kind": "chaos", "dim": dim, "terms": [{"m": [j] * dim, "c": 0.5 - j} for j in range(k)]}
+
+
+def _vectors(dim, k):
+    return [[0.5 * j - 1.0] * dim for j in range(k)], dim
+
+
+def _nan_at(value, *path):
+    # a copy of the JSON value with NaN at path
+    value = json.loads(json.dumps(value))
+    *head, last = path
+    target = value
+    for key in head:
+        target = target[key]
+    target[last] = math.nan
+    return value
+
+
+def _stored(value):
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if isinstance(value, ChaosExpansion):
+        return list(value.coeffs.items())
+    if isinstance(value, DiscreteMeasure):
+        return value.atoms.tobytes(), value.weights.tobytes()
+    return _arrays(value)
+
+
+def _parse_vectors(items):
+    return vector_stacks([hs for hs, _ in items], [dim for _, dim in items])
+
+
+@pytest.mark.parametrize("parse, module, builder, make, nan_path, message", [
+    (exps_from_json, expspan, "_build_exps", _exp_json, ("terms", 1, "coef"), "coefficients must be finite"),
+    (measures_from_json, measures, "_build_measures", _measure_json, ("atoms", 1, 0), "atoms must be finite"),
+    (chaos_from_json, chaos, "_build_chaos", _chaos_json, ("terms", 0, "c"), "chaos coefficients must be finite"),
+    (_parse_vectors, measures, "_build_vectors", _vectors, (0, 1, 0), "hs must be finite"),
+], ids=["exp", "measure", "chaos", "vectors"])
+def test_parsers_build_each_json_shape_once(monkeypatch, parse, module, builder, make, nan_path, message):
+    # a list of mixed shapes is one stack per shape: no stack is tried
+    # whole and then rebuilt item by item
+    items = [make(dim, k) for dim, k in MIXED_SHAPES]
+    alone = [_stored(parse([item])[0]) for item in items]
+    groups = []
+    build = getattr(module, builder)
+    monkeypatch.setattr(module, builder, lambda *args: groups.append(args) or build(*args))
+    assert [_stored(value) for value in parse(items)] == alone
+    assert len(groups) == len(set(MIXED_SHAPES))
+    assert sorted(len(args[-1]) for args in groups) == sorted(MIXED_SHAPES.count(s) for s in set(MIXED_SHAPES))
+    shape_of = {id(item[0] if isinstance(item, tuple) else item): s for item, s in zip(items, MIXED_SHAPES)}
+    assert all(len({shape_of[id(value)] for value in args[-1]}) == 1 for args in groups)
+    # a NaN item in a stack of its shape raises its own error
+    bad = _nan_at(items[0], *nan_path)
+    with pytest.raises(ValueError, match=message):
+        parse([items[0], items[2], bad, items[5], items[1]])
 
 
 # coordinates on a coarse grid, each moved by less than a MERGE_TOL cell

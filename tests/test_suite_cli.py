@@ -19,7 +19,7 @@ from wickbench import (
     run_suite,
     write_reports,
 )
-from wickbench import cli, suite
+from wickbench import cli, expspan, measures, suite
 from wickbench.checks import run_check
 from wickbench.cli import main
 from wickbench.report import InequalityReport
@@ -34,6 +34,7 @@ F_DIM4 = {"kind": "exp", "dim": 4, "terms": [{"coef": 1.0, "h": [0.1, 0.2, 0.3, 
 E_HUGE = {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [1000.0]}]}
 E_ZERO = {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [0.0]}]}
 NU_30 = {"dim": 1, "atoms": [[30.0]], "weights": [1.0]}
+CHAOS_ONE = {"kind": "chaos", "dim": 1, "terms": [{"m": [1], "c": 1.0}]}
 
 
 def _small_config(**overrides):
@@ -189,9 +190,9 @@ def test_cli_bytes_match_the_replay_route_and_run_suite(tmp_path, capsys):
     capsys.readouterr()
 
 
-# Grid inputs whose tasks share buckets: each (function, measure) pair
+# Grid inputs whose tasks share stacks: each (function, measure) pair
 # gives one task per alpha, all of one shape.  They also hit the merge and
-# drop rules inside a bucket: a term below COEFF_EPS, repeated chaos
+# drop rules inside a stack: a term below COEFF_EPS, repeated chaos
 # indices, holder grid tasks with g = f (the product directions h_j + h_k
 # and h_k + h_j are exact duplicates), and a measure whose atom sums with
 # itself coincide (0 + 1 = 1 + 0) in wick_density_identity.
@@ -215,18 +216,15 @@ def _bucket_config(**overrides):
             **overrides}
 
 
-def test_buckets_write_the_bytes_of_one_task_at_a_time(tmp_path, capsys):
-    # the CLI at --jobs 1 and 2 and run_suite run each bucket of tasks as
-    # one stack; run_check runs one task at a time; all write one report
+def test_buckets_write_the_bytes_of_one_task_at_a_time(tmp_path, capsys, monkeypatch):
+    # the CLI at --jobs 1 and 2 and run_suite give each check's tasks to its
+    # parsers and kernels, which stack them by shape; run_check runs one
+    # task at a time; all write one report
     data = _bucket_config()
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps(data))
     cfg = SuiteConfig.from_json_dict(data)
     tasks = sorted(build_tasks(cfg), key=suite._task_key)
-    buckets = {}
-    for t in tasks:
-        buckets.setdefault((t["check"], suite._shape(t["params"])), []).append(t)
-    assert max(len(b) for b in buckets.values()) >= 20 and len(buckets) < len(tasks) / 2
     alone = [run_check(t["check"], t["params"]) for t in tasks]
     rows = [r for rs in alone for r in rs]
     write_reports(rows, tmp_path / "replay")
@@ -234,11 +232,18 @@ def test_buckets_write_the_bytes_of_one_task_at_a_time(tmp_path, capsys):
     expected_code = 0 if all(r.passed for r in rows) else 1
     text = expected[0].decode()
     assert '"coef":1e-16' not in text and '{"c":1.5,"m":[1]}' in text
+    # the size of each stack the function and measure parsers build
+    stacks = []
+    for module, name in ((expspan, "_build_exps"), (measures, "_build_measures")):
+        build = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, build=build: stacks.append(len(args[-1])) or build(*args))
     for jobs in (1, 2):
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / f"cli{jobs}"),
                      "--jobs", str(jobs)])
         assert code == expected_code
         assert _report_bytes(tmp_path / f"cli{jobs}") == expected
+    # many tasks share one parser stack
+    assert max(stacks) >= 20 and len(stacks) < len(tasks) / 2, (max(stacks), len(stacks), len(tasks))
     suite_rows, code = run_suite(cfg)
     assert code == expected_code
     assert [_row_fields(r) for r in suite_rows] == [_row_fields(r) for r in rows]
@@ -259,12 +264,13 @@ def test_buckets_write_the_bytes_of_one_task_at_a_time(tmp_path, capsys):
      "beckner_deficit task cannot run: beckner_deficit has a non-finite side"),
 ], ids=["holder-overflow", "beckner-overflow"])
 def test_a_bucket_task_that_cannot_run_exits_two(tmp_path, capsys, jobs, check, functions, message):
-    # the bad task shares its bucket with good ones of the same shape
+    # the bad task shares its JSON shape, so its parser stack, with good ones
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps(_bucket_config(checks=[check], functions=functions,
                                                   measures=[NU_ZERO], random_sweeps=40)))
     cfg = SuiteConfig.from_json_dict(json.loads(cfg_path.read_text()))
-    shapes = [suite._shape(t["params"]) for t in build_tasks(cfg) if t["params"]["f"] in functions]
+    shapes = [(t["params"]["f"]["dim"], len(t["params"]["f"]["terms"]))
+              for t in build_tasks(cfg) if t["params"]["f"] in functions]
     assert len(set(shapes)) == 1 and len(shapes) > 2
     code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--jobs", str(jobs)])
     assert code == 2
@@ -450,6 +456,11 @@ def test_cli_run_config_error(tmp_path, capsys):
     ({"checks": ["holder"], "alphas": [0.3], "functions": [E_HUGE]}, ["--jobs", "2"]),
     ({}, ["--jobs", "0"]),
     ({}, ["--jobs", "-2"]),
+    # "dim": 1.9 and true were read as 1: no beckner_deficit task for the
+    # function (1.9 != 1), but a holder task that ran it in dim 1
+    ({"alphas": [0.5], "functions": [{**E_ONE, "dim": 1.9}], "measures": [NU_ZERO],
+      "checks": ["beckner_deficit", "holder"]}, []),
+    ({"measures": [{**NU_ZERO, "dim": True}]}, []),
 ])
 def test_cli_run_rejects_bad_scalar_fields(tmp_path, capsys, monkeypatch, overrides, argv):
     # each of these ran the suite before validation caught it: a traceback
@@ -577,9 +588,25 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
      "beckner_deficit has a non-finite side: lhs=nan, rhs=inf"),
     ("covariance", {"nu1": NU_30, "nu2": NU_30, "phi": E_ZERO},
      "covariance has a non-finite side: lhs=0.0, rhs=inf"),
+    # a function of the wrong kind crashed with an AttributeError traceback
+    ("holder", {"alpha": 0.5, "f": CHAOS_ONE}, "expected exp functions, got kind 'chaos'"),
+    ("strong_positivity", {"alpha": 0.5, "nu": NU_ZERO, "phi": CHAOS_ONE},
+     "expected exp functions, got kind 'chaos'"),
+    ("covariance", {"nu1": NU_ZERO, "nu2": NU_SYM, "phi": CHAOS_ONE}, "expected exp functions, got kind 'chaos'"),
+    ("oracle_triangle", {"alpha": 0.5, "f": CHAOS_ONE, "nu": NU_ZERO, "mc_count": 100},
+     "expected exp functions, got kind 'chaos'"),
+    ("classic_beckner", {"alpha": 0.5, "f": E_ONE}, "expected chaos functions, got kind 'exp'"),
+    # "dim": 1.9, true and "1" were read as 1, and these printed PASS rows
+    ("beckner_deficit", {"alpha": 0.5, "f": {**E_ONE, "dim": 1.9}, "nu": {**NU_ZERO, "dim": True}},
+     "dim must be an integer >= 0, got 1.9"),
+    ("beckner_deficit", {"alpha": 0.5, "f": E_ONE, "nu": {**NU_ZERO, "dim": True}},
+     "dim must be an integer >= 0, got True"),
+    ("g_lambda_bound", {"nu": {**NU_ZERO, "dim": "1"}, "lambda": 1.5}, "dim must be an integer >= 0, got '1'"),
 ], ids=["holder-overflow", "g_lambda-nan", "g_lambda-inf", "char_gram-nan", "char_gram-inf",
         "ab-nan", "ab-inf", "holder-inf-p", "g_lambda-overflow", "beckner-overflow",
-        "covariance-overflow"])
+        "covariance-overflow", "holder-chaos", "strong_positivity-chaos", "covariance-chaos",
+        "oracle_triangle-chaos", "classic_beckner-exp", "beckner-dim-float", "beckner-dim-bool",
+        "g_lambda-dim-str"])
 def test_cli_check_rejects_params_it_cannot_compute(capsys, name, params, message):
     assert main(["check", name, "--params", json.dumps(params)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
