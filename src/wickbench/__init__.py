@@ -23,17 +23,7 @@ from .chaos import (
 from .checks import (
     CHECK_REGISTRY,
     DEFAULT_TOLS,
-    ab_matrix_check,
-    beckner_deficit,
-    char_gram_psd_check,
-    classic_beckner_coeff_check,
-    covariance_gap,
-    g_lambda_bound_check,
-    holder_check,
-    left_positivity,
-    oracle_triangle,
     run_check,
-    strong_positivity_check,
 )
 from .expspan import (
     ExpCombo,
@@ -56,7 +46,6 @@ from .measures import (
     rho_integral_chaos,
     rho_integral_exp,
     sample_rho,
-    wick_density_identity_check,
 )
 from .products import (
     HolderParams,
@@ -86,22 +75,16 @@ __all__ = [
     "HolderParams",
     "InequalityReport",
     "SuiteConfig",
-    "ab_matrix_check",
     "alpha_chaos",
     "alpha_exp",
-    "beckner_deficit",
     "build_tasks",
     "char_gram",
-    "char_gram_psd_check",
-    "classic_beckner_coeff_check",
     "convolve_nu",
-    "covariance_gap",
     "default_grid",
     "density_xi",
     "dirichlet_energy",
     "eval_chaos",
     "exp_eval",
-    "g_lambda_bound_check",
     "g_lambda_norm",
     "gamma_apply",
     "gamma_exp",
@@ -109,17 +92,14 @@ __all__ = [
     "gradient",
     "gradient_exp",
     "hermite_eval",
-    "holder_check",
     "integrate_rho",
     "l2_inner",
     "l2_norm",
-    "left_positivity",
     "load_config",
     "lp_norm_exp",
     "mc_integral_rho",
     "mu_inner_exp",
     "number_apply",
-    "oracle_triangle",
     "ou_apply",
     "pointwise_chaos",
     "pointwise_exp",
@@ -128,11 +108,9 @@ __all__ = [
     "run_check",
     "run_suite",
     "sample_rho",
-    "strong_positivity_check",
     "to_chaos",
     "to_chaos_tail_bound",
     "wick_chaos",
-    "wick_density_identity_check",
     "wick_exp",
     "write_reports",
 ]

@@ -54,10 +54,28 @@ def fill(obj, **fields):
     return obj
 
 
+def is_real(value) -> bool:
+    """A real number; bool is a numbers.Real subclass, but true is not an
+    alpha, a lambda or a tolerance."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_integer(value, what: str, low: int, nullable: bool = False):
+    """ValueError unless value is an integer >= low, or None when nullable;
+    bool is an int subclass, but true is not a count, and 1.9 and "1" are
+    not 1."""
+    if value is None and nullable:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        expected = f"an integer >= {low}" + (" or null" if nullable else "")
+        raise ValueError(f"{what} must be {expected}, got {value!r}")
+
+
 def check_alpha(alpha):
-    """ValueError unless alpha is an interpolation parameter in [0, 1]."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    """ValueError unless alpha is an interpolation parameter, a real number
+    in [0, 1]."""
+    if not is_real(alpha) or not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be a number in [0, 1], got {alpha!r}")
 
 
 def check_dims(f, g):
@@ -181,8 +199,7 @@ def json_stacks(build, datas, kind, *fields) -> list:
     keys = []
     for data in datas:
         dim = data["dim"]
-        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 0:
-            raise ValueError(f"dim must be an integer >= 0, got {dim!r}")
+        check_integer(dim, "dim", 0)
         if kind and data.get("kind", kind) != kind:
             raise ValueError(f"expected {kind} functions, got kind {data['kind']!r}")
         keys.append((int(dim), *(len(data[name]) for name in fields)))

@@ -46,10 +46,11 @@ shape (numbers of terms and atoms after merging, dimension), so each step
 is one numpy call on stacked (T, k, n) arrays.  Only each row's last
 reduction (w' K w, p' E p, a sum) runs per task: stacked matmul, exp,
 sort and eigvalsh steps give each task the bits it gets alone, but a
-stacked reduction (einsum over the task axis) does not.  The per-object
-checks below are the same kernels on a stack of one.  classic_beckner's
-coefficient loop and oracle_triangle's quadrature and Monte Carlo gain
-nothing from stacking and run their tasks one at a time.
+stacked reduction (einsum over the task axis) does not.  So run_check,
+one task as a stack of one, gives the rows a suite run gives.  Each
+runner's docstring states its inequality.  classic_beckner's coefficient
+loop and oracle_triangle's quadrature and Monte Carlo gain nothing from
+stacking and run their tasks one at a time.
 """
 
 from __future__ import annotations
@@ -59,7 +60,15 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .chaos import ChaosExpansion, chaos_from_json, check_alpha, check_dims, index_factorial, per_shape
+from .chaos import (
+    ChaosExpansion,
+    chaos_from_json,
+    check_alpha,
+    check_dims,
+    check_integer,
+    index_factorial,
+    per_shape,
+)
 from .expspan import (
     ExpCombo,
     _stack,
@@ -74,12 +83,12 @@ from .expspan import (
 from .measures import (
     DiscreteMeasure,
     char_gram_stack,
+    convolutions,
+    densities_xi,
     g_lambda_norms,
     gammas_xi,
     measures_from_json,
-    vector_rows,
     vector_stacks,
-    wick_density_identity_rows,
 )
 from .products import HolderParams, holder_relation_check
 from .quadrature import default_order, gauss_hermite_grid, integrate_rho, lp_norm_exp, mc_integral_rho
@@ -95,7 +104,10 @@ DEFAULT_TOLS = {
 
 
 def _fn_kind(data: dict) -> str:
-    """The "kind" of a JSON function; without one, chaos terms carry "m"."""
+    """The "kind" of a JSON function; without one, chaos terms carry "m".
+    TypeError unless data is a JSON object."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a function must be a JSON object, got {data!r}")
     kind = data.get("kind")
     if kind is None:
         terms = data.get("terms", [])
@@ -114,10 +126,6 @@ def functions_from_json(datas) -> list:
         if kind not in _FROM_JSON:
             raise ValueError(f"unknown function kind {kind!r}")
     return per_shape(kinds, lambda idx: _FROM_JSON[kinds[idx[0]]]([datas[i] for i in idx]))
-
-
-def function_from_json(data) -> ExpCombo | ChaosExpansion:
-    return functions_from_json([data])[0]
 
 
 def _exp_gram(h: np.ndarray, y: np.ndarray, p: np.ndarray):
@@ -170,8 +178,6 @@ def _deficit_batch(fs, nus, alphas) -> list[tuple[float, float, float]]:
     up to the last quadratic form of each task; chaos functions run one
     at a time."""
     for f, nu in zip(fs, nus):
-        if not isinstance(f, (ExpCombo, ChaosExpansion)):
-            raise TypeError(f"expected ExpCombo or ChaosExpansion, got {type(f).__name__}")
         check_dims(f, nu)
 
     def run(idx):
@@ -188,300 +194,6 @@ def _deficit_batch(fs, nus, alphas) -> list[tuple[float, float, float]]:
     keys = [(f.n_terms, nu.n_atoms, f.dim) if isinstance(f, ExpCombo) else ChaosExpansion
             for f, nu in zip(fs, nus)]
     return per_shape(keys, run)
-
-
-def _deficit_integrals(f, nu: DiscreteMeasure, alpha: float):
-    """_deficit_batch of one task."""
-    return _deficit_batch([f], [nu], [alpha])[0]
-
-
-def _beckner_row(f, nu, alpha, integrals, tolerance):
-    sq, ap, en = integrals
-    params = {
-        "alpha": float(alpha),
-        "f": f.to_json_dict(),
-        "nu": nu.to_json_dict(),
-        "integrals": {"f_sq": sq, "alpha_prod": ap, "dirichlet": en},
-    }
-    return InequalityReport.from_sides("beckner_deficit", params,
-                                       lhs=sq - ap, rhs=(1.0 - alpha) * en,
-                                       tolerance=tolerance)
-
-
-def _left_row(f, nu, alpha, integrals, tolerance):
-    sq, ap, _ = integrals
-    params = {
-        "alpha": float(alpha),
-        "f": f.to_json_dict(),
-        "nu": nu.to_json_dict(),
-        "integrals": {"f_sq": sq, "alpha_prod": ap},
-    }
-    return InequalityReport.from_sides("left_positivity", params,
-                                       lhs=ap, rhs=sq, tolerance=tolerance)
-
-
-def _deficit_checks(row, fs, nus, alphas, tolerance) -> list[list[InequalityReport]]:
-    for alpha in alphas:
-        check_alpha(alpha)
-    return [[row(f, nu, alpha, integrals, tolerance)]
-            for f, nu, alpha, integrals in zip(fs, nus, alphas, _deficit_batch(fs, nus, alphas))]
-
-
-def beckner_deficit(f, nu: DiscreteMeasure, alpha: float,
-                    tolerance: float = DEFAULT_TOLS["exact"]) -> InequalityReport:
-    """int f^2 drho - int (f o_a f) drho <= (1 - a) int |Df|^2 drho.
-
-    The interpolation-deficit inequality for rho = mu * nu; at alpha = 1
-    both sides vanish, at alpha = 0 it is the Wick-form bound.
-    """
-    return _deficit_checks(_beckner_row, [f], [nu], [alpha], tolerance)[0][0]
-
-
-def left_positivity(f, nu: DiscreteMeasure, alpha: float,
-                    tolerance: float = DEFAULT_TOLS["exact"]) -> InequalityReport:
-    """int (f o_a f) drho <= int f^2 drho, rho = mu * nu; equality at alpha = 1."""
-    return _deficit_checks(_left_row, [f], [nu], [alpha], tolerance)[0][0]
-
-
-_AB_ROWS = ("ab_matrix_a", "ab_matrix_b", "ab_matrix_hadamard")
-
-
-def _ab_checks(hs, nus, alphas, tolerance) -> list[list[InequalityReport]]:
-    # hs holds each task's checked (k, n) rows; one eigvalsh call per shape
-    # takes the three matrices of every task
-    for alpha in alphas:
-        check_alpha(alpha)
-
-    def run(idx):
-        s, exp_s, b = _exp_gram(np.array([hs[i] for i in idx]), _stack(nus, "atoms", idx),
-                                _stack(nus, "weights", idx))
-        alpha = np.array([float(alphas[i]) for i in idx])[:, None, None]
-        a = np.exp(alpha * s) - exp_s + (1.0 - alpha) * s * exp_s
-        mats = np.stack([a, b, a * b], axis=1)
-        return np.linalg.eigvalsh(0.5 * (mats + mats.swapaxes(-1, -2)))[..., 0].tolist()
-
-    min_eigs = per_shape([(len(h), nu.n_atoms, nu.dim) for h, nu in zip(hs, nus)], run)
-    rows = []
-    for h, nu, alpha, eigs in zip(hs, nus, alphas, min_eigs):
-        params = {"alpha": float(alpha), "hs": h.tolist(), "nu": nu.to_json_dict()}
-        rows.append([InequalityReport.from_sides(name, params, 0.0, eig, tolerance)
-                     for name, eig in zip(_AB_ROWS, eigs)])
-    return rows
-
-
-def ab_matrix_check(hs, nu: DiscreteMeasure, alpha: float,
-                    tolerance: float = DEFAULT_TOLS["psd"]) -> list[InequalityReport]:
-    """PSD certificates for the two proof matrices and their Hadamard product.
-
-        a_jk = e^{a s} - e^{s} + (1-a) s e^{s},  s = <h_j, h_k>
-        b_jk = int E(h_j) wick E(h_k) drho = sum_i p_i e^{<y_i, h_j + h_k>}
-
-    The deficit quadratic form is v' (A o B) v, so nonnegative eigenvalues
-    here are what make the main inequality work.
-    """
-    check_alpha(alpha)
-    return _ab_checks([vector_rows(hs, nu.dim)], [nu], [alpha], tolerance)[0]
-
-
-def _char_gram_checks(nus, hs, tolerance) -> list[list[InequalityReport]]:
-    def run(idx):
-        gram = char_gram_stack(_stack(nus, "atoms", idx), _stack(nus, "weights", idx),
-                               np.array([hs[i] for i in idx]))
-        return np.linalg.eigvalsh(gram)[:, 0].tolist()
-
-    min_eigs = per_shape([(len(h), nu.n_atoms, nu.dim) for h, nu in zip(hs, nus)], run)
-    return [[InequalityReport.from_sides("char_gram_psd", {"hs": h.tolist(), "nu": nu.to_json_dict()},
-                                         0.0, eig, tolerance)]
-            for nu, h, eig in zip(nus, hs, min_eigs)]
-
-
-def char_gram_psd_check(nu: DiscreteMeasure, hs,
-                        tolerance: float = DEFAULT_TOLS["psd"]) -> InequalityReport:
-    """Minimum eigenvalue of the characteristic Gram matrix is >= 0."""
-    return _char_gram_checks([nu], [vector_rows(hs, nu.dim)], tolerance)[0][0]
-
-
-def _holder_checks(fs, gs, hps, tol_exact, tol_quad) -> list[list[InequalityReport]]:
-    # the products and their Gamma images are stacked; the norms run per task
-    for hp in hps:
-        ok, residual = holder_relation_check(hp)
-        if not ok:
-            raise ValueError(f"exponents fail the admissibility relation, residual {residual:g}")
-    prods = gammas_exp([math.sqrt((1.0 + hp.alpha) / 2.0) for hp in hps],
-                       products_exp(fs, gs, [float(hp.alpha) for hp in hps]))
-    rows = []
-    for f, g, hp, prod in zip(fs, gs, hps, prods):
-        (lhs, m_lhs), (norm_f, m_f), (norm_g, m_g) = (
-            lp_norm_exp(fn, e) for fn, e in ((prod, hp.r), (f, hp.p), (g, hp.q)))
-        m_rhs = "exact" if (m_f == "exact" and m_g == "exact") else "quadrature"
-        tol = tol_exact if (m_lhs == "exact" and m_rhs == "exact") else tol_quad
-        params = {
-            "alpha": float(hp.alpha),
-            "p": float(hp.p), "q": float(hp.q), "r": float(hp.r),
-            "f": f.to_json_dict(), "g": g.to_json_dict(),
-        }
-        rows.append([InequalityReport.from_sides("holder", params, lhs, norm_f * norm_g, tol, m_lhs, m_rhs)])
-    return rows
-
-
-def holder_check(f: ExpCombo, g: ExpCombo, hp: HolderParams,
-                 tol_exact: float = DEFAULT_TOLS["exact"],
-                 tol_quad: float = DEFAULT_TOLS["quadrature"]) -> InequalityReport:
-    """||Gamma(sqrt((1+a)/2)) (f o_a g)||_r <= ||f||_p ||g||_q.
-
-    Norms take exact routes where available (single exponentials at any
-    exponent, r = 2, even integer exponents); otherwise quadrature, and
-    the row tolerance widens accordingly.
-    """
-    return _holder_checks([f], [g], [hp], tol_exact, tol_quad)[0][0]
-
-
-def classic_beckner_coeff_check(f: ChaosExpansion, alpha: float,
-                                tolerance: float = DEFAULT_TOLS["identity"]) -> InequalityReport:
-    """Coefficient form on the Gaussian itself:
-
-        sum_m m! c_m^2 (1 - a^{|m|}) <= (1 - a) sum_m |m| m! c_m^2
-
-    from 1 - a^N <= N (1 - a); equality when the support sits in the
-    first chaos.
-    """
-    check_alpha(alpha)
-    lhs = 0.0
-    rhs = 0.0
-    for m, c in f.coeffs.items():
-        base = index_factorial(m) * c * c
-        d = sum(m)
-        lhs += base * (1.0 - alpha**d)
-        rhs += base * d * (1.0 - alpha)
-    params = {"alpha": float(alpha), "f": f.to_json_dict()}
-    return InequalityReport.from_sides("classic_beckner", params, lhs, rhs, tolerance)
-
-
-def _strong_pos_checks(nus, alphas, phis, tolerance) -> list[list[InequalityReport]]:
-    for phi in phis:
-        if np.any(phi.weights < 0):
-            raise ValueError("phi must have nonnegative weights")
-    rows = []
-    for nu, alpha, phi, xi in zip(nus, alphas, phis, gammas_xi(nus, alphas)):
-        params = {"alpha": float(alpha), "nu": nu.to_json_dict(), "phi": phi.to_json_dict()}
-        rows.append([InequalityReport.from_sides("strong_positivity", params, 0.0,
-                                                 mu_inner_exp(xi, phi), tolerance)])
-    return rows
-
-
-def strong_positivity_check(nu: DiscreteMeasure, alpha: float, phi: ExpCombo,
-                            tolerance: float = DEFAULT_TOLS["exact"]) -> InequalityReport:
-    """<Gamma(1/sqrt(a)) xi, phi> >= 0 for nonnegative test functions phi.
-
-    phi must be a positive-weight combination (those are nonnegative
-    functions); the pairing is then a positive sum by inspection.
-    """
-    return _strong_pos_checks([nu], [alpha], [phi], tolerance)[0][0]
-
-
-def _covariance_checks(nu1s, nu2s, phis, tolerance) -> list[list[InequalityReport]]:
-    for nu1, nu2, phi in zip(nu1s, nu2s, phis):
-        check_dims(nu1, nu2)
-        check_dims(phi, nu1)
-        if np.any(phi.weights < 0):
-            raise ValueError("phi must have nonnegative weights")
-
-    def run(idx):
-        y1, y2 = _stack(nu1s, "atoms", idx), _stack(nu2s, "atoms", idx)
-        s = y1 @ y2.transpose(0, 2, 1)
-        bracket = np.expm1(s) - s
-        pair_w = _stack(nu1s, "weights", idx)[:, :, None] * _stack(nu2s, "weights", idx)[:, None, :]
-        test = np.zeros_like(s)
-        dir_sums = y1[:, :, None, :] + y2[:, None, :, :]
-        cs, gdirs = _stack(phis, "weights", idx), _stack(phis, "directions", idx)
-        for j in range(cs.shape[1]):
-            test += cs[:, j, None, None] * np.exp(dir_sums @ gdirs[:, None, j, :, None])[..., 0]
-        return [float(np.sum(terms)) for terms in pair_w * test * bracket]
-
-    keys = [(nu1.n_atoms, nu2.n_atoms, phi.n_terms, nu1.dim) for nu1, nu2, phi in zip(nu1s, nu2s, phis)]
-    gaps = per_shape(keys, run)
-    return [[InequalityReport.from_sides(
-        "covariance", {"nu1": nu1.to_json_dict(), "nu2": nu2.to_json_dict(), "phi": phi.to_json_dict()},
-        0.0, gap, tolerance)] for nu1, nu2, phi, gap in zip(nu1s, nu2s, phis, gaps)]
-
-
-def covariance_gap(nu1: DiscreteMeasure, nu2: DiscreteMeasure, phi: ExpCombo,
-                   tolerance: float = DEFAULT_TOLS["psd"]) -> InequalityReport:
-    """<xi1 xi2, phi> - <xi1 wick xi2, phi> - sum_k <d_k xi1 wick d_k xi2, phi> >= 0.
-
-    For discrete measures and exponential phi the whole expression
-    collapses termwise to
-
-        sum_ij p_i q_j M_ij (e^{s_ij} - 1 - s_ij),  s_ij = <y_i, z_j>,
-
-    with M_ij = <E(y_i + z_j), phi> > 0, so every summand is nonnegative
-    and the computed gap cannot go negative by cancellation.
-    """
-    return _covariance_checks([nu1], [nu2], [phi], tolerance)[0][0]
-
-
-def _g_lambda_checks(nus, lams, tolerance) -> list[list[InequalityReport]]:
-    return [[InequalityReport.from_sides("g_lambda_bound", {"lambda": float(lam), "nu": nu.to_json_dict()},
-                                         math.sqrt(norm_sq), bound, tolerance)]
-            for nu, lam, (norm_sq, bound) in zip(nus, lams, g_lambda_norms(nus, lams))]
-
-
-def g_lambda_bound_check(nu: DiscreteMeasure, lam: float,
-                         tolerance: float = DEFAULT_TOLS["exact"]) -> InequalityReport:
-    """sqrt of the exact squared G_lambda norm is below the one-sided bound."""
-    return _g_lambda_checks([nu], [lam], tolerance)[0][0]
-
-
-def oracle_triangle(f: ExpCombo, nu: DiscreteMeasure, alpha: float,
-                    quad_order: int | None = None, mc_seed=0, mc_count: int = 100_000,
-                    rel_tol: float = DEFAULT_TOLS["quadrature"],
-                    sigmas: float = DEFAULT_TOLS["mc_sigmas"]) -> list[InequalityReport]:
-    """Cross-validate the closed-form rho-integrals, rho = mu * nu, against quadrature and MC.
-
-    For each of int f^2, int f o_a f, int |Df|^2 the exact value, the
-    quadratic form the deficit checks use (_deficit_integrals), is
-    compared with a tensor Gauss-Hermite value (agreement within rel_tol
-    relative) and a Monte Carlo value (within sigmas standard errors).
-    Six rows per call.
-    """
-    check_alpha(alpha)
-    if isinstance(f, ChaosExpansion):
-        raise ValueError("expected exp functions, got kind 'chaos'")
-    order = default_order(nu.dim) if quad_order is None else quad_order
-    grid = gauss_hermite_grid(nu.dim, order)
-    grads = gradient_exp(f)
-    prod = alpha_exp(f, f, alpha)
-
-    def f_sq(pts):
-        vals = exp_eval(f, pts)
-        vals *= vals
-        return vals
-
-    def dirichlet(pts):
-        total = np.zeros(np.atleast_2d(pts).shape[0])
-        for g in grads:
-            vals = exp_eval(g, pts)
-            vals *= vals
-            total += vals
-        return total
-
-    integrands = zip(("f_sq", "alpha_prod", "dirichlet"), (f_sq, prod.eval, dirichlet),
-                     _deficit_integrals(f, nu, alpha))
-    base = {"alpha": float(alpha), "f": f.to_json_dict(), "nu": nu.to_json_dict()}
-    rows = []
-    for idx, (name, fn, exact) in enumerate(integrands):
-        quad = integrate_rho(fn, nu, grid)
-        qp = {**base, "integral": name, "route": "quadrature", "order": order, "value": quad, "exact": exact}
-        rows.append(InequalityReport.from_sides(
-            "oracle_triangle", qp, abs(quad - exact), rel_tol * max(1.0, abs(exact)),
-            tolerance=0.0, method_lhs="quadrature", method_rhs="exact"))
-        est, se = mc_integral_rho(fn, nu, [mc_seed, idx], mc_count)
-        mp = {**base, "integral": name, "route": "mc", "count": mc_count,
-              "seed": mc_seed, "value": est, "se": se, "exact": exact}
-        rows.append(InequalityReport.from_sides(
-            "oracle_triangle", mp, abs(est - exact), sigmas * se,
-            tolerance=0.0, method_lhs="mc", method_rhs="exact"))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -559,17 +271,47 @@ def _rand_vectors(rng, n, max_count=6, scale=COORD_SCALE) -> list:
     return rng.uniform(-scale, scale, size=(count, n)).tolist()
 
 
-def _deficit_inputs(tasks):
-    return (functions_from_json([params["f"] for params in tasks]), _nus(tasks),
-            [params["alpha"] for params in tasks])
+def _deficit_tasks(tasks):
+    """(f, nu, alpha, _deficit_batch integrals) of each deficit task."""
+    fs, nus = functions_from_json([params["f"] for params in tasks]), _nus(tasks)
+    alphas = [params["alpha"] for params in tasks]
+    for alpha in alphas:
+        check_alpha(alpha)
+    return zip(fs, nus, alphas, _deficit_batch(fs, nus, alphas))
 
 
 def _run_beckner(tasks, tols):
-    return _deficit_checks(_beckner_row, *_deficit_inputs(tasks), tols["exact"])
+    """int f^2 drho - int (f o_a f) drho <= (1 - a) int |Df|^2 drho.
+
+    The interpolation-deficit inequality for rho = mu * nu; at alpha = 1
+    both sides vanish, at alpha = 0 it is the Wick-form bound.
+    """
+    rows = []
+    for f, nu, alpha, (sq, ap, en) in _deficit_tasks(tasks):
+        params = {
+            "alpha": float(alpha),
+            "f": f.to_json_dict(),
+            "nu": nu.to_json_dict(),
+            "integrals": {"f_sq": sq, "alpha_prod": ap, "dirichlet": en},
+        }
+        rows.append([InequalityReport.from_sides("beckner_deficit", params, lhs=sq - ap,
+                                                 rhs=(1.0 - alpha) * en, tolerance=tols["exact"])])
+    return rows
 
 
 def _run_left(tasks, tols):
-    return _deficit_checks(_left_row, *_deficit_inputs(tasks), tols["exact"])
+    """int (f o_a f) drho <= int f^2 drho, rho = mu * nu; equality at alpha = 1."""
+    rows = []
+    for f, nu, alpha, (sq, ap, _) in _deficit_tasks(tasks):
+        params = {
+            "alpha": float(alpha),
+            "f": f.to_json_dict(),
+            "nu": nu.to_json_dict(),
+            "integrals": {"f_sq": sq, "alpha_prod": ap},
+        }
+        rows.append([InequalityReport.from_sides("left_positivity", params,
+                                                 lhs=ap, rhs=sq, tolerance=tols["exact"])])
+    return rows
 
 
 def _grid_deficit(cfg):
@@ -591,9 +333,40 @@ def _vectors(tasks, nus) -> list[np.ndarray]:
     return vector_stacks([params["hs"] for params in tasks], [nu.dim for nu in nus])
 
 
+_AB_ROWS = ("ab_matrix_a", "ab_matrix_b", "ab_matrix_hadamard")
+
+
 def _run_ab(tasks, tols):
+    """PSD certificates for the two proof matrices and their Hadamard product.
+
+        a_jk = e^{a s} - e^{s} + (1-a) s e^{s},  s = <h_j, h_k>
+        b_jk = int E(h_j) wick E(h_k) drho = sum_i p_i e^{<y_i, h_j + h_k>}
+
+    The deficit quadratic form is v' (A o B) v, so nonnegative eigenvalues
+    here are what make the main inequality work.  One eigvalsh call per
+    shape takes the three matrices of every task.
+    """
     nus = _nus(tasks)
-    return _ab_checks(_vectors(tasks, nus), nus, [params["alpha"] for params in tasks], tols["psd"])
+    hs = _vectors(tasks, nus)
+    alphas = [params["alpha"] for params in tasks]
+    for alpha in alphas:
+        check_alpha(alpha)
+
+    def run(idx):
+        s, exp_s, b = _exp_gram(np.array([hs[i] for i in idx]), _stack(nus, "atoms", idx),
+                                _stack(nus, "weights", idx))
+        alpha = np.array([float(alphas[i]) for i in idx])[:, None, None]
+        a = np.exp(alpha * s) - exp_s + (1.0 - alpha) * s * exp_s
+        mats = np.stack([a, b, a * b], axis=1)
+        return np.linalg.eigvalsh(0.5 * (mats + mats.swapaxes(-1, -2)))[..., 0].tolist()
+
+    min_eigs = per_shape([(len(h), nu.n_atoms, nu.dim) for h, nu in zip(hs, nus)], run)
+    rows = []
+    for h, nu, alpha, eigs in zip(hs, nus, alphas, min_eigs):
+        params = {"alpha": float(alpha), "hs": h.tolist(), "nu": nu.to_json_dict()}
+        rows.append([InequalityReport.from_sides(name, params, 0.0, eig, tols["psd"])
+                     for name, eig in zip(_AB_ROWS, eigs)])
+    return rows
 
 
 def _grid_ab(cfg):
@@ -609,8 +382,19 @@ def _random_ab(rng, cfg, sweep):
 
 
 def _run_char_gram(tasks, tols):
+    """Minimum eigenvalue of the characteristic Gram matrix is >= 0."""
     nus = _nus(tasks)
-    return _char_gram_checks(nus, _vectors(tasks, nus), tols["psd"])
+    hs = _vectors(tasks, nus)
+
+    def run(idx):
+        gram = char_gram_stack(_stack(nus, "atoms", idx), _stack(nus, "weights", idx),
+                               np.array([hs[i] for i in idx]))
+        return np.linalg.eigvalsh(gram)[:, 0].tolist()
+
+    min_eigs = per_shape([(len(h), nu.n_atoms, nu.dim) for h, nu in zip(hs, nus)], run)
+    return [[InequalityReport.from_sides("char_gram_psd", {"hs": h.tolist(), "nu": nu.to_json_dict()},
+                                         0.0, eig, tols["psd"])]
+            for nu, h, eig in zip(nus, hs, min_eigs)]
 
 
 def _grid_char_gram(cfg):
@@ -634,14 +418,39 @@ def _holder_params(params) -> HolderParams:
 
 
 def _run_holder(tasks, tols):
-    # g defaults to f itself, the same object, as f o_a f
+    """||Gamma(sqrt((1+a)/2)) (f o_a g)||_r <= ||f||_p ||g||_q.
+
+    g defaults to f itself, the same object, as f o_a f.  Norms take exact
+    routes where available (single exponentials at any exponent, r = 2,
+    even integer exponents); otherwise quadrature, and the row tolerance
+    widens accordingly.  The products and their Gamma images are stacked;
+    the norms run per task.
+    """
     hps = [_holder_params(params) for params in tasks]
     fs = exps_from_json([params["f"] for params in tasks])
     gs = list(fs)
     with_g = [i for i, params in enumerate(tasks) if "g" in params]
     for i, g in zip(with_g, exps_from_json([tasks[i]["g"] for i in with_g])):
         gs[i] = g
-    return _holder_checks(fs, gs, hps, tols["exact"], tols["quadrature"])
+    for hp in hps:
+        ok, residual = holder_relation_check(hp)
+        if not ok:
+            raise ValueError(f"exponents fail the admissibility relation, residual {residual:g}")
+    prods = gammas_exp([math.sqrt((1.0 + hp.alpha) / 2.0) for hp in hps],
+                       products_exp(fs, gs, [float(hp.alpha) for hp in hps]))
+    rows = []
+    for f, g, hp, prod in zip(fs, gs, hps, prods):
+        (lhs, m_lhs), (norm_f, m_f), (norm_g, m_g) = (
+            lp_norm_exp(fn, e) for fn, e in ((prod, hp.r), (f, hp.p), (g, hp.q)))
+        m_rhs = "exact" if (m_f == "exact" and m_g == "exact") else "quadrature"
+        tol = tols["exact"] if (m_lhs == "exact" and m_rhs == "exact") else tols["quadrature"]
+        params = {
+            "alpha": float(hp.alpha),
+            "p": float(hp.p), "q": float(hp.q), "r": float(hp.r),
+            "f": f.to_json_dict(), "g": g.to_json_dict(),
+        }
+        rows.append([InequalityReport.from_sides("holder", params, lhs, norm_f * norm_g, tol, m_lhs, m_rhs)])
+    return rows
 
 
 def _grid_holder(cfg):
@@ -659,10 +468,29 @@ def _random_holder(rng, cfg, sweep):
             "g": _rand_exp_json(rng, n, max_terms=3, scale=0.75)}
 
 
+def _classic_row(f: ChaosExpansion, alpha, tolerance: float) -> InequalityReport:
+    check_alpha(alpha)
+    lhs = 0.0
+    rhs = 0.0
+    for m, c in f.coeffs.items():
+        base = index_factorial(m) * c * c
+        d = sum(m)
+        lhs += base * (1.0 - alpha**d)
+        rhs += base * d * (1.0 - alpha)
+    params = {"alpha": float(alpha), "f": f.to_json_dict()}
+    return InequalityReport.from_sides("classic_beckner", params, lhs, rhs, tolerance)
+
+
 def _run_classic(tasks, tols):
+    """Coefficient form on the Gaussian itself:
+
+        sum_m m! c_m^2 (1 - a^{|m|}) <= (1 - a) sum_m |m| m! c_m^2
+
+    from 1 - a^N <= N (1 - a); equality when the support sits in the
+    first chaos.
+    """
     fs = chaos_from_json([params["f"] for params in tasks])
-    return [[classic_beckner_coeff_check(f, params["alpha"], tolerance=tols["identity"])]
-            for f, params in zip(fs, tasks)]
+    return [[_classic_row(f, params["alpha"], tols["identity"])] for f, params in zip(fs, tasks)]
 
 
 def _grid_classic(cfg):
@@ -677,8 +505,22 @@ def _random_classic(rng, cfg, sweep):
 
 
 def _run_strong_pos(tasks, tols):
-    return _strong_pos_checks(_nus(tasks), [params["alpha"] for params in tasks],
-                              exps_from_json([params["phi"] for params in tasks]), tols["exact"])
+    """<Gamma(1/sqrt(a)) xi, phi> >= 0 for nonnegative test functions phi.
+
+    phi must be a positive-weight combination (those are nonnegative
+    functions); the pairing is then a positive sum by inspection.
+    """
+    nus, alphas = _nus(tasks), [params["alpha"] for params in tasks]
+    phis = exps_from_json([params["phi"] for params in tasks])
+    for phi in phis:
+        if np.any(phi.weights < 0):
+            raise ValueError("phi must have nonnegative weights")
+    rows = []
+    for nu, alpha, phi, xi in zip(nus, alphas, phis, gammas_xi(nus, alphas)):
+        params = {"alpha": float(alpha), "nu": nu.to_json_dict(), "phi": phi.to_json_dict()}
+        rows.append([InequalityReport.from_sides("strong_positivity", params, 0.0,
+                                                 mu_inner_exp(xi, phi), tols["exact"])])
+    return rows
 
 
 def _grid_strong_pos(cfg):
@@ -696,8 +538,41 @@ def _random_strong_pos(rng, cfg, sweep):
 
 
 def _run_covariance(tasks, tols):
-    return _covariance_checks(_nus(tasks, "nu1"), _nus(tasks, "nu2"),
-                              exps_from_json([params["phi"] for params in tasks]), tols["psd"])
+    """<xi1 xi2, phi> - <xi1 wick xi2, phi> - sum_k <d_k xi1 wick d_k xi2, phi> >= 0.
+
+    For discrete measures and exponential phi the whole expression
+    collapses termwise to
+
+        sum_ij p_i q_j M_ij (e^{s_ij} - 1 - s_ij),  s_ij = <y_i, z_j>,
+
+    with M_ij = <E(y_i + z_j), phi> > 0, so every summand is nonnegative
+    and the computed gap cannot go negative by cancellation.
+    """
+    nu1s, nu2s = _nus(tasks, "nu1"), _nus(tasks, "nu2")
+    phis = exps_from_json([params["phi"] for params in tasks])
+    for nu1, nu2, phi in zip(nu1s, nu2s, phis):
+        check_dims(nu1, nu2)
+        check_dims(phi, nu1)
+        if np.any(phi.weights < 0):
+            raise ValueError("phi must have nonnegative weights")
+
+    def run(idx):
+        y1, y2 = _stack(nu1s, "atoms", idx), _stack(nu2s, "atoms", idx)
+        s = y1 @ y2.transpose(0, 2, 1)
+        bracket = np.expm1(s) - s
+        pair_w = _stack(nu1s, "weights", idx)[:, :, None] * _stack(nu2s, "weights", idx)[:, None, :]
+        test = np.zeros_like(s)
+        dir_sums = y1[:, :, None, :] + y2[:, None, :, :]
+        cs, gdirs = _stack(phis, "weights", idx), _stack(phis, "directions", idx)
+        for j in range(cs.shape[1]):
+            test += cs[:, j, None, None] * np.exp(dir_sums @ gdirs[:, None, j, :, None])[..., 0]
+        return [float(np.sum(terms)) for terms in pair_w * test * bracket]
+
+    keys = [(nu1.n_atoms, nu2.n_atoms, phi.n_terms, nu1.dim) for nu1, nu2, phi in zip(nu1s, nu2s, phis)]
+    gaps = per_shape(keys, run)
+    return [[InequalityReport.from_sides(
+        "covariance", {"nu1": nu1.to_json_dict(), "nu2": nu2.to_json_dict(), "phi": phi.to_json_dict()},
+        0.0, gap, tols["psd"])] for nu1, nu2, phi, gap in zip(nu1s, nu2s, phis, gaps)]
 
 
 def _grid_covariance(cfg):
@@ -717,8 +592,31 @@ def _random_covariance(rng, cfg, sweep):
 
 
 def _run_wick_density(tasks, tols):
-    rows = wick_density_identity_rows(_nus(tasks, "nu1"), _nus(tasks, "nu2"), tols["identity"])
-    return [[row] for row in rows]
+    """xi1 wick xi2 is the density of mu * (nu1 * nu2).
+
+    Both sides are canonical ExpCombos, the convolutions and the Wick
+    products of the densities each built as one stack per shape; the
+    mismatch is the largest deviation in term count, directions, or
+    weights.
+    """
+    nu1s, nu2s = _nus(tasks, "nu1"), _nus(tasks, "nu2")
+    lhs = densities_xi(convolutions(nu1s, nu2s))
+    rhs = products_exp(densities_xi(nu1s), densities_xi(nu2s), [0.0] * len(nu1s))
+    rows = []
+    for nu1, nu2, left, right in zip(nu1s, nu2s, lhs, rhs):
+        if left.n_terms != right.n_terms:
+            mismatch = float("inf")
+        elif left.n_terms == 0:
+            mismatch = 0.0
+        else:
+            mismatch = max(
+                float(np.max(np.abs(left.directions - right.directions))),
+                float(np.max(np.abs(left.weights - right.weights))),
+            )
+        params = {"nu1": nu1.to_json_dict(), "nu2": nu2.to_json_dict()}
+        rows.append([InequalityReport.from_mismatch("wick_density_identity", params, mismatch,
+                                                    tols["identity"])])
+    return rows
 
 
 def _grid_wick_density(cfg):
@@ -734,7 +632,11 @@ def _random_wick_density(rng, cfg, sweep):
 
 
 def _run_g_lambda(tasks, tols):
-    return _g_lambda_checks(_nus(tasks), [params["lambda"] for params in tasks], tols["exact"])
+    """sqrt of the exact squared G_lambda norm is below the one-sided bound."""
+    nus, lams = _nus(tasks), [params["lambda"] for params in tasks]
+    return [[InequalityReport.from_sides("g_lambda_bound", {"lambda": float(lam), "nu": nu.to_json_dict()},
+                                         math.sqrt(norm_sq), bound, tols["exact"])]
+            for nu, lam, (norm_sq, bound) in zip(nus, lams, g_lambda_norms(nus, lams))]
 
 
 def _grid_g_lambda(cfg):
@@ -748,11 +650,59 @@ def _random_g_lambda(rng, cfg, sweep):
     return {"nu": _rand_nu_json(rng, n), "lambda": float(rng.uniform(1.0, 2.0))}
 
 
+def _oracle_rows(params, f, nu: DiscreteMeasure, alpha, integrals, tols) -> list[InequalityReport]:
+    if isinstance(f, ChaosExpansion):
+        raise ValueError("expected exp functions, got kind 'chaos'")
+    quad_order, mc_count = params.get("quad_order"), params.get("mc_count", 100_000)
+    check_integer(quad_order, "quad_order", 1, nullable=True)
+    check_integer(mc_count, "mc_count", 2)
+    mc_seed = params.get("mc_seed", 0)
+    order = default_order(nu.dim) if quad_order is None else quad_order
+    grid = gauss_hermite_grid(nu.dim, order)
+    grads = gradient_exp(f)
+    prod = alpha_exp(f, f, alpha)
+
+    def f_sq(pts):
+        vals = exp_eval(f, pts)
+        vals *= vals
+        return vals
+
+    def dirichlet(pts):
+        total = np.zeros(np.atleast_2d(pts).shape[0])
+        for g in grads:
+            vals = exp_eval(g, pts)
+            vals *= vals
+            total += vals
+        return total
+
+    integrands = zip(("f_sq", "alpha_prod", "dirichlet"), (f_sq, prod.eval, dirichlet), integrals)
+    base = {"alpha": float(alpha), "f": f.to_json_dict(), "nu": nu.to_json_dict()}
+    rows = []
+    for idx, (name, fn, exact) in enumerate(integrands):
+        quad = integrate_rho(fn, nu, grid)
+        qp = {**base, "integral": name, "route": "quadrature", "order": order, "value": quad, "exact": exact}
+        rows.append(InequalityReport.from_sides(
+            "oracle_triangle", qp, abs(quad - exact), tols["quadrature"] * max(1.0, abs(exact)),
+            tolerance=0.0, method_lhs="quadrature", method_rhs="exact"))
+        est, se = mc_integral_rho(fn, nu, [mc_seed, idx], mc_count)
+        mp = {**base, "integral": name, "route": "mc", "count": mc_count,
+              "seed": mc_seed, "value": est, "se": se, "exact": exact}
+        rows.append(InequalityReport.from_sides(
+            "oracle_triangle", mp, abs(est - exact), tols["mc_sigmas"] * se,
+            tolerance=0.0, method_lhs="mc", method_rhs="exact"))
+    return rows
+
+
 def _run_oracle(tasks, tols):
-    return [oracle_triangle(
-        f, nu, alpha, quad_order=params.get("quad_order"), mc_seed=params.get("mc_seed", 0),
-        mc_count=params.get("mc_count", 100_000), rel_tol=tols["quadrature"], sigmas=tols["mc_sigmas"])
-        for params, f, nu, alpha in zip(tasks, *_deficit_inputs(tasks))]
+    """Cross-validate the closed-form rho-integrals, rho = mu * nu, against quadrature and MC.
+
+    For each of int f^2, int f o_a f, int |Df|^2 the exact value, the
+    quadratic form the deficit checks use (_deficit_batch), is compared
+    with a tensor Gauss-Hermite value (agreement within the quadrature
+    tolerance, relative) and a Monte Carlo value (within mc_sigmas
+    standard errors).  Six rows per task.
+    """
+    return [_oracle_rows(params, *task, tols) for params, task in zip(tasks, _deficit_tasks(tasks))]
 
 
 def _grid_oracle(cfg):

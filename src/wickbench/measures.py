@@ -25,15 +25,16 @@ import numpy as np
 from .chaos import (
     ChaosExpansion,
     canonical_rows,
+    check_alpha,
     check_dims,
     fill,
     finite_array,
+    is_real,
     json_stacks,
     per_shape,
     split_rows,
 )
-from .expspan import ExpCombo, _stack, exp_combos, gammas_exp, products_exp
-from .report import InequalityReport
+from .expspan import ExpCombo, _stack, exp_combos, gammas_exp
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -138,16 +139,13 @@ def density_xi(nu: DiscreteMeasure) -> ExpCombo:
 
 
 def gammas_xi(nus, alphas) -> list[ExpCombo]:
-    """gamma_xi of each (nu, alpha), each shape as one stack."""
+    """Gamma(1/sqrt(alpha)) applied to the density of each (nu, alpha),
+    alpha in (0, 1]: directions y_i/sqrt(alpha), each shape as one stack."""
     for alpha in alphas:
+        check_alpha(alpha)
         if alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {alpha}")
+            raise ValueError(f"alpha must be > 0, got {alpha!r}")
     return gammas_exp([1.0 / math.sqrt(alpha) for alpha in alphas], densities_xi(nus))
-
-
-def gamma_xi(nu: DiscreteMeasure, alpha: float) -> ExpCombo:
-    """Gamma(1/sqrt(alpha)) applied to the density: directions y_i/sqrt(alpha)."""
-    return gammas_xi([nu], [alpha])[0]
 
 
 def g_lambda_norm(nu: DiscreteMeasure, lam: float) -> tuple[float, float]:
@@ -169,8 +167,8 @@ def g_lambda_norms(nus, lams) -> list[tuple[float, float]]:
     """g_lambda_norm of each (nu, lambda); each shape of nu is one stack,
     and only the last sums run per task."""
     for lam in lams:
-        if not math.isfinite(lam):
-            raise ValueError(f"lambda must be finite, got {lam}")
+        if not is_real(lam) or not math.isfinite(lam):
+            raise ValueError(f"lambda must be finite (a number, not a bool), got {lam!r}")
         if lam < 1:
             warnings.warn(f"lambda = {lam} < 1: outside the regularity scale of interest", stacklevel=3)
 
@@ -206,11 +204,6 @@ def rho_integral_chaos(f: ChaosExpansion, nu: DiscreteMeasure) -> float:
     return total
 
 
-def vector_rows(hs, dim: int) -> np.ndarray:
-    """hs as a (k, dim) array of finite numbers; ValueError otherwise."""
-    return vector_stacks([hs], [dim])[0]
-
-
 def _build_vectors(dim: int, hss) -> list[np.ndarray]:
     h = finite_array(hss, "hs")
     if h.ndim != 3:
@@ -221,8 +214,9 @@ def _build_vectors(dim: int, hss) -> list[np.ndarray]:
 
 
 def vector_stacks(hss, dims) -> list[np.ndarray]:
-    """vector_rows of each (hs, dim), parsed and checked as one stack per
-    shape, the same dim and number of vectors."""
+    """Each hs as a (k, dim) array of finite numbers, ValueError otherwise;
+    parsed and checked as one stack per shape, the same dim and number of
+    vectors."""
     keys = [(dim, len(hs)) for hs, dim in zip(hss, dims)]
     return per_shape(keys, lambda idx: _build_vectors(keys[idx[0]][0], [hss[i] for i in idx]))
 
@@ -233,7 +227,7 @@ def char_gram(nu: DiscreteMeasure, hs) -> np.ndarray:
     PSD for any probability measure: it is the nu-Gram of the functions
     w -> e^{i<w, h_j>}.
     """
-    return char_gram_stack(nu.atoms[None], nu.weights[None], vector_rows(hs, nu.dim)[None])[0]
+    return char_gram_stack(nu.atoms[None], nu.weights[None], vector_stacks([hs], [nu.dim])[0][None])[0]
 
 
 def char_gram_stack(y: np.ndarray, p: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -262,37 +256,6 @@ def convolutions(nu1s, nu2s) -> list[DiscreteMeasure]:
 def convolve_nu(nu1: DiscreteMeasure, nu2: DiscreteMeasure) -> DiscreteMeasure:
     """nu1 * nu2: atoms y_i + z_j, weights p_i q_j, merged."""
     return convolutions([nu1], [nu2])[0]
-
-
-def wick_density_identity_rows(nu1s, nu2s, tolerance: float) -> list[InequalityReport]:
-    """wick_density_identity_check of each (nu1, nu2): the convolutions and
-    the Wick products of the densities, each shape as one stack."""
-    lhs = densities_xi(convolutions(nu1s, nu2s))
-    rhs = products_exp(densities_xi(nu1s), densities_xi(nu2s), [0.0] * len(nu1s))
-    rows = []
-    for nu1, nu2, left, right in zip(nu1s, nu2s, lhs, rhs):
-        if left.n_terms != right.n_terms:
-            mismatch = float("inf")
-        elif left.n_terms == 0:
-            mismatch = 0.0
-        else:
-            mismatch = max(
-                float(np.max(np.abs(left.directions - right.directions))),
-                float(np.max(np.abs(left.weights - right.weights))),
-            )
-        params = {"nu1": nu1.to_json_dict(), "nu2": nu2.to_json_dict()}
-        rows.append(InequalityReport.from_mismatch("wick_density_identity", params, mismatch, tolerance))
-    return rows
-
-
-def wick_density_identity_check(nu1: DiscreteMeasure, nu2: DiscreteMeasure,
-                                tolerance: float = 1e-12) -> InequalityReport:
-    """Certify that xi1 wick xi2 is the density of mu * (nu1 * nu2).
-
-    Both sides are canonical ExpCombos; the mismatch is the largest
-    deviation in term count, directions, or weights.
-    """
-    return wick_density_identity_rows([nu1], [nu2], tolerance)[0]
 
 
 def sample_rho(nu: DiscreteMeasure, rng_seed, count: int) -> np.ndarray:

@@ -23,14 +23,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import operator
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chaos import INPUT_ERRORS
+from .chaos import INPUT_ERRORS, check_integer, is_real
 from .checks import _CHECK_INDEX, CHECK_REGISTRY, DEFAULT_TOLS, functions_from_json
 from .measures import measures_from_json
 from .report import InequalityReport
@@ -68,11 +67,6 @@ _INT_FIELDS = (
 )
 
 
-def _is_real(value) -> bool:
-    # bool is a numbers.Real subclass, but true is not an alpha or a tolerance
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 @dataclass
 class SuiteConfig:
     seed: int = 0
@@ -107,7 +101,7 @@ class SuiteConfig:
             if not isinstance(name, str) or name not in CHECK_REGISTRY:
                 raise ConfigError(f"unknown check {name!r}; see list-checks")
         for a in self.alphas:
-            if not _is_real(a) or not 0.0 <= a <= 1.0:
+            if not is_real(a) or not 0.0 <= a <= 1.0:
                 raise ConfigError(f"alpha {a!r} is not a number in [0, 1]")
         if not isinstance(self.tolerances, dict):
             raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
@@ -115,16 +109,13 @@ class SuiteConfig:
         if bad:
             raise ConfigError(f"unknown tolerance keys: {', '.join(sorted(bad))}")
         for key, tol in self.tolerances.items():
-            if not _is_real(tol) or not 0.0 <= tol < math.inf:
+            if not is_real(tol) or not 0.0 <= tol < math.inf:
                 raise ConfigError(f"tolerance {key} must be a finite number >= 0, got {tol!r}")
         for key, low, nullable in _INT_FIELDS:
-            value = getattr(self, key)
-            if value is None and nullable:
-                continue
-            # bool is an int subclass, but true is not a sweep count
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                expected = f"an integer >= {low}" + (" or null" if nullable else "")
-                raise ConfigError(f"{key} must be {expected}, got {value!r}")
+            try:
+                check_integer(getattr(self, key), key, low, nullable)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
         if not isinstance(self.negate, bool):
             raise ConfigError(f"negate must be true or false, got {self.negate!r}")
         if self.out is not None and not isinstance(self.out, str):
@@ -132,7 +123,7 @@ class SuiteConfig:
         try:
             measures_from_json(self.measures)
             functions_from_json(self.functions)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except INPUT_ERRORS as exc:
             raise ConfigError(f"bad measure or function spec: {exc}") from exc
 
 

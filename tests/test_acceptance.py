@@ -17,21 +17,16 @@ from wickbench import (
     ChaosExpansion,
     DiscreteMeasure,
     ExpCombo,
-    HolderParams,
     SuiteConfig,
     alpha_exp,
-    classic_beckner_coeff_check,
-    covariance_gap,
     density_xi,
     convolve_nu,
     eval_chaos,
     gamma_apply,
     gamma_exp,
     gauss_hermite_grid,
-    holder_check,
-    left_positivity,
-    oracle_triangle,
     rho_integral_chaos,
+    run_check,
     run_suite,
     to_chaos,
     wick_exp,
@@ -145,8 +140,8 @@ def test_05_holder_sharpness(capsys):
             n = int(rng.integers(1, 4))
             direction = rng.standard_normal(n)
             h = direction / np.linalg.norm(direction) * radius
-            rep = holder_check(ExpCombo.exponential(h), ExpCombo.exponential(h),
-                               HolderParams.conjugate_family(alpha))
+            (rep,) = run_check("holder", {"alpha": alpha, "f": ExpCombo.exponential(h).to_json_dict(),
+                                          "g": ExpCombo.exponential(h).to_json_dict()})
             assert rep.method == "exact"
             worst_eq = max(worst_eq, abs(rep.gap))
 
@@ -172,7 +167,8 @@ def test_06_classic_beckner_coefficients(capsys):
                   for k in range(n)}
         f = ChaosExpansion(n, coeffs)
         alpha = int(rng.integers(0, 11)) / 10
-        worst_eq = max(worst_eq, abs(classic_beckner_coeff_check(f, alpha).gap))
+        (rep,) = run_check("classic_beckner", {"alpha": alpha, "f": f.to_json_dict()})
+        worst_eq = max(worst_eq, abs(rep.gap))
 
     ok = code == 0 and min_gap >= -1e-12 and worst_eq <= 1e-12
     _emit(capsys, 6, "classic coefficient inequality", ok,
@@ -188,8 +184,10 @@ def test_07_covariance_inequality(capsys):
 
     d1 = DiscreteMeasure.dirac([1.0])
     sym = DiscreteMeasure(1, [[1.0], [-1.0]], [0.5, 0.5])
-    spot1 = covariance_gap(d1, d1, ExpCombo.one(1)).rhs
-    spot2 = covariance_gap(d1, sym, ExpCombo.one(1)).rhs
+    one = ExpCombo.one(1).to_json_dict()
+    (spot1,) = run_check("covariance", {"nu1": d1.to_json_dict(), "nu2": d1.to_json_dict(), "phi": one})
+    (spot2,) = run_check("covariance", {"nu1": d1.to_json_dict(), "nu2": sym.to_json_dict(), "phi": one})
+    spot1, spot2 = spot1.rhs, spot2.rhs
     err1 = abs(spot1 - (math.e - 2.0))
     err2 = abs(spot2 - (math.cosh(1.0) - 1.0))
 
@@ -227,8 +225,9 @@ def test_08_oracle_triangle_battery(capsys):
     for i, f in enumerate(functions):
         for j, rho in enumerate(measures):
             alpha = ((5 * i + j) % 11) / 10
-            rows = oracle_triangle(f, rho, alpha, quad_order=30,
-                                   mc_seed=[2468, i, j], mc_count=100_000)
+            rows = run_check("oracle_triangle", {
+                "alpha": alpha, "f": f.to_json_dict(), "nu": rho.to_json_dict(),
+                "quad_order": 30, "mc_seed": [2468, i, j], "mc_count": 100_000})
             all_rows.extend(rows)
             for r in rows:
                 if r.params["route"] == "quadrature":

@@ -24,15 +24,16 @@ from wickbench import (
     ExpCombo,
     alpha_chaos,
     alpha_exp,
-    beckner_deficit,
     gradient,
     gradient_exp,
-    left_positivity,
     pointwise_chaos,
     pointwise_exp,
     rho_integral_chaos,
     rho_integral_exp,
+    run_check,
 )
+from wickbench.checks import functions_from_json
+from wickbench.measures import measures_from_json
 
 REL = 1e-12
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=120)
@@ -68,8 +69,21 @@ def _abs_scale(f, rho, alpha):
     return sq, ap, en
 
 
+def _stored(value):
+    if isinstance(value, ChaosExpansion):
+        return list(value.coeffs.items())
+    if isinstance(value, ExpCombo):
+        return value.weights.tolist(), value.directions.tolist()
+    return value.weights.tolist(), value.atoms.tolist()
+
+
 def _assert_matches_product_route(f, rho, alpha):
-    rep = beckner_deficit(f, rho, alpha)
+    params = {"alpha": alpha, "f": f.to_json_dict(), "nu": rho.to_json_dict()}
+    # the checks parse the JSON: they test the drawn f and rho only if the
+    # round trip returns the same stored values
+    assert _stored(functions_from_json([params["f"]])[0]) == _stored(f)
+    assert _stored(measures_from_json([params["nu"]])[0]) == _stored(rho)
+    (rep,) = run_check("beckner_deficit", params)
     got = rep.params["integrals"]
     got = (got["f_sq"], got["alpha_prod"], got["dirichlet"])
     for name, g, want, scale in zip(("f_sq", "alpha_prod", "dirichlet"), got,
@@ -77,7 +91,7 @@ def _assert_matches_product_route(f, rho, alpha):
         assert abs(g - want) <= REL * max(scale, 1.0), (name, g, want, scale)
     if alpha == 1.0:
         assert rep.lhs == rep.rhs == rep.gap == 0.0
-    left = left_positivity(f, rho, alpha)
+    (left,) = run_check("left_positivity", params)
     assert (left.lhs, left.rhs) == (got[1], got[0])
 
 
@@ -138,7 +152,8 @@ def test_dense_chaos_forms_match_product_route(case):
 ])
 def test_deficit_checks_reject_dimension_mismatch(f):
     rho = DiscreteMeasure.dirac([0.0] * 1)
+    params = {"alpha": 0.5, "f": f.to_json_dict(), "nu": rho.to_json_dict()}
     with pytest.raises(ValueError, match="dimension mismatch"):
-        beckner_deficit(f, rho, 0.5)
+        run_check("beckner_deficit", params)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        left_positivity(f, rho, 0.5)
+        run_check("left_positivity", params)

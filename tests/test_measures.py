@@ -17,10 +17,10 @@ from wickbench import (
     mu_inner_exp,
     rho_integral_chaos,
     rho_integral_exp,
+    run_check,
     sample_rho,
-    wick_density_identity_check,
 )
-from wickbench.measures import gamma_xi
+from wickbench.measures import gammas_xi
 from wickbench.suite import _ENCODE
 
 
@@ -90,10 +90,11 @@ def test_density_xi():
 
 def test_gamma_xi():
     rho = DiscreteMeasure.dirac([0.5])
-    assert gamma_xi(rho, 1.0).allclose(density_xi(rho), tol=0.0)
-    assert gamma_xi(rho, 0.25).allclose(ExpCombo.exponential([1.0]), tol=0.0)
+    at_one, at_quarter = gammas_xi([rho, rho], [1.0, 0.25])
+    assert at_one.allclose(density_xi(rho), tol=0.0)
+    assert at_quarter.allclose(ExpCombo.exponential([1.0]), tol=0.0)
     with pytest.raises(ValueError):
-        gamma_xi(rho, 0.0)
+        gammas_xi([rho], [0.0])
 
 
 def test_g_lambda_norm_values():
@@ -196,9 +197,10 @@ def test_convolve_nu():
 def test_wick_density_identity():
     two = _two_atom()
     other = DiscreteMeasure(1, [[0.3], [-0.9]], [0.625, 0.375])
-    rep = wick_density_identity_check(two, other)
+    (rep,) = run_check("wick_density_identity", {"nu1": two.to_json_dict(), "nu2": other.to_json_dict()})
     assert rep.passed and rep.lhs <= 1e-12
-    rep0 = wick_density_identity_check(DiscreteMeasure.dirac([0.4]), DiscreteMeasure.dirac([-0.2]))
+    (rep0,) = run_check("wick_density_identity", {"nu1": DiscreteMeasure.dirac([0.4]).to_json_dict(),
+                                                  "nu2": DiscreteMeasure.dirac([-0.2]).to_json_dict()})
     assert rep0.passed
 
 

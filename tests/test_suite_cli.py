@@ -602,11 +602,25 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
     ("beckner_deficit", {"alpha": 0.5, "f": E_ONE, "nu": {**NU_ZERO, "dim": True}},
      "dim must be an integer >= 0, got True"),
     ("g_lambda_bound", {"nu": {**NU_ZERO, "dim": "1"}, "lambda": 1.5}, "dim must be an integer >= 0, got '1'"),
+    # a function that is not an object ended in an AttributeError traceback
+    ("beckner_deficit", {"alpha": 0.5, "f": "x", "nu": NU_ZERO}, "a function must be a JSON object, got 'x'"),
+    ("oracle_triangle", {"alpha": 0.5, "f": "x", "nu": NU_ZERO, "mc_count": 100},
+     "a function must be a JSON object, got 'x'"),
+    # values a config rejects: these printed PASS rows, and the last one FAIL
+    # rows from a one-node grid
+    ("beckner_deficit", {"alpha": True, "f": E_ONE, "nu": NU_ZERO}, "alpha must be a number in [0, 1], got True"),
+    ("holder", {"alpha": True, "f": E_ONE}, "alpha must be a number in [0, 1], got True"),
+    ("strong_positivity", {"alpha": 5, "nu": NU_ZERO, "phi": E_ONE}, "alpha must be a number in [0, 1], got 5"),
+    ("g_lambda_bound", {"nu": NU_SYM, "lambda": True}, "lambda must be finite (a number, not a bool), got True"),
+    ("oracle_triangle", {"alpha": 0.5, "f": E_ONE, "nu": NU_ZERO, "quad_order": True, "mc_count": 100},
+     "quad_order must be an integer >= 1 or null, got True"),
 ], ids=["holder-overflow", "g_lambda-nan", "g_lambda-inf", "char_gram-nan", "char_gram-inf",
         "ab-nan", "ab-inf", "holder-inf-p", "g_lambda-overflow", "beckner-overflow",
         "covariance-overflow", "holder-chaos", "strong_positivity-chaos", "covariance-chaos",
         "oracle_triangle-chaos", "classic_beckner-exp", "beckner-dim-float", "beckner-dim-bool",
-        "g_lambda-dim-str"])
+        "g_lambda-dim-str", "beckner-f-not-object", "oracle-f-not-object", "beckner-alpha-bool",
+        "holder-alpha-bool", "strong_positivity-alpha-above-one", "g_lambda-lambda-bool",
+        "oracle-quad_order-bool"])
 def test_cli_check_rejects_params_it_cannot_compute(capsys, name, params, message):
     assert main(["check", name, "--params", json.dumps(params)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
