@@ -67,6 +67,7 @@ from .chaos import (
     check_dims,
     check_integer,
     index_factorial,
+    is_real,
     per_shape,
 )
 from .expspan import (
@@ -101,6 +102,19 @@ DEFAULT_TOLS = {
     "quadrature": 1e-6,
     "mc_sigmas": 4.0,
 }
+
+
+def resolve_tols(overrides) -> dict:
+    """DEFAULT_TOLS with overrides applied; ValueError unless each is a known key and a finite number >= 0."""
+    if not isinstance(overrides, dict):
+        raise ValueError(f"tolerances must be an object, got {overrides!r}")
+    bad = set(overrides) - set(DEFAULT_TOLS)
+    if bad:
+        raise ValueError(f"unknown tolerance keys: {', '.join(sorted(bad))}")
+    for key, tol in overrides.items():
+        if not is_real(tol) or not 0.0 <= tol < math.inf:
+            raise ValueError(f"tolerance {key} must be a finite number >= 0, got {tol!r}")
+    return {**DEFAULT_TOLS, **overrides}
 
 
 def _fn_kind(data: dict) -> str:
@@ -657,6 +671,8 @@ def _oracle_rows(params, f, nu: DiscreteMeasure, alpha, integrals, tols) -> list
     check_integer(quad_order, "quad_order", 1, nullable=True)
     check_integer(mc_count, "mc_count", 2)
     mc_seed = params.get("mc_seed", 0)
+    for seed in mc_seed if isinstance(mc_seed, list) and mc_seed else [mc_seed]:
+        check_integer(seed, "mc_seed (or each entry of a non-empty mc_seed list)", 0)
     order = default_order(nu.dim) if quad_order is None else quad_order
     grid = gauss_hermite_grid(nu.dim, order)
     grads = gradient_exp(f)
@@ -780,4 +796,4 @@ def run_check(name: str, params: dict, tols: dict | None = None) -> list[Inequal
     """Run one named check on JSON-style parameters."""
     if name not in CHECK_REGISTRY:
         raise ValueError(f"unknown check {name!r}; known: {', '.join(sorted(CHECK_REGISTRY))}")
-    return CHECK_REGISTRY[name].run([params], {**DEFAULT_TOLS, **(tols or {})})[0]
+    return CHECK_REGISTRY[name].run([params], resolve_tols(tols or {}))[0]

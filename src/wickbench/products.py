@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .chaos import ChaosExpansion, check_alpha, check_dims
+from .chaos import ChaosExpansion, check_alpha, check_dims, is_real
 
 
 def pointwise_chaos(f: ChaosExpansion, g: ChaosExpansion, alpha: float = 1.0) -> ChaosExpansion:
@@ -87,8 +87,8 @@ class HolderParams:
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        if not all(map(math.isfinite, (self.p, self.q, self.r))):
-            raise ValueError("p, q and r must be finite")
+        if not all(is_real(x) and math.isfinite(x) for x in (self.p, self.q, self.r)):
+            raise ValueError(f"p, q and r must be finite numbers, got {self.p!r}, {self.q!r}, {self.r!r}")
         if self.p <= 1 or self.q <= 1:
             raise ValueError("p and q must be > 1")
         if self.r < 1:

@@ -5,32 +5,32 @@ degree of parallelism.
 Each task is a plain dict (check name + JSON parameters) and pure: the
 same task always produces the same rows.  run_rendered cuts the config
 into task descriptors, (check, grid params) or (check, sweep), and sends
-them out in chunks with the config and tolerances once per chunk.  Whoever
-runs a chunk (a pool worker at jobs > 1, this process otherwise) expands
-it with _expand, the routine build_tasks is built from, and gives the
-tasks of each check, which are contiguous in a chunk, to the check's
-spec.run in one call.  The harness groups tasks by check only: the JSON
-parsers stack them by JSON shape, and the kernels by canonical shape.
-The rows are at once rendered with _render, the renderer write_reports
-uses, into report.json and report.csv lines.  So rows cross the process
-boundary as text, and the parent only sorts the tasks by (check,
-parameter JSON) and writes that text; run_suite decodes it back into
-rows for library callers.
+out contiguous chunks of them with the config and tolerances once per
+chunk.  Whoever runs a chunk (a pool worker at jobs > 1, this process
+otherwise) expands it with _expand, the routine build_tasks is built
+from, and gives the tasks of each check, which are contiguous in a chunk,
+to the check's spec.run in one call.  The harness groups tasks by check
+only: the JSON parsers stack them by JSON shape, and the kernels by
+canonical shape.  The rows are at once rendered with _render, the
+renderer write_reports uses, into report.json and report.csv lines.  So
+rows cross the process boundary as text, and the parent joins the chunks
+in order and writes that text: rows come in task order, build_tasks's,
+at any jobs.  run_suite decodes the text back into rows for library
+callers.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import math
 import operator
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chaos import INPUT_ERRORS, check_integer, is_real
-from .checks import _CHECK_INDEX, CHECK_REGISTRY, DEFAULT_TOLS, functions_from_json
+from .chaos import INPUT_ERRORS, check_alpha, check_integer
+from .checks import _CHECK_INDEX, CHECK_REGISTRY, functions_from_json, resolve_tols
 from .measures import measures_from_json
 from .report import InequalityReport
 
@@ -48,8 +48,8 @@ ALPHA_GRID = [i / 10 for i in range(11)]
 
 # The one JSON text of a value: sorted keys, no whitespace, and the C
 # encoder (JSONEncoder.encode takes it when indent is None; json.dump never
-# does).  Task keys, report.json rows, report.csv params cells and the
-# lines `wickbench check` prints are all this text.
+# does).  report.json rows, report.csv params cells and the lines
+# `wickbench check` prints are all this text.
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 _CONFIG_KEYS = {
@@ -100,22 +100,14 @@ class SuiteConfig:
         for name in self.checks:
             if not isinstance(name, str) or name not in CHECK_REGISTRY:
                 raise ConfigError(f"unknown check {name!r}; see list-checks")
-        for a in self.alphas:
-            if not is_real(a) or not 0.0 <= a <= 1.0:
-                raise ConfigError(f"alpha {a!r} is not a number in [0, 1]")
-        if not isinstance(self.tolerances, dict):
-            raise ConfigError(f"tolerances must be an object, got {self.tolerances!r}")
-        bad = set(self.tolerances) - set(DEFAULT_TOLS)
-        if bad:
-            raise ConfigError(f"unknown tolerance keys: {', '.join(sorted(bad))}")
-        for key, tol in self.tolerances.items():
-            if not is_real(tol) or not 0.0 <= tol < math.inf:
-                raise ConfigError(f"tolerance {key} must be a finite number >= 0, got {tol!r}")
-        for key, low, nullable in _INT_FIELDS:
-            try:
+        try:
+            for a in self.alphas:
+                check_alpha(a)
+            resolve_tols(self.tolerances)
+            for key, low, nullable in _INT_FIELDS:
                 check_integer(getattr(self, key), key, low, nullable)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not isinstance(self.negate, bool):
             raise ConfigError(f"negate must be true or false, got {self.negate!r}")
         if self.out is not None and not isinstance(self.out, str):
@@ -169,39 +161,32 @@ def build_tasks(cfg: SuiteConfig) -> list[dict]:
     return _expand(cfg, _descriptors(cfg))
 
 
-def _task_key(task: dict) -> tuple:
-    return task["check"], _ENCODE(task["params"])
-
-
-def _run_chunk(chunk) -> list[tuple[tuple, list]]:
-    """Expand a chunk and give the tasks of each check, which are
-    contiguous in it, to the check's spec.run in one call; render their
-    rows as soon as it returns: (task key, rendered rows) per task."""
+def _run_chunk(chunk) -> list[tuple[str, str, bool]]:
+    """Expand a chunk, give the tasks of each check (contiguous in it) to
+    the check's spec.run in one call, and render their rows at once:
+    the chunk's rendered rows, in task order."""
     cfg, tols, descriptors = chunk
     done = []
     for name, group in itertools.groupby(_expand(cfg, descriptors), operator.itemgetter("check")):
-        tasks = list(group)
         try:
-            results = CHECK_REGISTRY[name].run([task["params"] for task in tasks], tols)
+            results = CHECK_REGISTRY[name].run([task["params"] for task in group], tols)
         except INPUT_ERRORS as exc:
             raise ConfigError(f"{name} task cannot run: {exc}") from exc
-        for task, rows in zip(tasks, results):
-            if cfg.negate:
-                rows = [r.negated() for r in rows]
-            done.append((_task_key(task), list(_render(rows))))
+        for rows in results:
+            done.extend(_render([r.negated() for r in rows] if cfg.negate else rows))
     return done
 
 
 def run_rendered(cfg: SuiteConfig, jobs: int = 1) -> list[tuple[str, str, bool]]:
     """Run all tasks; returns each row's (report.json line, report.csv
-    line, pass), ordered by (check, task params text).
+    line, pass), in task order.
 
     At jobs > 1 a pool of jobs workers runs the 4 * jobs chunks.  A task
     that raises one of INPUT_ERRORS raises ConfigError naming its check;
     any other exception propagates as it is.  Either way nothing is
     returned, at any jobs.
     """
-    tols = {**DEFAULT_TOLS, **cfg.tolerances}
+    tols = resolve_tols(cfg.tolerances)
     descriptors = list(_descriptors(cfg))
     size = max(1, -(-len(descriptors) // (4 * max(1, jobs))))
     chunks = [(cfg, tols, descriptors[i:i + size]) for i in range(0, len(descriptors), size)]
@@ -213,13 +198,11 @@ def run_rendered(cfg: SuiteConfig, jobs: int = 1) -> list[tuple[str, str, bool]]
             done = list(pool.map(_run_chunk, chunks))
     else:
         done = list(map(_run_chunk, chunks))
-    results = [item for chunk in done for item in chunk]
-    results.sort(key=lambda item: item[0])
-    return [row for _, rows in results for row in rows]
+    return [row for chunk in done for row in chunk]
 
 
 def run_suite(cfg: SuiteConfig, jobs: int = 1) -> tuple[list[InequalityReport], int]:
-    """Run all tasks; returns (rows in canonical order, exit code 0 or 1).
+    """Run all tasks; returns (rows in task order, exit code 0 or 1).
 
     The rows are decoded from run_rendered's report.json lines, so they
     equal run_check's rows field for field; rows that shared one params

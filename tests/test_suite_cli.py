@@ -20,7 +20,7 @@ from wickbench import (
     write_reports,
 )
 from wickbench import cli, expspan, measures, suite
-from wickbench.checks import run_check
+from wickbench.checks import DEFAULT_TOLS, run_check
 from wickbench.cli import main
 from wickbench.report import InequalityReport
 from wickbench.suite import _ENCODE, run_rendered
@@ -160,15 +160,16 @@ def _report_bytes(out_dir):
 
 def test_cli_bytes_match_the_replay_route_and_run_suite(tmp_path, capsys):
     # all 11 checks on exp and chaos grid functions, measures in dims 1-3
-    # and random sweeps; the benchmark's replay (build_tasks, run_check per
-    # task, a sort by task key, write_reports) must write what the CLI writes
+    # and random sweeps; running the tasks one at a time in build_tasks
+    # order with run_check, then write_reports, must write what the CLI
+    # writes
     data = {"seed": 5, "alphas": [0.0, 0.5, 1.0], "functions": PIN_FUNCTIONS,
             "measures": PIN_MEASURES, "checks": list(CHECK_REGISTRY), "random_sweeps": 3,
             "mc_count": 200}
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps(data))
     cfg = SuiteConfig.from_json_dict(data)
-    tasks = sorted(build_tasks(cfg), key=suite._task_key)
+    tasks = build_tasks(cfg)
     assert {t["check"] for t in tasks} == set(CHECK_REGISTRY)
     assert any("sweep" in t["params"] for t in tasks) and any("sweep" not in t["params"] for t in tasks)
     rows = [r for t in tasks for r in run_check(t["check"], t["params"])]
@@ -224,7 +225,7 @@ def test_buckets_write_the_bytes_of_one_task_at_a_time(tmp_path, capsys, monkeyp
     cfg_path = tmp_path / "suite.json"
     cfg_path.write_text(json.dumps(data))
     cfg = SuiteConfig.from_json_dict(data)
-    tasks = sorted(build_tasks(cfg), key=suite._task_key)
+    tasks = build_tasks(cfg)
     alone = [run_check(t["check"], t["params"]) for t in tasks]
     rows = [r for rs in alone for r in rs]
     write_reports(rows, tmp_path / "replay")
@@ -248,7 +249,7 @@ def test_buckets_write_the_bytes_of_one_task_at_a_time(tmp_path, capsys, monkeyp
     assert code == expected_code
     assert [_row_fields(r) for r in suite_rows] == [_row_fields(r) for r in rows]
     # each check's whole task list in one call: a stack of mixed shapes
-    tols = dict(suite.DEFAULT_TOLS)
+    tols = dict(DEFAULT_TOLS)
     for name in CHECK_REGISTRY:
         mine = [i for i, t in enumerate(tasks) if t["check"] == name]
         together = CHECK_REGISTRY[name].run([tasks[i]["params"] for i in mine], tols)
@@ -322,6 +323,29 @@ def test_cli_fail_summary_is_the_same_at_any_jobs(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err.splitlines() == want_err
         assert captured.out.startswith(f"{len(rows)} rows, {len(failures)} failed; wrote ")
+
+
+def test_rows_follow_task_order_at_any_jobs(tmp_path, capsys):
+    # rows come in build_tasks order: the config's checks in its order, not
+    # by name, and in each check its grid tasks, then sweeps 0..N-1
+    data = {"seed": 4, "alphas": [0.5, 1.0], "functions": [E_ONE], "measures": [NU_ZERO, NU_SYM],
+            "checks": ["g_lambda_bound", "beckner_deficit"], "random_sweeps": 3}
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(data))
+    cfg = SuiteConfig.from_json_dict(data)
+    tasks = build_tasks(cfg)
+    assert [(t["check"], t["params"].get("sweep")) for t in tasks] == \
+        [(name, sweep) for name in data["checks"] for sweep in (None,) * 4 + (0, 1, 2)]
+    want = [_ENCODE(r.as_dict()) for t in tasks for r in run_check(t["check"], t["params"])]
+    assert len(set(want)) == len(want) == 14
+    for jobs in (1, 2):
+        out = tmp_path / f"cli{jobs}"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--jobs", str(jobs)]) == 0
+        rows = json.loads((out / "report.json").read_text())
+        assert [row["check"] for row in rows] == ["g_lambda_bound"] * 7 + ["beckner_deficit"] * 7
+        assert [_ENCODE(row) for row in rows] == want
+        assert [_ENCODE(r.as_dict()) for r in run_suite(cfg, jobs=jobs)[0]] == want
+    capsys.readouterr()
 
 
 def test_run_suite_passes_and_orders():
@@ -614,16 +638,34 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
     ("g_lambda_bound", {"nu": NU_SYM, "lambda": True}, "lambda must be finite (a number, not a bool), got True"),
     ("oracle_triangle", {"alpha": 0.5, "f": E_ONE, "nu": NU_ZERO, "quad_order": True, "mc_count": 100},
      "quad_order must be an integer >= 1 or null, got True"),
+    # these printed a PASS row with r = 1.0, or a seed recorded as given
+    ("holder", {"alpha": 1.0, "f": E_ONE, "p": 2, "q": 2, "r": True},
+     "p, q and r must be finite numbers, got 2, 2, True"),
+    ("oracle_triangle", {"alpha": 0.5, "f": E_ONE, "nu": NU_ZERO, "mc_count": 100, "mc_seed": True},
+     "mc_seed (or each entry of a non-empty mc_seed list) must be an integer >= 0, got True"),
+    ("oracle_triangle", {"alpha": 0.5, "f": E_ONE, "nu": NU_ZERO, "mc_count": 100, "mc_seed": "7"},
+     "mc_seed (or each entry of a non-empty mc_seed list) must be an integer >= 0, got '7'"),
+    ("oracle_triangle", {"alpha": 0.5, "f": E_ONE, "nu": NU_ZERO, "mc_count": 100, "mc_seed": [1, True]},
+     "mc_seed (or each entry of a non-empty mc_seed list) must be an integer >= 0, got True"),
 ], ids=["holder-overflow", "g_lambda-nan", "g_lambda-inf", "char_gram-nan", "char_gram-inf",
         "ab-nan", "ab-inf", "holder-inf-p", "g_lambda-overflow", "beckner-overflow",
         "covariance-overflow", "holder-chaos", "strong_positivity-chaos", "covariance-chaos",
         "oracle_triangle-chaos", "classic_beckner-exp", "beckner-dim-float", "beckner-dim-bool",
         "g_lambda-dim-str", "beckner-f-not-object", "oracle-f-not-object", "beckner-alpha-bool",
         "holder-alpha-bool", "strong_positivity-alpha-above-one", "g_lambda-lambda-bool",
-        "oracle-quad_order-bool"])
+        "oracle-quad_order-bool", "holder-r-bool", "oracle-mc_seed-bool", "oracle-mc_seed-str",
+        "oracle-mc_seed-list-bool"])
 def test_cli_check_rejects_params_it_cannot_compute(capsys, name, params, message):
     assert main(["check", name, "--params", json.dumps(params)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_cli_check_rejects_the_tolerances_run_rejects(capsys, tol):
+    # nan and -1 turned this positive-gap row into FAIL, and inf passed any row
+    params = json.dumps({"alpha": 0.5, "f": E_ONE, "nu": NU_SYM})
+    assert main(["check", "beckner_deficit", "--params", params, "--tol", tol]) == 2
+    assert "config error: tolerance exact must be a finite number >= 0" in capsys.readouterr().err
 
 
 def test_cli_check_exit_one_on_failing_row(monkeypatch, capsys):
