@@ -18,7 +18,6 @@ from wickbench import (
     eval_chaos,
     gamma_apply,
     gradient,
-    hermite_eval,
     l2_inner,
     l2_norm,
     number_apply,
@@ -28,10 +27,10 @@ from wickbench import (
 # --- the basis itself -------------------------------------------------------
 
 # He_2(x) = x^2 - 1, evaluated at x = 2
-print("He_2(2) =", hermite_eval((2,), (2.0,)))
+print("He_2(2) =", eval_chaos(ChaosExpansion.basis((2,)), (2.0,)))
 
 # a tensorized element in two variables: He_1(x) He_2(y)
-print("He_(1,2)(1, 1) =", hermite_eval((1, 2), (1.0, 1.0)))
+print("He_(1,2)(1, 1) =", eval_chaos(ChaosExpansion.basis((1, 2)), (1.0, 1.0)))
 
 # --- building and evaluating expansions -------------------------------------
 

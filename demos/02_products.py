@@ -18,7 +18,7 @@ from wickbench import (
     alpha_chaos,
     alpha_exp,
     exp_eval,
-    gamma_exp,
+    gammas_exp,
     mu_inner_exp,
     pointwise_chaos,
     pointwise_exp,
@@ -53,15 +53,15 @@ print("mean of E<>E   =", mu_inner_exp(wick_exp(e1, e1), ExpCombo.one(1)))
 
 # --- second quantization acts by scaling directions --------------------------
 
-print("\nGamma(1/2) E(2) =", gamma_exp(0.5, ExpCombo.exponential([2.0])).terms)
+print("\nGamma(1/2) E(2) =", gammas_exp([0.5], [ExpCombo.exponential([2.0])])[0].terms)
 
 # Gamma(lam) is a homomorphism for Wick and rescales alpha in general:
 # Gamma(lam)(f o_a g) = Gamma(lam) f o_{a/lam^2} Gamma(lam) g
 f = ExpCombo.exponential([0.8], 1.2) + ExpCombo.exponential([-0.4], 0.7)
 g = ExpCombo.exponential([0.5], -0.3) + ExpCombo.exponential([1.1], 0.9)
 lam, alpha = 1.5, 0.9
-lhs = gamma_exp(lam, alpha_exp(f, g, alpha))
-rhs = alpha_exp(gamma_exp(lam, f), gamma_exp(lam, g), alpha / lam**2)
+lhs = gammas_exp([lam], [alpha_exp(f, g, alpha)])[0]
+rhs = alpha_exp(*gammas_exp([lam, lam], [f, g]), alpha / lam**2)
 print("homomorphism   :", lhs.allclose(rhs, tol=1e-12))
 
 # --- the same products in chaos coordinates ----------------------------------

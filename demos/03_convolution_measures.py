@@ -21,9 +21,9 @@ from wickbench import (
     DiscreteMeasure,
     ExpCombo,
     char_gram,
-    convolve_nu,
-    density_xi,
-    g_lambda_norm,
+    convolutions,
+    densities_xi,
+    g_lambda_norms,
     gauss_hermite_grid,
     integrate_rho,
     mc_integral_rho,
@@ -37,7 +37,7 @@ nu = DiscreteMeasure(1, [[1.0], [-1.0]], [0.5, 0.5])
 
 # --- the density and its integrals -------------------------------------------
 
-xi = density_xi(nu)
+(xi,) = densities_xi([nu])
 print("density xi      =", xi.terms)
 print("xi(0)           =", xi.eval([0.0]), "= e^{-1/2} =", math.exp(-0.5))
 
@@ -59,11 +59,11 @@ print("monte carlo     =", est, "+-", se)
 # --- convolving factors multiplies densities in the Wick sense ----------------
 
 other = DiscreteMeasure(1, [[0.5]], [1.0])
-combined = convolve_nu(nu, other)
+(combined,) = convolutions([nu], [other])
 print("\nnu * delta_1/2  atoms:", combined.atoms.ravel().tolist())
 
-lhs = density_xi(combined)
-rhs = wick_exp(density_xi(nu), density_xi(other))
+(lhs,) = densities_xi([combined])
+rhs = wick_exp(*densities_xi([nu, other]))
 print("densities agree :", lhs.allclose(rhs, tol=0.0))
 
 # --- positivity certificates ---------------------------------------------------
@@ -74,7 +74,7 @@ print("\nchar gram       =\n", gram.real)
 print("min eigenvalue  =", np.linalg.eigvalsh(gram)[0], ">= 0")
 
 # the weighted norm of xi obeys a closed-form bound, tight for one atom
-norm_sq, bound = g_lambda_norm(nu, 1.0)
+((norm_sq, bound),) = g_lambda_norms([nu], [1.0])
 print("\n|xi|_G^2        =", norm_sq, "= cosh(1) =", math.cosh(1.0))
 print("bound           =", bound, "= e^{1/2}  =", math.exp(0.5))
 print("sqrt(norm) <= bound:", math.sqrt(norm_sq) <= bound)

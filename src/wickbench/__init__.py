@@ -14,7 +14,6 @@ from .chaos import (
     eval_chaos,
     gamma_apply,
     gradient,
-    hermite_eval,
     l2_inner,
     l2_norm,
     number_apply,
@@ -29,7 +28,7 @@ from .expspan import (
     ExpCombo,
     alpha_exp,
     exp_eval,
-    gamma_exp,
+    gammas_exp,
     gradient_exp,
     mu_inner_exp,
     pointwise_exp,
@@ -40,9 +39,9 @@ from .expspan import (
 from .measures import (
     DiscreteMeasure,
     char_gram,
-    convolve_nu,
-    density_xi,
-    g_lambda_norm,
+    convolutions,
+    densities_xi,
+    g_lambda_norms,
     rho_integral_chaos,
     rho_integral_exp,
     sample_rho,
@@ -79,19 +78,18 @@ __all__ = [
     "alpha_exp",
     "build_tasks",
     "char_gram",
-    "convolve_nu",
+    "convolutions",
     "default_grid",
-    "density_xi",
+    "densities_xi",
     "dirichlet_energy",
     "eval_chaos",
     "exp_eval",
-    "g_lambda_norm",
+    "g_lambda_norms",
     "gamma_apply",
-    "gamma_exp",
+    "gammas_exp",
     "gauss_hermite_grid",
     "gradient",
     "gradient_exp",
-    "hermite_eval",
     "integrate_rho",
     "l2_inner",
     "l2_norm",

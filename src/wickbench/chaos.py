@@ -340,10 +340,6 @@ class ChaosExpansion:
         ]
         return {"kind": "chaos", "dim": self.dim, "terms": terms}
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ChaosExpansion":
-        return chaos_from_json([data])[0]
-
     def __repr__(self):
         return f"ChaosExpansion(dim={self.dim}, terms={len(self.coeffs)}, degree={self.degree})"
 
@@ -365,11 +361,6 @@ def chaos_from_json(datas) -> list[ChaosExpansion]:
     """The ChaosExpansion of each JSON function, parsed, checked and brought
     to canonical form as one stack per JSON shape (json_stacks)."""
     return json_stacks(_build_chaos, datas, "chaos", "terms")
-
-
-def hermite_eval(m, w) -> float | np.ndarray:
-    """Evaluate the tensorized Hermite basis element H_m at point(s) w."""
-    return eval_chaos(ChaosExpansion.basis(m), w)
 
 
 def eval_chaos(f: ChaosExpansion, w) -> float | np.ndarray:

@@ -121,10 +121,6 @@ class ExpCombo:
             "terms": [{"coef": w, "h": d} for w, d in zip(self.weights.tolist(), self.directions.tolist())],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExpCombo":
-        return exps_from_json([data])[0]
-
     def __repr__(self):
         return f"ExpCombo(dim={self.dim}, terms={self.n_terms})"
 
@@ -197,18 +193,14 @@ def products_exp(fs, gs, scales) -> list[ExpCombo]:
     return per_shape([(f.n_terms, g.n_terms, f.dim, f is g) for f, g in zip(fs, gs)], run)
 
 
-def _product_exp(f: ExpCombo, g: ExpCombo, scale: float) -> ExpCombo:
-    return products_exp([f], [g], [scale])[0]
-
-
 def wick_exp(f: ExpCombo, g: ExpCombo) -> ExpCombo:
     """Wick product: E(h) diamond E(k) = E(h+k), extended bilinearly."""
-    return _product_exp(f, g, 0.0)
+    return products_exp([f], [g], [0.0])[0]
 
 
 def pointwise_exp(f: ExpCombo, g: ExpCombo) -> ExpCombo:
     """Ordinary product: E(h)E(k) = e^{<h,k>} E(h+k)."""
-    return _product_exp(f, g, 1.0)
+    return products_exp([f], [g], [1.0])[0]
 
 
 def alpha_exp(f: ExpCombo, g: ExpCombo, alpha: float) -> ExpCombo:
@@ -218,11 +210,12 @@ def alpha_exp(f: ExpCombo, g: ExpCombo, alpha: float) -> ExpCombo:
     Wick product and is computed by the same formula (e^0 = 1).
     """
     check_alpha(alpha)
-    return _product_exp(f, g, float(alpha))
+    return products_exp([f], [g], [float(alpha)])[0]
 
 
 def gammas_exp(lams, fs) -> list[ExpCombo]:
-    """Gamma(lam_t) f_t per task, E(h) -> E(lam h), each shape as one stack."""
+    """Second quantization on exponentials, Gamma(lam) E(h) = E(lam h),
+    as Gamma(lam_t) f_t per task; each shape as one stack."""
     for lam in lams:
         if lam < 0:
             raise ValueError("lambda must be >= 0")
@@ -232,11 +225,6 @@ def gammas_exp(lams, fs) -> list[ExpCombo]:
         return exp_combos(fs[idx[0]].dim, _stack(fs, "weights", idx), lam * _stack(fs, "directions", idx))
 
     return per_shape([(f.n_terms, f.dim) for f in fs], run)
-
-
-def gamma_exp(lam: float, f: ExpCombo) -> ExpCombo:
-    """Second quantization on exponentials: Gamma(lam) E(h) = E(lam h)."""
-    return gammas_exp([lam], [f])[0]
 
 
 def gradient_exp(f: ExpCombo) -> list[ExpCombo]:

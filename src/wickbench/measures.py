@@ -81,11 +81,6 @@ class DiscreteMeasure:
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteMeasure is immutable")
 
-    @classmethod
-    def dirac(cls, y) -> "DiscreteMeasure":
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return cls(y.size, y[None, :], [1.0])
-
     @property
     def n_atoms(self) -> int:
         return len(self.weights)
@@ -96,10 +91,6 @@ class DiscreteMeasure:
             "atoms": self.atoms.tolist(),
             "weights": self.weights.tolist(),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DiscreteMeasure":
-        return measures_from_json([data])[0]
 
     def __repr__(self):
         return f"DiscreteMeasure(dim={self.dim}, atoms={self.n_atoms})"
@@ -126,16 +117,12 @@ def measures_from_json(datas) -> list[DiscreteMeasure]:
 
 
 def densities_xi(nus) -> list[ExpCombo]:
-    """density_xi of each measure, each shape as one stack."""
+    """Density of mu * nu against mu for each nu: xi = sum_i p_i E(y_i),
+    strictly positive; each shape as one stack."""
     def run(idx):
         return exp_combos(nus[idx[0]].dim, _stack(nus, "weights", idx), _stack(nus, "atoms", idx))
 
     return per_shape([(nu.n_atoms, nu.dim) for nu in nus], run)
-
-
-def density_xi(nu: DiscreteMeasure) -> ExpCombo:
-    """Density of mu * nu against mu: xi = sum_i p_i E(y_i), strictly positive."""
-    return densities_xi([nu])[0]
 
 
 def gammas_xi(nus, alphas) -> list[ExpCombo]:
@@ -148,29 +135,23 @@ def gammas_xi(nus, alphas) -> list[ExpCombo]:
     return gammas_exp([1.0 / math.sqrt(alpha) for alpha in alphas], densities_xi(nus))
 
 
-def g_lambda_norm(nu: DiscreteMeasure, lam: float) -> tuple[float, float]:
-    """Squared G_lambda norm of the density of mu * nu and its one-sided bound.
-
-    Returns (norm_sq, bound) with
+def g_lambda_norms(nus, lams) -> list[tuple[float, float]]:
+    """Squared G_lambda norm of the density of mu * nu and its one-sided
+    bound, (norm_sq, bound), for each (nu, lambda):
 
         norm_sq = sum_ij p_i p_j e^{lam^2 <y_i, y_j>}
         bound   = sum_i p_i e^{lam^2 |y_i|^2 / 2}
 
-    and sqrt(norm_sq) <= bound by the triangle inequality in G_lambda
+    sqrt(norm_sq) <= bound by the triangle inequality in G_lambda
     (equality for a single atom, so no hard assertion is made here; the
-    harness checks it with a tolerance).
+    harness checks it with a tolerance).  Each shape of nu is one stack,
+    and only the last sums run per task.
     """
-    return g_lambda_norms([nu], [lam])[0]
-
-
-def g_lambda_norms(nus, lams) -> list[tuple[float, float]]:
-    """g_lambda_norm of each (nu, lambda); each shape of nu is one stack,
-    and only the last sums run per task."""
     for lam in lams:
         if not is_real(lam) or not math.isfinite(lam):
             raise ValueError(f"lambda must be finite (a number, not a bool), got {lam!r}")
         if lam < 1:
-            warnings.warn(f"lambda = {lam} < 1: outside the regularity scale of interest", stacklevel=3)
+            warnings.warn(f"lambda = {lam} < 1: outside the regularity scale of interest", stacklevel=2)
 
     def run(idx):
         y, p = _stack(nus, "atoms", idx), _stack(nus, "weights", idx)
@@ -206,6 +187,8 @@ def rho_integral_chaos(f: ChaosExpansion, nu: DiscreteMeasure) -> float:
 
 def _build_vectors(dim: int, hss) -> list[np.ndarray]:
     h = finite_array(hss, "hs")
+    if h.shape[1:] == (0,):
+        raise ValueError("hs must hold at least one vector")
     if h.ndim != 3:
         raise ValueError("hs must be a list of vectors")
     if h.shape[2] != dim:
@@ -251,11 +234,6 @@ def convolutions(nu1s, nu2s) -> list[DiscreteMeasure]:
         return discrete_measures(dim, atoms, (p1[:, :, None] * p2[:, None, :]).reshape(len(idx), -1))
 
     return per_shape([(nu1.n_atoms, nu2.n_atoms, nu1.dim) for nu1, nu2 in zip(nu1s, nu2s)], run)
-
-
-def convolve_nu(nu1: DiscreteMeasure, nu2: DiscreteMeasure) -> DiscreteMeasure:
-    """nu1 * nu2: atoms y_i + z_j, weights p_i q_j, merged."""
-    return convolutions([nu1], [nu2])[0]
 
 
 def sample_rho(nu: DiscreteMeasure, rng_seed, count: int) -> np.ndarray:

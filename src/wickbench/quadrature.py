@@ -1,7 +1,6 @@
 """Independent numerical oracles: tensor Gauss-Hermite quadrature against
 the standard Gaussian, quadrature and Monte Carlo against convolution
-measures rho = mu * nu (given by the discrete nu), Lp norms, and the
-smoothing-kernel form of the Ornstein-Uhlenbeck semigroup.
+measures rho = mu * nu (given by the discrete nu), and Lp norms.
 
 Everything here evaluates functions at points; nothing reads chaos or
 exponential coefficients.  That independence is what makes these routines
@@ -106,39 +105,12 @@ def _eval_at(fn, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def integrate_mu(fn, grid: QuadratureGrid) -> float:
-    """Weighted node sum approximating int fn dmu."""
-    return float(_eval_at(fn, grid.nodes) @ grid.weights)
-
-
 def lp_norm_mu(fn, p: float, grid: QuadratureGrid) -> float:
     """(int |fn|^p dmu)^(1/p) by quadrature; p >= 1."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     vals = np.abs(_eval_at(fn, grid.nodes))
     return float((vals**p @ grid.weights) ** (1.0 / p))
-
-
-def mehler_ou(fn, tau: float, grid: QuadratureGrid):
-    """Smoothing form of the OU semigroup as a point-evaluable function.
-
-    (P_tau fn)(w) = int fn(e^{-tau} w + sqrt(1 - e^{-2 tau}) u) dmu(u),
-    realized on the grid.  Cross-checks the diagonal coefficient action.
-    """
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    decay = math.exp(-tau)
-    spread = math.sqrt(max(0.0, 1.0 - decay * decay))
-
-    def smoothed(w):
-        arr = np.asarray(w, dtype=float)
-        pts = np.atleast_2d(arr)
-        out = np.empty(pts.shape[0])
-        for i, point in enumerate(pts):
-            out[i] = float(_eval_at(fn, decay * point + spread * grid.nodes) @ grid.weights)
-        return out if arr.ndim == 2 else float(out[0])
-
-    return smoothed
 
 
 def integrate_rho(fn, nu: DiscreteMeasure, grid: QuadratureGrid) -> float:

@@ -25,7 +25,7 @@ import itertools
 import json
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,11 +51,6 @@ ALPHA_GRID = [i / 10 for i in range(11)]
 # does).  report.json rows, report.csv params cells and the lines
 # `wickbench check` prints are all this text.
 _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-_CONFIG_KEYS = {
-    "seed", "dim", "alphas", "measures", "functions", "checks",
-    "random_sweeps", "tolerances", "quad_order", "mc_count", "negate", "out",
-}
 
 # integer config fields: (key, smallest allowed value, null allowed)
 _INT_FIELDS = (
@@ -86,7 +81,7 @@ class SuiteConfig:
     def from_json_dict(cls, data: dict) -> "SuiteConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(data) - _CONFIG_KEYS
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
         cfg = cls(**data)
@@ -181,20 +176,22 @@ def run_rendered(cfg: SuiteConfig, jobs: int = 1) -> list[tuple[str, str, bool]]
     """Run all tasks; returns each row's (report.json line, report.csv
     line, pass), in task order.
 
-    At jobs > 1 a pool of jobs workers runs the 4 * jobs chunks.  A task
-    that raises one of INPUT_ERRORS raises ConfigError naming its check;
-    any other exception propagates as it is.  Either way nothing is
-    returned, at any jobs.
+    At jobs > 1 the 4 * jobs chunks run in a pool of jobs workers, but
+    never more workers than chunks or than os.cpu_count(); with one, they
+    run in this process.  A task that raises one of INPUT_ERRORS raises
+    ConfigError naming its check; any other exception propagates as it
+    is.  Either way nothing is returned, at any jobs.
     """
     tols = resolve_tols(cfg.tolerances)
     descriptors = list(_descriptors(cfg))
     size = max(1, -(-len(descriptors) // (4 * max(1, jobs))))
     chunks = [(cfg, tols, descriptors[i:i + size]) for i in range(0, len(descriptors), size)]
-    if jobs > 1:
+    workers = min(jobs, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: the pool module costs every run some 15 ms to import
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_chunk, chunks))
     else:
         done = list(map(_run_chunk, chunks))

@@ -19,11 +19,11 @@ from wickbench import (
     ExpCombo,
     SuiteConfig,
     alpha_exp,
-    density_xi,
-    convolve_nu,
+    convolutions,
+    densities_xi,
     eval_chaos,
     gamma_apply,
-    gamma_exp,
+    gammas_exp,
     gauss_hermite_grid,
     rho_integral_chaos,
     run_check,
@@ -34,7 +34,8 @@ from wickbench import (
 )
 from wickbench.chaos import index_factorial, multi_indices
 from wickbench.cli import main as cli_main
-from wickbench.quadrature import mehler_ou
+
+from reference_routes import dirac, mehler_ou
 
 SEED = 20260814
 
@@ -114,9 +115,9 @@ def test_04_wick_density_identity_and_moments(capsys):
             return DiscreteMeasure(n, rng.uniform(-1.5, 1.5, size=(k, n)),
                                    rng.dirichlet(np.ones(k)))
         nu1, nu2 = draw(), draw()
-        xi = wick_exp(density_xi(nu1), density_xi(nu2))
+        xi = wick_exp(*densities_xi([nu1, nu2]))
         chaos_side = to_chaos(xi, 4)
-        rho3 = convolve_nu(nu1, nu2)
+        rho3 = convolutions([nu1], [nu2])[0]
         for m in multi_indices(n, 4):
             lhs = index_factorial(m) * chaos_side.coeffs.get(m, 0.0)
             rhs = rho_integral_chaos(ChaosExpansion.basis(m), rho3)
@@ -182,7 +183,7 @@ def test_07_covariance_inequality(capsys):
     rows, code = _sweep("covariance", 500)
     min_gap = min(r.gap for r in rows)
 
-    d1 = DiscreteMeasure.dirac([1.0])
+    d1 = dirac([1.0])
     sym = DiscreteMeasure(1, [[1.0], [-1.0]], [0.5, 0.5])
     one = ExpCombo.one(1).to_json_dict()
     (spot1,) = run_check("covariance", {"nu1": d1.to_json_dict(), "nu2": d1.to_json_dict(), "phi": one})
@@ -278,8 +279,8 @@ def test_09_operator_consistency(capsys):
         f, g = combo(), combo()
         lam = float(rng.uniform(1.0, 2.0))
         alpha = float(rng.uniform(0.0, 1.0))
-        lhs = gamma_exp(lam, alpha_exp(f, g, alpha))
-        rhs = alpha_exp(gamma_exp(lam, f), gamma_exp(lam, g), alpha / lam**2)
+        lhs = gammas_exp([lam], [alpha_exp(f, g, alpha)])[0]
+        rhs = alpha_exp(*gammas_exp([lam, lam], [f, g]), alpha / lam**2)
         if not lhs.allclose(rhs, tol=1e-12):
             failures += 1
 

@@ -91,11 +91,11 @@ def test_json_stacks_of_mixed_shapes_parse_like_each_alone():
         {"kind": "exp", "dim": 1, "terms": [{"coef": -1.0, "h": [0.25]}, {"coef": 3.0, "h": [0.25]}]},
     ]
     for f, data in zip(exps_from_json(datas), datas):
-        assert _arrays(f) == _arrays(ExpCombo.from_json_dict(data))
+        assert _arrays(f) == _arrays(exps_from_json([data])[0])
     nus = [{"dim": 1, "atoms": [[1.0], [1.0]], "weights": [0.5, 0.5]},
            {"dim": 1, "atoms": [[0.0]], "weights": [1.0]}]
     assert [nu.to_json_dict() for nu in measures_from_json(nus)] == \
-        [DiscreteMeasure.from_json_dict(nu).to_json_dict() for nu in nus]
+        [measures_from_json([nu])[0].to_json_dict() for nu in nus]
     # a bad item raises its own error from inside a stack
     bad = [datas[0], {"kind": "exp", "dim": 1, "terms": [{"coef": math.nan, "h": [0.0]}]}, datas[0]]
     with pytest.raises(ValueError, match="coefficients must be finite numbers"):

@@ -21,8 +21,10 @@ from wickbench import (
 from wickbench.checks import _deficit_batch, _rand_chaos_json, _rand_nu_json, functions_from_json
 from wickbench.suite import _ENCODE
 
+from reference_routes import dirac
+
 E1 = ExpCombo.exponential([1.0])
-RHO0 = DiscreteMeasure.dirac([0.0] * 1)
+RHO0 = dirac([0.0] * 1)
 SYM = DiscreteMeasure(1, [[1.0], [-1.0]], [0.5, 0.5])
 RHO_SYM = SYM
 
@@ -72,7 +74,7 @@ def test_beckner_deficit_convolution_case():
 
 def test_beckner_deficit_alpha_one_is_exactly_zero():
     for f in (E1, ExpCombo.exponential([0.3, -1.2], 2.0) + ExpCombo.exponential([0.9, 0.1], -0.5)):
-        rho = RHO_SYM if f.dim == 1 else DiscreteMeasure.dirac([0.0] * 2)
+        rho = RHO_SYM if f.dim == 1 else dirac([0.0] * 2)
         rep = _deficit("beckner_deficit", f, rho, 1.0)
         assert rep.lhs == 0.0
         assert rep.rhs == 0.0
@@ -250,7 +252,7 @@ def _covariance(nu1, nu2, phi):
 
 
 def test_covariance_gap_point_masses():
-    d1 = DiscreteMeasure.dirac([1.0])
+    d1 = dirac([1.0])
     rep = _covariance(d1, d1, ExpCombo.one(1))
     assert rep.rhs == pytest.approx(math.e - 2.0, rel=1e-14)
     rep2 = _covariance(d1, SYM, ExpCombo.one(1))
@@ -259,12 +261,12 @@ def test_covariance_gap_point_masses():
 
 def test_covariance_gap_vanishes_on_centered_factor():
     # nu2 = delta_0 makes every s_ij = 0, so the gap is exactly 0
-    rep = _covariance(SYM, DiscreteMeasure.dirac([0.0]), ExpCombo.exponential([0.7]))
+    rep = _covariance(SYM, dirac([0.0]), ExpCombo.exponential([0.7]))
     assert rep.rhs == 0.0
     with pytest.raises(ValueError):
         _covariance(SYM, SYM, ExpCombo.exponential([1.0], -2.0))
     with pytest.raises(ValueError):
-        _covariance(SYM, DiscreteMeasure.dirac([0.0, 0.0]), ExpCombo.one(1))
+        _covariance(SYM, dirac([0.0, 0.0]), ExpCombo.one(1))
 
 
 def test_covariance_gap_nonnegative_random():
@@ -284,7 +286,7 @@ def test_g_lambda_bound_check():
     assert rep.lhs == pytest.approx(math.sqrt(math.cosh(1.0)), rel=1e-14)
     assert rep.rhs == pytest.approx(math.exp(0.5), rel=1e-14)
     assert rep.passed
-    (solo,) = run_check("g_lambda_bound", {"lambda": 1.4, "nu": DiscreteMeasure.dirac([1.2]).to_json_dict()})
+    (solo,) = run_check("g_lambda_bound", {"lambda": 1.4, "nu": dirac([1.2]).to_json_dict()})
     assert abs(solo.gap) <= 1e-9  # equality case
 
 
@@ -306,7 +308,7 @@ def test_oracle_triangle_exact_is_the_deficit_kernel():
     # f = E(h), h = 1e-10, under mu * delta_y, y = 0.5:
     # int |Df|^2 drho = h^2 e^{h^2} e^{2hy} = 1.0000000001e-20, up to 2e-20 relative
     f = ExpCombo.exponential([1e-10])
-    rho = DiscreteMeasure.dirac([0.5])
+    rho = dirac([0.5])
     rows = run_check("oracle_triangle", {"alpha": 0.5, "f": f.to_json_dict(), "nu": rho.to_json_dict(),
                                          "mc_count": 1000})
     exact = {r.params["integral"]: r.params["exact"] for r in rows}

@@ -35,6 +35,8 @@ from wickbench import (
 from wickbench.checks import functions_from_json
 from wickbench.measures import measures_from_json
 
+from reference_routes import dirac
+
 REL = 1e-12
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=120)
 
@@ -151,7 +153,7 @@ def test_dense_chaos_forms_match_product_route(case):
     ChaosExpansion.basis((1, 2)),
 ])
 def test_deficit_checks_reject_dimension_mismatch(f):
-    rho = DiscreteMeasure.dirac([0.0] * 1)
+    rho = dirac([0.0] * 1)
     params = {"alpha": 0.5, "f": f.to_json_dict(), "nu": rho.to_json_dict()}
     with pytest.raises(ValueError, match="dimension mismatch"):
         run_check("beckner_deficit", params)

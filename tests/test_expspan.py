@@ -11,7 +11,7 @@ from wickbench import (
     alpha_exp,
     eval_chaos,
     exp_eval,
-    gamma_exp,
+    gammas_exp,
     gradient_exp,
     l2_inner,
     mu_inner_exp,
@@ -20,6 +20,7 @@ from wickbench import (
     to_chaos_tail_bound,
     wick_exp,
 )
+from wickbench.expspan import exps_from_json
 
 
 def _random_combo(rng, dim, n_terms, scale=1.0):
@@ -142,12 +143,12 @@ def test_alpha_exp_commutes():
 
 def test_gamma_exp():
     e2 = ExpCombo.exponential([2.0], 3.0)
-    assert gamma_exp(1.0, e2).allclose(e2, tol=0.0)
-    assert gamma_exp(0.5, e2).allclose(ExpCombo.exponential([1.0], 3.0), tol=0.0)
-    squashed = gamma_exp(0.0, e2)
+    assert gammas_exp([1.0], [e2])[0].allclose(e2, tol=0.0)
+    assert gammas_exp([0.5], [e2])[0].allclose(ExpCombo.exponential([1.0], 3.0), tol=0.0)
+    squashed = gammas_exp([0.0], [e2])[0]
     assert squashed.allclose(ExpCombo.one(1) * 3.0, tol=0.0)
     with pytest.raises(ValueError):
-        gamma_exp(-1.0, e2)
+        gammas_exp([-1.0], [e2])
 
 
 def test_gamma_exp_wick_homomorphism():
@@ -156,8 +157,8 @@ def test_gamma_exp_wick_homomorphism():
         f = _random_combo(rng, 2, 3)
         g = _random_combo(rng, 2, 2)
         lam = float(rng.uniform(0.0, 2.0))
-        lhs = gamma_exp(lam, wick_exp(f, g))
-        rhs = wick_exp(gamma_exp(lam, f), gamma_exp(lam, g))
+        lhs = gammas_exp([lam], [wick_exp(f, g)])[0]
+        rhs = wick_exp(*gammas_exp([lam, lam], [f, g]))
         assert lhs.allclose(rhs, tol=1e-12)
 
 
@@ -169,8 +170,8 @@ def test_gamma_exp_alpha_homomorphism():
         g = _random_combo(rng, 2, 2)
         lam = float(rng.uniform(1.0, 2.0))
         alpha = float(rng.uniform(0.0, 1.0))
-        lhs = gamma_exp(lam, alpha_exp(f, g, alpha))
-        rhs = alpha_exp(gamma_exp(lam, f), gamma_exp(lam, g), alpha / lam**2)
+        lhs = gammas_exp([lam], [alpha_exp(f, g, alpha)])[0]
+        rhs = alpha_exp(*gammas_exp([lam, lam], [f, g]), alpha / lam**2)
         assert lhs.allclose(rhs, tol=1e-12)
 
 
@@ -262,6 +263,6 @@ def test_dim_mismatch_raises():
 
 def test_json_round_trip():
     f = ExpCombo.exponential([1.0, -0.5], 2.0) + ExpCombo.exponential([0.0, 0.25], -1.0)
-    back = ExpCombo.from_json_dict(f.to_json_dict())
+    back = exps_from_json([f.to_json_dict()])[0]
     assert back.allclose(f, tol=0.0)
     assert back.terms == f.terms

@@ -10,18 +10,20 @@ from wickbench import (
     DiscreteMeasure,
     ExpCombo,
     char_gram,
-    convolve_nu,
-    density_xi,
+    convolutions,
+    densities_xi,
     exp_eval,
-    g_lambda_norm,
+    g_lambda_norms,
     mu_inner_exp,
     rho_integral_chaos,
     rho_integral_exp,
     run_check,
     sample_rho,
 )
-from wickbench.measures import gammas_xi
+from wickbench.measures import gammas_xi, measures_from_json
 from wickbench.suite import _ENCODE
+
+from reference_routes import dirac
 
 
 def _two_atom(dim=1, a=1.0):
@@ -78,56 +80,58 @@ def test_measure_and_combo_share_canonical_form():
 
 
 def test_density_xi():
-    rho0 = DiscreteMeasure.dirac([0.0] * 1)
-    assert density_xi(rho0).allclose(ExpCombo.one(1), tol=0.0)
-    rho_a = DiscreteMeasure.dirac([0.7])
-    assert density_xi(rho_a).allclose(ExpCombo.exponential([0.7]), tol=0.0)
+    rho0 = dirac([0.0] * 1)
+    assert densities_xi([rho0])[0].allclose(ExpCombo.one(1), tol=0.0)
+    rho_a = dirac([0.7])
+    assert densities_xi([rho_a])[0].allclose(ExpCombo.exponential([0.7]), tol=0.0)
     # density integrates to one against the Gaussian
-    xi = density_xi(_two_atom())
+    xi = densities_xi([_two_atom()])[0]
     assert mu_inner_exp(xi, ExpCombo.one(1)) == 1.0
     assert exp_eval(xi, [0.0]) == pytest.approx(math.exp(-0.5), rel=1e-15)
 
 
 def test_gamma_xi():
-    rho = DiscreteMeasure.dirac([0.5])
+    rho = dirac([0.5])
     at_one, at_quarter = gammas_xi([rho, rho], [1.0, 0.25])
-    assert at_one.allclose(density_xi(rho), tol=0.0)
+    assert at_one.allclose(densities_xi([rho])[0], tol=0.0)
     assert at_quarter.allclose(ExpCombo.exponential([1.0]), tol=0.0)
     with pytest.raises(ValueError):
         gammas_xi([rho], [0.0])
 
 
 def test_g_lambda_norm_values():
-    rho0 = DiscreteMeasure.dirac([0.0] * 2)
-    assert g_lambda_norm(rho0, 1.5) == (1.0, 1.0)
+    rho0 = dirac([0.0] * 2)
+    assert g_lambda_norms([rho0], [1.5])[0] == (1.0, 1.0)
     rho = _two_atom()
-    norm_sq, bound = g_lambda_norm(rho, 1.0)
+    norm_sq, bound = g_lambda_norms([rho], [1.0])[0]
     assert norm_sq == pytest.approx(math.cosh(1.0), rel=1e-15)
     assert bound == pytest.approx(math.exp(0.5), rel=1e-15)
     assert norm_sq <= bound**2
     # a dirac meets the bound with equality
-    nsq, b = g_lambda_norm(DiscreteMeasure.dirac([0.9]), 1.3)
+    nsq, b = g_lambda_norms([dirac([0.9])], [1.3])[0]
     assert math.sqrt(nsq) == pytest.approx(b, rel=1e-14)
 
 
 def test_g_lambda_norm_warns_below_one():
-    with pytest.warns(UserWarning):
-        g_lambda_norm(_two_atom(), 0.5)
+    with pytest.warns(UserWarning) as record:
+        g_lambda_norms([_two_atom()], [0.5])
+    # the warning names the line that called the kernel
+    assert record[0].filename == __file__
 
 
 def test_g_lambda_norm_rejects_non_finite_lambda():
     for lam in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            g_lambda_norm(_two_atom(), lam)
+            g_lambda_norms([_two_atom()], [lam])
 
 
 def test_rho_integral_exp():
-    rho0 = DiscreteMeasure.dirac([0.0] * 1)
+    rho0 = dirac([0.0] * 1)
     assert rho_integral_exp(ExpCombo.exponential([0.8]), rho0) == 1.0
     rho = _two_atom()
     val = rho_integral_exp(ExpCombo.exponential([2.0]), rho)
     assert val == pytest.approx(math.cosh(2.0), rel=1e-15)
-    rho_a = DiscreteMeasure.dirac([0.3, -0.4])
+    rho_a = dirac([0.3, -0.4])
     val = rho_integral_exp(ExpCombo.exponential([1.0, 2.0]), rho_a)
     assert val == pytest.approx(math.exp(0.3 - 0.8), rel=1e-15)
 
@@ -152,7 +156,7 @@ def test_rho_integral_chaos():
 
 
 def test_char_gram_values():
-    nu0 = DiscreteMeasure.dirac([0.0])
+    nu0 = dirac([0.0])
     g = char_gram(nu0, [[0.0], [1.0], [2.0]])
     assert np.allclose(g, np.ones((3, 3)))
     assert np.linalg.eigvalsh(g)[0] == pytest.approx(0.0, abs=1e-12)
@@ -185,11 +189,11 @@ def test_char_gram_psd_random():
 
 def test_convolve_nu():
     two = _two_atom()
-    assert convolve_nu(two, DiscreteMeasure.dirac([0.0])).n_atoms == 2
-    shifted = convolve_nu(DiscreteMeasure.dirac([1.0]), DiscreteMeasure.dirac([2.0]))
+    assert convolutions([two], [dirac([0.0])])[0].n_atoms == 2
+    shifted = convolutions([dirac([1.0])], [dirac([2.0])])[0]
     assert shifted.n_atoms == 1
     assert shifted.atoms[0, 0] == 3.0
-    auto = convolve_nu(two, two)
+    auto = convolutions([two], [two])[0]
     assert auto.n_atoms == 3
     assert np.allclose(sorted(auto.weights), [0.25, 0.25, 0.5])
 
@@ -199,8 +203,8 @@ def test_wick_density_identity():
     other = DiscreteMeasure(1, [[0.3], [-0.9]], [0.625, 0.375])
     (rep,) = run_check("wick_density_identity", {"nu1": two.to_json_dict(), "nu2": other.to_json_dict()})
     assert rep.passed and rep.lhs <= 1e-12
-    (rep0,) = run_check("wick_density_identity", {"nu1": DiscreteMeasure.dirac([0.4]).to_json_dict(),
-                                                  "nu2": DiscreteMeasure.dirac([-0.2]).to_json_dict()})
+    (rep0,) = run_check("wick_density_identity", {"nu1": dirac([0.4]).to_json_dict(),
+                                                  "nu2": dirac([-0.2]).to_json_dict()})
     assert rep0.passed
 
 
@@ -213,7 +217,7 @@ def test_sample_rho():
     c = sample_rho(rho, [1, 3], 1000)
     assert not np.array_equal(a, c)
     # dirac shift moves the sample mean
-    rho_a = DiscreteMeasure.dirac([2.0])
+    rho_a = dirac([2.0])
     pts = sample_rho(rho_a, 7, 40_000)
     assert abs(pts.mean() - 2.0) <= 4.0 / math.sqrt(40_000)
 
@@ -230,7 +234,7 @@ def test_sample_rho_is_gauss_plus_chosen_atoms():
 
 def test_measure_json_round_trip():
     nu = DiscreteMeasure(2, [[0.1, -0.2], [0.4, 0.0]], [0.3, 0.7])
-    back = DiscreteMeasure.from_json_dict(nu.to_json_dict())
+    back = measures_from_json([nu.to_json_dict()])[0]
     assert back.dim == 2 and back.n_atoms == 2
     assert np.array_equal(back.atoms, nu.atoms)
     assert np.array_equal(back.weights, nu.weights)

@@ -22,7 +22,9 @@ from wickbench import (
 )
 from wickbench import quadrature
 from wickbench.chaos import multi_indices
-from wickbench.quadrature import default_order, integrate_mu, lp_norm_mu, mehler_ou
+from wickbench.quadrature import default_order, lp_norm_mu
+
+from reference_routes import integrate_mu, mehler_ou
 
 
 def test_grid_structure():

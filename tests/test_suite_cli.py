@@ -1,12 +1,15 @@
 """Harness behavior: config validation, task expansion, determinism, CLI codes."""
 
+import concurrent.futures
 import csv
 import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -380,6 +383,32 @@ def test_reports_byte_identical_across_jobs(tmp_path):
     assert blobs[1] == blobs[3]
 
 
+def test_jobs_never_asks_for_more_workers_than_cpus(monkeypatch):
+    # under the fork start method a pool forks every worker it is given on
+    # its first submit, so a large --jobs must not set the worker count;
+    # the fake pool runs the chunks here and starts no process
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    cfg = _small_config(checks=["beckner_deficit", "g_lambda_bound"], random_sweeps=3)
+    assert run_rendered(cfg, 100_000) == run_rendered(cfg, 1)
+    assert all(n <= (os.cpu_count() or 1) for n in asked)
+    assert len(asked) == (1 if (os.cpu_count() or 1) > 1 else 0)
+
+
 def test_report_files_are_well_formed(tmp_path, monkeypatch):
     # ab_psd rows share one params object per task; beckner_deficit rows
     # do not; the two fabricated rows carry non-finite sides, which no
@@ -647,6 +676,9 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
      "mc_seed (or each entry of a non-empty mc_seed list) must be an integer >= 0, got '7'"),
     ("oracle_triangle", {"alpha": 0.5, "f": E_ONE, "nu": NU_ZERO, "mc_count": 100, "mc_seed": [1, True]},
      "mc_seed (or each entry of a non-empty mc_seed list) must be an integer >= 0, got True"),
+    # a 0 x 0 matrix has no minimum eigenvalue; these said "a list of vectors"
+    ("ab_psd", {"alpha": 0.5, "nu": NU_SYM, "hs": []}, "hs must hold at least one vector"),
+    ("char_gram_psd", {"nu": NU_SYM, "hs": []}, "hs must hold at least one vector"),
 ], ids=["holder-overflow", "g_lambda-nan", "g_lambda-inf", "char_gram-nan", "char_gram-inf",
         "ab-nan", "ab-inf", "holder-inf-p", "g_lambda-overflow", "beckner-overflow",
         "covariance-overflow", "holder-chaos", "strong_positivity-chaos", "covariance-chaos",
@@ -654,7 +686,7 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
         "g_lambda-dim-str", "beckner-f-not-object", "oracle-f-not-object", "beckner-alpha-bool",
         "holder-alpha-bool", "strong_positivity-alpha-above-one", "g_lambda-lambda-bool",
         "oracle-quad_order-bool", "holder-r-bool", "oracle-mc_seed-bool", "oracle-mc_seed-str",
-        "oracle-mc_seed-list-bool"])
+        "oracle-mc_seed-list-bool", "ab_psd-hs-empty", "char_gram_psd-hs-empty"])
 def test_cli_check_rejects_params_it_cannot_compute(capsys, name, params, message):
     assert main(["check", name, "--params", json.dumps(params)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
@@ -688,16 +720,22 @@ def test_cli_list_checks(capsys):
     assert "default tolerances" in out
 
 
+def _child_env():
+    # a child interpreter finds the package of this checkout, installed or not
+    src, path = Path(__file__).resolve().parent.parent / "src", os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+
+
 def test_process_pool_is_imported_only_where_it_starts():
     # importing concurrent.futures' pool costs every run some 15 ms
     code = ("import sys, wickbench, wickbench.cli\n"
             "assert 'concurrent.futures.process' not in sys.modules, sorted(sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_installed():
     proc = subprocess.run([sys.executable, "-m", "wickbench", "list-checks"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "beckner_deficit" in proc.stdout
