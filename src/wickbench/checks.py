@@ -236,53 +236,102 @@ def _pairs(seq):
     return [(a, b) for i, a in enumerate(seq) for b in seq[i:]]
 
 
-# Random generators draw from the task's rng in a fixed order; reordering
-# the draws of an existing check changes its sweeps and the report bytes.
+# Random sweeps: each light check has one stream of uniforms, keyed by
+# (seed, check index); sweep s owns the B uniforms from draw s * B on, B the
+# columns one sweep's draw reads.  A run of sweeps is one (sweeps, B) block,
+# turned column by column into params; slots a sweep does not need go
+# unused.  So changing a check's block layout changes its sweeps' bytes.
 
 COORD_SCALE = 1.5
 
 
-def _rand_alpha(rng, low_index=0) -> float:
-    return int(rng.integers(low_index, 11)) / 10
+class _Block:
+    """A (sweeps, B) block of uniforms u in [0, 1), its columns used left to
+    right; its points have up to cap coordinates."""
+
+    def __init__(self, u: np.ndarray, cap: int = 3):
+        self.u, self.cap, self.used = u, cap, 0
+
+    def uniform(self, a: float, b: float, *shape) -> np.ndarray:
+        """a + (b - a) u, numpy's formula, on the next prod(shape) columns as (sweeps, *shape)."""
+        k = math.prod(shape)
+        self.used += k
+        return a + (b - a) * self.u[:, self.used - k:self.used].reshape(len(self.u), *shape)
+
+    def integers(self, lo: int, hi: int, *shape) -> np.ndarray:
+        """lo + floor(u (hi - lo + 1)), in {lo, ..., hi} since u < 1."""
+        return lo + self.uniform(0, hi - lo + 1, *shape).astype(int)
 
 
-def _rand_dim(rng, cfg, cap=3) -> int:
-    if cfg.dim is not None:
-        return min(cfg.dim, cap)
-    return int(rng.integers(1, cap + 1))
+def _dirichlet(u: np.ndarray, counts) -> list[list[float]]:
+    """Dirichlet(1) weights of each row's first count uniforms: w = e / sum(e),
+    e = -log1p(-u) >= the smallest normal (-log u is inf at u = 0.0), with
+    libm's log1p: numpy's takes SIMD routines on some CPUs, other last bits."""
+    e = np.maximum([[-math.log1p(-x) for x in row] for row in u.tolist()], np.finfo(float).tiny)
+    e[np.arange(u.shape[1]) >= np.asarray(counts)[:, None]] = 0.0
+    return [w[:c] for w, c in zip((e / e.sum(axis=1, keepdims=True)).tolist(), counts)]
 
 
-def _rand_nu_json(rng, n, max_atoms=5, scale=COORD_SCALE) -> dict:
-    count = int(rng.integers(1, max_atoms + 1))
-    atoms = rng.uniform(-scale, scale, size=(count, n))
-    weights = rng.dirichlet(np.ones(count))
-    return {"dim": n, "atoms": atoms.tolist(), "weights": weights.tolist()}
+def _points(block: _Block, dims, max_count=6, scale=COORD_SCALE) -> list[list]:
+    # a count in 1..max_count, then max_count x cap coordinates
+    counts = block.integers(1, max_count).tolist()
+    coords = block.uniform(-scale, scale, max_count, block.cap).tolist()
+    return [[row[:n] for row in pts[:c]] for n, c, pts in zip(dims, counts, coords)]
 
 
-def _rand_exp_json(rng, n, max_terms=4, scale=COORD_SCALE, positive=False) -> dict:
-    count = int(rng.integers(1, max_terms + 1))
-    dirs = rng.uniform(-scale, scale, size=(count, n))
-    lo = 0.1 if positive else -1.5
-    coefs = rng.uniform(lo, 1.5, size=count)
-    return {
-        "kind": "exp", "dim": n,
-        "terms": [{"coef": float(c), "h": d.tolist()} for c, d in zip(coefs, dirs)],
-    }
+def _nu_jsons(block: _Block, dims, max_atoms=5) -> list[dict]:
+    atoms = _points(block, dims, max_atoms)
+    weights = _dirichlet(block.uniform(0.0, 1.0, max_atoms), [len(a) for a in atoms])
+    return [{"dim": n, "atoms": a, "weights": w} for n, a, w in zip(dims, atoms, weights)]
 
 
-def _rand_chaos_json(rng, n, max_terms=10, max_degree=8) -> dict:
-    count = int(rng.integers(1, max_terms + 1))
-    terms = []
-    for _ in range(count):
-        degree = int(rng.integers(0, max_degree + 1))
-        m = rng.multinomial(degree, np.full(n, 1.0 / n))
-        terms.append({"m": [int(x) for x in m], "c": float(rng.uniform(-1.0, 1.0))})
-    return {"kind": "chaos", "dim": n, "terms": terms}
+def _exp_jsons(block: _Block, dims, max_terms=4, scale=COORD_SCALE, positive=False) -> list[dict]:
+    dirs = _points(block, dims, max_terms, scale)
+    coefs = block.uniform(0.1 if positive else -1.5, 1.5, max_terms).tolist()
+    return [{"kind": "exp", "dim": n, "terms": [{"coef": c, "h": h} for c, h in zip(cs, hs)]}
+            for n, hs, cs in zip(dims, dirs, coefs)]
 
 
-def _rand_vectors(rng, n, max_count=6, scale=COORD_SCALE) -> list:
-    count = int(rng.integers(1, max_count + 1))
-    return rng.uniform(-scale, scale, size=(count, n)).tolist()
+def _chaos_jsons(block: _Block, dims, max_terms=10, max_degree=8) -> list[dict]:
+    # term m ~ multinomial(degree, 1/n): one uniform per ball, on axis floor(u n)
+    counts, degrees = block.integers(1, max_terms).tolist(), block.integers(0, max_degree, max_terms)
+    axes = (block.uniform(0.0, 1.0, max_terms, max_degree) * np.array(dims)[:, None, None]).astype(int)
+    thrown = np.arange(max_degree)[:, None] < degrees[..., None, None]
+    balls = (axes[..., None] == np.arange(block.cap)) & thrown
+    ms, coefs = balls.sum(axis=2).tolist(), block.uniform(-1.0, 1.0, max_terms).tolist()
+    return [{"kind": "chaos", "dim": n, "terms": [{"m": m[:n], "c": c} for m, c in zip(rows[:k], cs)]}
+            for n, k, rows, cs in zip(dims, counts, ms, coefs)]
+
+
+def _phis(block: _Block, dims) -> list[dict]:
+    # covariance's test function E(h): h = 0 or uniform, on a fair coin
+    coins = block.integers(0, 1).tolist()
+    hs = block.uniform(-COORD_SCALE, COORD_SCALE, block.cap).tolist()
+    return [{"kind": "exp", "dim": n, "terms": [{"coef": 1.0, "h": h[:n] if coin else [0.0] * n}]}
+            for n, coin, h in zip(dims, coins, hs)]
+
+
+class _Blocks(NamedTuple):
+    """random(cfg, index, sweeps) of a light check.  draw takes a sweep's
+    params in order from its block: a dim in 1..cap (unused when dim is
+    set), then unless alpha is None an alpha k/10 with k in alpha..10, then
+    the fields(block, dims) dict, its values drawn in its order."""
+
+    alpha: int | None
+    fields: Callable[[_Block, list], dict]
+    cap: int = 3
+
+    def __call__(self, cfg, index: int, sweeps: range) -> list[dict]:
+        dry = _Block(np.zeros((1, 1024)), self.cap)  # B <= 1024: dry.used is B
+        self.draw(None, dry)
+        bits = np.random.PCG64(np.random.SeedSequence([cfg.seed, index])).advance(sweeps.start * dry.used)
+        return self.draw(cfg.dim, _Block(np.random.Generator(bits).random((len(sweeps), dry.used)), self.cap))
+
+    def draw(self, dim: int | None, block: _Block) -> list[dict]:
+        dims = [n if dim is None else min(dim, self.cap) for n in block.integers(1, self.cap).tolist()]
+        values = {} if self.alpha is None else {"alpha": (block.integers(self.alpha, 10) / 10).tolist()}
+        values.update(self.fields(block, dims))
+        return [dict(zip(values, sweep)) for sweep in zip(*values.values())]
 
 
 def _deficit_tasks(tasks):
@@ -337,12 +386,6 @@ def _grid_deficit(cfg):
                 yield {"alpha": a, "f": f, "nu": nu}
 
 
-def _random_deficit(rng, cfg, sweep):
-    n = _rand_dim(rng, cfg)
-    return {"alpha": _rand_alpha(rng), "f": _rand_exp_json(rng, n),
-            "nu": _rand_nu_json(rng, n)}
-
-
 def _vectors(tasks, nus) -> list[np.ndarray]:
     return vector_stacks([params["hs"] for params in tasks], [nu.dim for nu in nus])
 
@@ -389,12 +432,6 @@ def _grid_ab(cfg):
             yield {"alpha": a, **p}
 
 
-def _random_ab(rng, cfg, sweep):
-    n = _rand_dim(rng, cfg)
-    return {"alpha": _rand_alpha(rng), "hs": _rand_vectors(rng, n),
-            "nu": _rand_nu_json(rng, n)}
-
-
 def _run_char_gram(tasks, tols):
     """Minimum eigenvalue of the characteristic Gram matrix is >= 0."""
     nus = _nus(tasks)
@@ -417,11 +454,6 @@ def _grid_char_gram(cfg):
         for nu in cfg.measures:
             if f["dim"] == nu["dim"]:
                 yield {"hs": hs, "nu": nu}
-
-
-def _random_char_gram(rng, cfg, sweep):
-    n = _rand_dim(rng, cfg)
-    return {"hs": _rand_vectors(rng, n), "nu": _rand_nu_json(rng, n)}
 
 
 def _holder_params(params) -> HolderParams:
@@ -473,15 +505,6 @@ def _grid_holder(cfg):
             yield {"alpha": a, "f": f}
 
 
-def _random_holder(rng, cfg, sweep):
-    # quadrature enters through the p/q norms: keep n <= 2 and the
-    # directions short so the integrands stay well inside the grid
-    n = _rand_dim(rng, cfg, cap=2)
-    return {"alpha": _rand_alpha(rng, low_index=1),
-            "f": _rand_exp_json(rng, n, max_terms=3, scale=0.75),
-            "g": _rand_exp_json(rng, n, max_terms=3, scale=0.75)}
-
-
 def _classic_row(f: ChaosExpansion, alpha, tolerance: float) -> InequalityReport:
     check_alpha(alpha)
     lhs = 0.0
@@ -513,11 +536,6 @@ def _grid_classic(cfg):
             yield {"alpha": a, "f": f}
 
 
-def _random_classic(rng, cfg, sweep):
-    n = _rand_dim(rng, cfg)
-    return {"alpha": _rand_alpha(rng), "f": _rand_chaos_json(rng, n)}
-
-
 def _run_strong_pos(tasks, tols):
     """<Gamma(1/sqrt(a)) xi, phi> >= 0 for nonnegative test functions phi.
 
@@ -543,12 +561,6 @@ def _grid_strong_pos(cfg):
             for a in cfg.alphas:
                 if a > 0:
                     yield {"alpha": a, "nu": nu, "phi": phi}
-
-
-def _random_strong_pos(rng, cfg, sweep):
-    n = _rand_dim(rng, cfg)
-    return {"alpha": _rand_alpha(rng, low_index=1), "nu": _rand_nu_json(rng, n),
-            "phi": _rand_exp_json(rng, n, positive=True)}
 
 
 def _run_covariance(tasks, tols):
@@ -597,14 +609,6 @@ def _grid_covariance(cfg):
             yield {"nu1": nu1, "nu2": nu2, "phi": phi}
 
 
-def _random_covariance(rng, cfg, sweep):
-    n = _rand_dim(rng, cfg)
-    nu1 = _rand_nu_json(rng, n, max_atoms=4)
-    nu2 = _rand_nu_json(rng, n, max_atoms=4)
-    h = rng.uniform(-COORD_SCALE, COORD_SCALE, n).tolist() if rng.integers(0, 2) else [0.0] * n
-    return {"nu1": nu1, "nu2": nu2, "phi": {"kind": "exp", "dim": n, "terms": [{"coef": 1.0, "h": h}]}}
-
-
 def _run_wick_density(tasks, tols):
     """xi1 wick xi2 is the density of mu * (nu1 * nu2).
 
@@ -639,12 +643,6 @@ def _grid_wick_density(cfg):
             yield {"nu1": nu1, "nu2": nu2}
 
 
-def _random_wick_density(rng, cfg, sweep):
-    n = _rand_dim(rng, cfg)
-    return {"nu1": _rand_nu_json(rng, n, max_atoms=4),
-            "nu2": _rand_nu_json(rng, n, max_atoms=4)}
-
-
 def _run_g_lambda(tasks, tols):
     """sqrt of the exact squared G_lambda norm is below the one-sided bound."""
     nus, lams = _nus(tasks), [params["lambda"] for params in tasks]
@@ -657,11 +655,6 @@ def _grid_g_lambda(cfg):
     for nu in cfg.measures:
         for a in cfg.alphas:
             yield {"nu": nu, "lambda": float(np.sqrt(2.0 / (1.0 + a)))}
-
-
-def _random_g_lambda(rng, cfg, sweep):
-    n = _rand_dim(rng, cfg)
-    return {"nu": _rand_nu_json(rng, n), "lambda": float(rng.uniform(1.0, 2.0))}
 
 
 def _oracle_rows(params, f, nu: DiscreteMeasure, alpha, integrals, tols) -> list[InequalityReport]:
@@ -734,13 +727,24 @@ def _grid_oracle(cfg):
                 }
 
 
-def _random_oracle(rng, cfg, sweep):
-    n = _rand_dim(rng, cfg, cap=2)
-    return {"alpha": _rand_alpha(rng),
-            "f": _rand_exp_json(rng, n, max_terms=3, scale=1.0),
-            "nu": _rand_nu_json(rng, n, max_atoms=3, scale=1.0),
-            "quad_order": cfg.quad_order, "mc_count": cfg.mc_count,
-            "mc_seed": [cfg.seed, _CHECK_INDEX["oracle_triangle"], sweep, 7]}
+def _random_oracle(cfg, index: int, sweeps: range) -> list[dict]:
+    # Not a block stream: each sweep keeps its own generator and draws, so
+    # the Monte Carlo rows (and their false alarms, ROADMAP 2d) stay as they are.
+    tasks = []
+    for sweep in sweeps:
+        rng = np.random.default_rng([cfg.seed, index, sweep])
+        n = min(cfg.dim, 2) if cfg.dim is not None else int(rng.integers(1, 3))
+        alpha = int(rng.integers(0, 11)) / 10
+        count = int(rng.integers(1, 4))
+        dirs, coefs = rng.uniform(-1.0, 1.0, size=(count, n)), rng.uniform(-1.5, 1.5, size=count)
+        f = {"kind": "exp", "dim": n,
+             "terms": [{"coef": float(c), "h": d.tolist()} for c, d in zip(coefs, dirs)]}
+        count = int(rng.integers(1, 4))
+        nu = {"dim": n, "atoms": rng.uniform(-1.0, 1.0, size=(count, n)).tolist(),
+              "weights": rng.dirichlet(np.ones(count)).tolist()}
+        tasks.append({"alpha": alpha, "f": f, "nu": nu, "quad_order": cfg.quad_order,
+                      "mc_count": cfg.mc_count, "mc_seed": [cfg.seed, index, sweep, 7]})
+    return tasks
 
 
 class CheckSpec(NamedTuple):
@@ -750,43 +754,60 @@ class CheckSpec(NamedTuple):
     shapes, and returns each task's rows, in input order, and raises on
     params it cannot compute.  Its parsers and kernels stack the tasks of
     one shape, down to each row's last reduction.  grid(cfg) returns the
-    params of the config's grid tasks; random(rng, cfg, sweep) draws the
-    params of one random sweep from rng.
+    params of the config's grid tasks; random(cfg, index, sweeps), index
+    the check's position in CHECK_REGISTRY, returns the params of the
+    consecutive random sweeps in the range sweeps, each of which depends
+    only on (seed, index, sweep).
     """
 
     describe: str
     run: Callable[[list, dict], list[list[InequalityReport]]]
     grid: Callable[..., Iterable[dict]]
-    random: Callable[..., dict]
+    random: Callable[..., list[dict]]
 
 
 # A check's position seeds its random streams (_CHECK_INDEX), so new checks
 # are appended at the end and existing ones never move.
 CHECK_REGISTRY = {
-    "beckner_deficit": CheckSpec("interpolation deficit <= (1-alpha) x Dirichlet energy under rho",
-                                 _run_beckner, _grid_deficit, _random_deficit),
-    "left_positivity": CheckSpec("int (f o_a f) drho <= int f^2 drho",
-                                 _run_left, _grid_deficit, _random_deficit),
-    "ab_psd": CheckSpec("PSD of the deficit matrices A, B and A o B; ab_matrix_b is a Gram V'PV, "
-                        "PSD by construction, so that row tests eigvalsh",
-                        _run_ab, _grid_ab, _random_ab),
-    "char_gram_psd": CheckSpec("PSD of the characteristic Gram matrix of nu, a Gram V'PV: PSD by "
-                               "construction, so the row tests eigvalsh",
-                               _run_char_gram, _grid_char_gram, _random_char_gram),
-    "holder": CheckSpec("norm inequality for the interpolating product",
-                        _run_holder, _grid_holder, _random_holder),
-    "classic_beckner": CheckSpec("coefficient-level interpolation inequality under mu",
-                                 _run_classic, _grid_classic, _random_classic),
-    "strong_positivity": CheckSpec("positivity of the scaled density against positive tests",
-                                   _run_strong_pos, _grid_strong_pos, _random_strong_pos),
-    "covariance": CheckSpec("pointwise covariance gap for two convolution densities",
-                            _run_covariance, _grid_covariance, _random_covariance),
-    "wick_density_identity": CheckSpec("Wick product of densities is the convolved density",
-                                       _run_wick_density, _grid_wick_density, _random_wick_density),
-    "g_lambda_bound": CheckSpec("exact G_lambda norm below its closed-form bound",
-                                _run_g_lambda, _grid_g_lambda, _random_g_lambda),
-    "oracle_triangle": CheckSpec("exact vs quadrature vs Monte Carlo on the deficit integrals",
-                                 _run_oracle, _grid_oracle, _random_oracle),
+    "beckner_deficit": CheckSpec(
+        "interpolation deficit <= (1-alpha) x Dirichlet energy under rho", _run_beckner, _grid_deficit,
+        _Blocks(0, lambda b, dims: {"f": _exp_jsons(b, dims), "nu": _nu_jsons(b, dims)})),
+    "left_positivity": CheckSpec(
+        "int (f o_a f) drho <= int f^2 drho", _run_left, _grid_deficit,
+        _Blocks(0, lambda b, dims: {"f": _exp_jsons(b, dims), "nu": _nu_jsons(b, dims)})),
+    "ab_psd": CheckSpec(
+        "PSD of the deficit matrices A, B and A o B; ab_matrix_b is a Gram V'PV, "
+        "PSD by construction, so that row tests eigvalsh", _run_ab, _grid_ab,
+        _Blocks(0, lambda b, dims: {"hs": _points(b, dims), "nu": _nu_jsons(b, dims)})),
+    "char_gram_psd": CheckSpec(
+        "PSD of the characteristic Gram matrix of nu, a Gram V'PV: PSD by "
+        "construction, so the row tests eigvalsh", _run_char_gram, _grid_char_gram,
+        _Blocks(None, lambda b, dims: {"hs": _points(b, dims), "nu": _nu_jsons(b, dims)})),
+    # holder: quadrature enters through the p/q norms, so its sweeps keep
+    # n <= 2 (cap 2) and the directions short, well inside the grid
+    "holder": CheckSpec(
+        "norm inequality for the interpolating product", _run_holder, _grid_holder,
+        _Blocks(1, lambda b, dims: {"f": _exp_jsons(b, dims, 3, 0.75), "g": _exp_jsons(b, dims, 3, 0.75)},
+                cap=2)),
+    "classic_beckner": CheckSpec(
+        "coefficient-level interpolation inequality under mu", _run_classic, _grid_classic,
+        _Blocks(0, lambda b, dims: {"f": _chaos_jsons(b, dims)})),
+    "strong_positivity": CheckSpec(
+        "positivity of the scaled density against positive tests", _run_strong_pos, _grid_strong_pos,
+        _Blocks(1, lambda b, dims: {"nu": _nu_jsons(b, dims), "phi": _exp_jsons(b, dims, positive=True)})),
+    "covariance": CheckSpec(
+        "pointwise covariance gap for two convolution densities", _run_covariance, _grid_covariance,
+        _Blocks(None, lambda b, dims: {"nu1": _nu_jsons(b, dims, 4), "nu2": _nu_jsons(b, dims, 4),
+                                       "phi": _phis(b, dims)})),
+    "wick_density_identity": CheckSpec(
+        "Wick product of densities is the convolved density", _run_wick_density, _grid_wick_density,
+        _Blocks(None, lambda b, dims: {"nu1": _nu_jsons(b, dims, 4), "nu2": _nu_jsons(b, dims, 4)})),
+    "g_lambda_bound": CheckSpec(
+        "exact G_lambda norm below its closed-form bound", _run_g_lambda, _grid_g_lambda,
+        _Blocks(None, lambda b, dims: {"nu": _nu_jsons(b, dims), "lambda": b.uniform(1.0, 2.0).tolist()})),
+    "oracle_triangle": CheckSpec(
+        "exact vs quadrature vs Monte Carlo on the deficit integrals", _run_oracle, _grid_oracle,
+        _random_oracle),
 }
 
 _CHECK_INDEX = {name: i for i, name in enumerate(CHECK_REGISTRY)}

@@ -27,8 +27,6 @@ import operator
 import os
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from .chaos import INPUT_ERRORS, check_alpha, check_integer
 from .checks import _CHECK_INDEX, CHECK_REGISTRY, functions_from_json, resolve_tols
 from .measures import measures_from_json
@@ -136,18 +134,20 @@ def _descriptors(cfg: SuiteConfig):
 
 
 def _expand(cfg: SuiteConfig, descriptors) -> list[dict]:
-    """The task of each descriptor.  A sweep draws its params from its own
-    stream, seeded by (seed, check index, sweep), so any slice of the
-    descriptors expands to the same tasks as the whole."""
+    """The task of each descriptor, for a contiguous slice of _descriptors.
+    Each run of one check's consecutive sweeps (number minus position fixed)
+    is one spec.random call; a sweep's params depend only on (seed, check
+    index, sweep), so any slice expands to the same tasks as the whole."""
     tasks = []
-    for name, item in descriptors:
-        if isinstance(item, dict):
-            params = item
-        else:
-            rng = np.random.default_rng([cfg.seed, _CHECK_INDEX[name], item])
-            params = CHECK_REGISTRY[name].random(rng, cfg, item)
-            params["sweep"] = item
-        tasks.append({"check": name, "params": params})
+    runs = itertools.groupby(enumerate(descriptors),
+                             lambda d: (d[1][0], None if isinstance(d[1][1], dict) else d[1][1] - d[0]))
+    for (name, offset), run in runs:
+        items = [item for _, (_, item) in run]
+        if offset is not None:
+            sweeps = range(items[0], items[0] + len(items))
+            drawn = CHECK_REGISTRY[name].random(cfg, _CHECK_INDEX[name], sweeps)
+            items = [{**params, "sweep": sweep} for sweep, params in zip(sweeps, drawn)]
+        tasks.extend({"check": name, "params": params} for params in items)
     return tasks
 
 
@@ -176,17 +176,18 @@ def run_rendered(cfg: SuiteConfig, jobs: int = 1) -> list[tuple[str, str, bool]]
     """Run all tasks; returns each row's (report.json line, report.csv
     line, pass), in task order.
 
-    At jobs > 1 the 4 * jobs chunks run in a pool of jobs workers, but
-    never more workers than chunks or than os.cpu_count(); with one, they
-    run in this process.  A task that raises one of INPUT_ERRORS raises
-    ConfigError naming its check; any other exception propagates as it
-    is.  Either way nothing is returned, at any jobs.
+    The workers are jobs, but never more than os.cpu_count() or than the
+    tasks; the tasks are cut into 4 chunks per worker, which run in a pool
+    of that many workers, or in this process when there is one.  A task
+    that raises one of INPUT_ERRORS raises ConfigError naming its check;
+    any other exception propagates as it is.  Either way nothing is
+    returned, at any jobs.
     """
     tols = resolve_tols(cfg.tolerances)
     descriptors = list(_descriptors(cfg))
-    size = max(1, -(-len(descriptors) // (4 * max(1, jobs))))
+    workers = max(1, min(jobs, os.cpu_count() or 1, len(descriptors)))
+    size = max(1, -(-len(descriptors) // (4 * workers)))
     chunks = [(cfg, tols, descriptors[i:i + size]) for i in range(0, len(descriptors), size)]
-    workers = min(jobs, len(chunks), os.cpu_count() or 1)
     if workers > 1:
         # imported here: the pool module costs every run some 15 ms to import
         from concurrent.futures import ProcessPoolExecutor

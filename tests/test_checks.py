@@ -18,7 +18,16 @@ from wickbench import (
     CHECK_REGISTRY,
     run_check,
 )
-from wickbench.checks import _deficit_batch, _rand_chaos_json, _rand_nu_json, functions_from_json
+from wickbench.checks import (
+    _Block,
+    _chaos_jsons,
+    _deficit_batch,
+    _dirichlet,
+    _nu_jsons,
+    functions_from_json,
+)
+from wickbench.measures import WEIGHT_SUM_TOL, measures_from_json
+from wickbench.suite import SuiteConfig, build_tasks
 from wickbench.suite import _ENCODE
 
 from reference_routes import dirac
@@ -322,10 +331,11 @@ def test_chaos_rows_do_not_depend_on_term_order(check):
     # same row bytes; each index is drawn three times, so the sums of
     # repeated indices must not depend on the order either
     rng = np.random.default_rng(5)
-    for _ in range(60):
-        n = int(rng.integers(1, 4))
-        params = {"alpha": int(rng.integers(0, 11)) / 10, "f": _rand_chaos_json(rng, n),
-                  "nu": _rand_nu_json(rng, n)}
+    block = _Block(rng.random((60, 124)))
+    dims = block.integers(1, 3).tolist()
+    cases = zip((block.integers(0, 10) / 10).tolist(), _chaos_jsons(block, dims), _nu_jsons(block, dims))
+    for alpha, f, nu in cases:
+        params = {"alpha": alpha, "f": f, "nu": nu}
         terms = [{"m": t["m"], "c": float(rng.uniform(-1.0, 1.0))}
                  for t in params["f"]["terms"] for _ in range(3)]
         params["f"]["terms"] = terms
@@ -365,3 +375,127 @@ def test_function_from_json_sniffing():
     assert isinstance(chaos_fn, ChaosExpansion)
     with pytest.raises(ValueError):
         functions_from_json([{"kind": "mystery", "dim": 1, "terms": []}])
+
+
+# The laws of each light check's random sweeps: (lowest alpha index, or
+# None without an alpha; dim cap; per params key, its law).  Laws:
+# ("nu", max atoms, scale), ("exp", max terms, scale, lowest coef),
+# ("points", max count, scale), ("chaos", max terms, max degree),
+# ("phi",) (E(h), h = 0 or uniform on [-1.5, 1.5)) and ("lambda",).
+SWEEP_LAWS = {
+    "beckner_deficit": (0, 3, {"f": ("exp", 4, 1.5, -1.5), "nu": ("nu", 5, 1.5)}),
+    "left_positivity": (0, 3, {"f": ("exp", 4, 1.5, -1.5), "nu": ("nu", 5, 1.5)}),
+    "ab_psd": (0, 3, {"hs": ("points", 6, 1.5), "nu": ("nu", 5, 1.5)}),
+    "char_gram_psd": (None, 3, {"hs": ("points", 6, 1.5), "nu": ("nu", 5, 1.5)}),
+    "holder": (1, 2, {"f": ("exp", 3, 0.75, -1.5), "g": ("exp", 3, 0.75, -1.5)}),
+    "classic_beckner": (0, 3, {"f": ("chaos", 10, 8)}),
+    "strong_positivity": (1, 3, {"nu": ("nu", 5, 1.5), "phi": ("exp", 4, 1.5, 0.1)}),
+    "covariance": (None, 3, {"nu1": ("nu", 4, 1.5), "nu2": ("nu", 4, 1.5), "phi": ("phi",)}),
+    "wick_density_identity": (None, 3, {"nu1": ("nu", 4, 1.5), "nu2": ("nu", 4, 1.5)}),
+    "g_lambda_bound": (None, 3, {"nu": ("nu", 5, 1.5), "lambda": ("lambda",)}),
+}
+
+
+def _assert_plain_json(value):
+    # int, float, str, list and dict themselves: no numpy scalar or array
+    assert type(value) in (int, float, str, list, dict), type(value)
+    for item in value.values() if isinstance(value, dict) else value if isinstance(value, list) else ():
+        _assert_plain_json(item)
+
+
+def _assert_points(points, n, scale):
+    for x in points:
+        assert len(x) == n and all(-scale <= c < scale for c in x)
+
+
+def _law_values(law, values, dims):
+    """What each sweep's value shows of its law, asserting its ranges."""
+    kind = law[0]
+    if kind == "lambda":
+        assert all(1.0 <= v < 2.0 for v in values)
+        return set()
+    if kind == "points":
+        for pts, n in zip(values, dims):
+            _assert_points(pts, n, law[2])
+        return {len(pts) for pts in values}
+    if kind == "nu":
+        for nu, n in zip(values, dims):
+            assert nu["dim"] == n and len(nu["weights"]) == len(nu["atoms"])
+            _assert_points(nu["atoms"], n, law[2])
+        measures_from_json(values)  # DiscreteMeasure's checks: finite, >= 0, sum to 1
+        return {len(nu["atoms"]) for nu in values}
+    if kind == "phi":
+        hs = [phi["terms"][0]["h"] for phi in values]
+        assert all(len(phi["terms"]) == 1 and phi["terms"][0]["coef"] == 1.0 for phi in values)
+        for h, n in zip(hs, dims):
+            _assert_points([h], n, 1.5)
+        return {any(h) for h in hs}
+    if kind == "exp":
+        for f, n in zip(values, dims):
+            assert f["kind"] == "exp" and f["dim"] == n
+            _assert_points([t["h"] for t in f["terms"]], n, law[2])
+            assert all(law[3] <= t["coef"] < 1.5 for t in f["terms"])
+        return {len(f["terms"]) for f in values}
+    degrees = set()
+    for f, n in zip(values, dims):
+        assert f["kind"] == "chaos" and f["dim"] == n
+        for t in f["terms"]:
+            assert len(t["m"]) == n and min(t["m"]) >= 0 and -1.0 <= t["c"] < 1.0
+            degrees.add(sum(t["m"]))
+    assert degrees == set(range(law[2] + 1))
+    return {len(f["terms"]) for f in values}
+
+
+@pytest.mark.parametrize("check", list(SWEEP_LAWS))
+def test_random_sweeps_follow_their_laws(check):
+    # every count from 1 to its maximum, every alpha and every dim occurs;
+    # coordinates lie in [-scale, scale); every nu is a valid measure
+    low, cap, laws = SWEEP_LAWS[check]
+    params = [t["params"] for t in build_tasks(SuiteConfig(seed=2, checks=[check], random_sweeps=2000))]
+    _assert_plain_json(params)
+    assert set(params[0]) == set(laws) | {"sweep"} | ({"alpha"} if low is not None else set())
+    dims = [next(v["dim"] for v in p.values() if isinstance(v, dict)) for p in params]
+    assert set(dims) == set(range(1, cap + 1))
+    if low is not None:
+        assert {p["alpha"] for p in params} == {k / 10 for k in range(low, 11)}
+    for key, law in laws.items():
+        seen = _law_values(law, [p[key] for p in params], dims)
+        if law[0] == "phi":
+            assert seen == {False, True}
+        elif law[0] != "lambda":
+            assert seen == set(range(1, law[1] + 1)), key
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7])
+def test_a_config_dim_fixes_every_sweep_dim(dim):
+    cfg = SuiteConfig(seed=3, dim=dim, checks=list(SWEEP_LAWS), random_sweeps=20)
+    for task in build_tasks(cfg):
+        want = min(dim, SWEEP_LAWS[task["check"]][1])
+        for value in task["params"].values():
+            if isinstance(value, dict):
+                assert type(value["dim"]) is int and value["dim"] == want
+
+
+def test_dirichlet_weights_survive_zero_uniforms():
+    # random() can return 0.0: -log(0) would be inf, -log1p(-0) is 0
+    u = np.array([[0.0, 0.5, 0.0, 0.25], [0.0, 0.0, 0.0, 0.0], [0.0, 0.9, 0.3, 0.6], [0.0, 0.7, 0.7, 0.7]])
+    weights = _dirichlet(u, [3, 4, 1, 2])
+    assert [len(w) for w in weights] == [3, 4, 1, 2]
+    for w in weights:
+        assert all(math.isfinite(x) and x >= 0.0 for x in w)
+        assert abs(sum(w) - 1.0) <= WEIGHT_SUM_TOL
+    assert weights[0][1] == 1.0 and weights[2] == [1.0]
+    measures_from_json([{"dim": 1, "atoms": [[0.0]] * len(w), "weights": w} for w in weights])
+
+
+def test_a_sweep_reads_the_same_columns_whatever_it_draws():
+    # a check's B is the columns a dry draw of zeros reads, so no draw may
+    # read more or fewer columns for other uniforms or a config dim
+    for check in SWEEP_LAWS:
+        spec = CHECK_REGISTRY[check].random
+        used = set()
+        for fill, dim in [(0.0, None), (0.999, None), (0.5, 2), (0.999, 7)]:
+            block = _Block(np.full((3, 1024), fill), spec.cap)
+            assert len(spec.draw(dim, block)) == 3
+            used.add(block.used)
+        assert len(used) == 1, check

@@ -134,9 +134,9 @@ PIN_MEASURES = [
 
 
 @pytest.mark.parametrize("overrides, digest", [
-    ({}, "9b8122b182b4157677bfc8d22bf6ead44b141b276de1e63f3634d8ade7203421"),
-    ({"dim": 2, "seed": 3}, "255edb1af267ea51c9ccc1c9173774ad3a20c506f74058833eead7d867daaa8d"),
-])
+    ({}, "d92583b0508b3a276aa2de76c375d1ec114c0c8991f8ede5cb151b571bdf0aac"),
+    ({"dim": 2, "seed": 3}, "789bd9df174fed7aa4d3cc374f633da7a2550b29225ca27b58bd029b36b28381"),
+], ids=["drawn-dims", "dim2-seed3"])
 def test_task_expansion_is_pinned(overrides, digest):
     # every grid rule and every random draw, in order: a changed digest
     # means reports change bytes for existing configs
@@ -149,6 +149,61 @@ def test_task_expansion_is_pinned(overrides, digest):
     assert len(tasks) == 517
     blob = json.dumps([[t["check"], t["params"]] for t in tasks], sort_keys=True)
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+# sha256 of _ENCODE of the params of a one-check config's sweeps (seed 1,
+# three sweeps, no grid): a changed digest means that check's random stream
+# changed, and every report that runs it changes bytes.  Update a pin only
+# for an intended change of its generator, and record it in CHANGES.md.
+STREAM_PINS = [
+    ("beckner_deficit", "e63dfe9ba1e8114d80dc91e7b42b69fe58c0896ca5a58dc9aef901bd1744c82e"),
+    ("left_positivity", "977b156a8d80675573f7b26cb95f63aadd77a3e1f350a2eaac70c80a1719919d"),
+    ("ab_psd", "eabb0fb214e7004701631967abe44494f8f5534cd8cd04cfdff9b8b7295cbb2a"),
+    ("char_gram_psd", "4fa59f8b1b1affc7eaf6ec99bc1a74acfff844b74843bedb76e49010d5ec2e51"),
+    ("holder", "7cca0d71f7b85dba23a249ebd9509128d05583281d397dc9c6b39fffa45d9588"),
+    ("classic_beckner", "7c38411d6f247439a9e6bbb983c3c3b489ec60af8335c36f2e151fbb60aefa0e"),
+    ("strong_positivity", "e97cf263967993d67efee7d247c67c76cc608c4feb11d1b0bb8e3dee336501e1"),
+    ("covariance", "6870cce7c208b3a5df4011153ab59a68f51e0a9b41f7fe4cdacb071b30966dcb"),
+    ("wick_density_identity", "cddd2bc4ef754d5bf156ff200c6cf322c750d3e2ac3e36680dbeb2dd01322c26"),
+    ("g_lambda_bound", "ee39908e153a567a45d2fa4713a3712fc1556db73287c13a3282598000817d84"),
+    ("oracle_triangle", "4413bfbe2f6c777c7c223e29ac55a3a4d98b6471dd21ec7ac6c3c2b70223673a"),
+]
+
+
+def test_stream_pins_cover_every_check():
+    assert [name for name, _ in STREAM_PINS] == list(CHECK_REGISTRY)
+
+
+@pytest.mark.parametrize("check, digest", STREAM_PINS, ids=[name for name, _ in STREAM_PINS])
+def test_random_streams_are_pinned(check, digest):
+    cfg = SuiteConfig.from_json_dict({"seed": 1, "checks": [check], "random_sweeps": 3})
+    params = [t["params"] for t in build_tasks(cfg)]
+    assert [p["sweep"] for p in params] == [0, 1, 2]
+    assert hashlib.sha256(_ENCODE(params).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("config", [
+    {"seed": 4, "alphas": [0.5], "functions": PIN_FUNCTIONS, "measures": PIN_MEASURES,
+     "checks": list(CHECK_REGISTRY), "random_sweeps": 4, "mc_count": 200},
+    # no grid: the two copies' sweeps 0..4 sit next to each other
+    {"seed": 4, "checks": ["g_lambda_bound", "g_lambda_bound"], "random_sweeps": 5},
+], ids=["every-check", "check-twice"])
+def test_any_slice_of_the_descriptors_expands_to_the_same_tasks(config):
+    # chunks are contiguous slices of the descriptors, cut anywhere: each
+    # side of every cut, and each descriptor alone, expands to the tasks of
+    # build_tasks
+    cfg = SuiteConfig.from_json_dict(config)
+    descriptors = list(suite._descriptors(cfg))
+    tasks = build_tasks(cfg)
+    assert len(tasks) == len(descriptors) >= len(cfg.checks) * cfg.random_sweeps
+    for cut in range(len(descriptors) + 1):
+        assert suite._expand(cfg, descriptors[:cut]) + suite._expand(cfg, descriptors[cut:]) == tasks
+    assert [t for d in descriptors for t in suite._expand(cfg, [d])] == tasks
+    for check in set(cfg.checks):
+        sweeps = [t for t in tasks if t["check"] == check and "sweep" in t["params"]]
+        copies = cfg.checks.count(check)
+        assert sweeps == sweeps[:cfg.random_sweeps] * copies
+        assert [t["params"]["sweep"] for t in sweeps] == list(range(cfg.random_sweeps)) * copies
 
 
 def _row_fields(row):
@@ -372,22 +427,27 @@ def test_run_suite_negate_flips_exit_code():
 
 
 def test_reports_byte_identical_across_jobs(tmp_path):
-    cfg = _small_config(checks=["beckner_deficit", "covariance", "g_lambda_bound"],
-                        random_sweeps=4)
-    blobs = {}
-    for jobs in (1, 3):
-        out = tmp_path / f"jobs{jobs}"
-        rows, _ = run_suite(cfg, jobs=jobs)
-        jp, cp = write_reports(rows, out)
-        blobs[jobs] = (open(jp, "rb").read(), open(cp, "rb").read())
-    assert blobs[1] == blobs[3]
+    # the second config lists a check twice with no grid, so its two runs
+    # of sweeps sit next to each other and some chunks hold both
+    cfgs = [_small_config(checks=["beckner_deficit", "covariance", "g_lambda_bound"], random_sweeps=4),
+            SuiteConfig.from_json_dict({"seed": 11, "checks": ["g_lambda_bound"] * 2, "random_sweeps": 3})]
+    for k, cfg in enumerate(cfgs):
+        blobs = {}
+        for jobs in (1, 2, 3):
+            out = tmp_path / f"cfg{k}-jobs{jobs}"
+            rows, _ = run_suite(cfg, jobs=jobs)
+            jp, cp = write_reports(rows, out)
+            blobs[jobs] = (open(jp, "rb").read(), open(cp, "rb").read())
+        assert blobs[1] == blobs[2] == blobs[3]
 
 
 def test_jobs_never_asks_for_more_workers_than_cpus(monkeypatch):
     # under the fork start method a pool forks every worker it is given on
-    # its first submit, so a large --jobs must not set the worker count;
-    # the fake pool runs the chunks here and starts no process
-    asked = []
+    # its first submit, so a large --jobs must not set the worker count,
+    # nor the number of chunks (each pays for the config's pickle and a
+    # block of uniforms per check); the fake pool runs the chunks here and
+    # starts no process
+    asked, chunks = [], []
 
     class FakePool:
         def __init__(self, max_workers):
@@ -400,13 +460,18 @@ def test_jobs_never_asks_for_more_workers_than_cpus(monkeypatch):
             return False
 
         def map(self, fn, items):
+            items = list(items)
+            chunks.append(len(items))
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    cfg = _small_config(checks=["beckner_deficit", "g_lambda_bound"], random_sweeps=3)
+    cpus = os.cpu_count() or 1
+    cfg = _small_config(checks=["beckner_deficit", "g_lambda_bound"], random_sweeps=2 * cpus + 1)
+    assert len(build_tasks(cfg)) > 4 * cpus
     assert run_rendered(cfg, 100_000) == run_rendered(cfg, 1)
-    assert all(n <= (os.cpu_count() or 1) for n in asked)
-    assert len(asked) == (1 if (os.cpu_count() or 1) > 1 else 0)
+    assert all(n <= cpus for n in asked)
+    assert len(asked) == (1 if cpus > 1 else 0)
+    assert all(n <= 4 * cpus for n in chunks)
 
 
 def test_report_files_are_well_formed(tmp_path, monkeypatch):
