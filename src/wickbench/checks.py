@@ -614,8 +614,8 @@ def _run_wick_density(tasks, tols):
 
     Both sides are canonical ExpCombos, the convolutions and the Wick
     products of the densities each built as one stack per shape; the
-    mismatch is the largest deviation in term count, directions, or
-    weights.
+    mismatch is the largest deviation in directions or weights, or, when
+    the term counts differ, the largest weight of left - right.
     """
     nu1s, nu2s = _nus(tasks, "nu1"), _nus(tasks, "nu2")
     lhs = densities_xi(convolutions(nu1s, nu2s))
@@ -623,7 +623,7 @@ def _run_wick_density(tasks, tols):
     rows = []
     for nu1, nu2, left, right in zip(nu1s, nu2s, lhs, rhs):
         if left.n_terms != right.n_terms:
-            mismatch = float("inf")
+            mismatch = float(np.max(np.abs((left - right).weights)))
         elif left.n_terms == 0:
             mismatch = 0.0
         else:

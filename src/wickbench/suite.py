@@ -3,27 +3,24 @@ across processes), and write reports whose bytes do not depend on the
 degree of parallelism.
 
 Each task is a plain dict (check name + JSON parameters) and pure: the
-same task always produces the same rows.  run_rendered cuts the config
-into task descriptors, (check, grid params) or (check, sweep), and sends
-out contiguous chunks of them with the config and tolerances once per
-chunk.  Whoever runs a chunk (a pool worker at jobs > 1, this process
-otherwise) expands it with _expand, the routine build_tasks is built
-from, and gives the tasks of each check, which are contiguous in a chunk,
-to the check's spec.run in one call.  The harness groups tasks by check
-only: the JSON parsers stack them by JSON shape, and the kernels by
-canonical shape.  The rows are at once rendered with _render, the
-renderer write_reports uses, into report.json and report.csv lines.  So
-rows cross the process boundary as text, and the parent joins the chunks
-in order and writes that text: rows come in task order, build_tasks's,
-at any jobs.  run_suite decodes the text back into rows for library
-callers.
+same task always produces the same rows.  A chunk is a slice of one
+check's tasks: run_rendered cuts each configured check's tasks, its grid
+params then its random sweeps, into slices and sends out each as (check,
+grid params, sweep range) with the config and tolerances.  Whoever runs a
+chunk (a pool worker at jobs > 1, this process otherwise) expands it with
+_tasks, the routine build_tasks is built from, and gives the tasks to the
+check's spec.run in one call.  The harness groups tasks by check only: the
+JSON parsers stack them by JSON shape, and the kernels by canonical shape.
+The rows are at once rendered with _render, the renderer write_reports
+uses, into report.json and report.csv lines.  So rows cross the process
+boundary as text, and the parent joins the chunks in order and writes that
+text: rows come in task order, build_tasks's, at any jobs.  run_suite
+decodes the text back into rows for library callers.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-import operator
 import os
 from dataclasses import dataclass, field, fields
 
@@ -123,53 +120,37 @@ def load_config(path) -> SuiteConfig:
     return SuiteConfig.from_json_dict(data)
 
 
-def _descriptors(cfg: SuiteConfig):
-    """(check, grid params) per grid task, then (check, sweep) per random
-    sweep, for each configured check: the tasks, not yet expanded."""
-    for name in cfg.checks:
-        for params in CHECK_REGISTRY[name].grid(cfg):
-            yield name, params
-        for sweep in range(cfg.random_sweeps):
-            yield name, sweep
+def _runs(cfg: SuiteConfig) -> list[tuple[str, list, range]]:
+    """(check, grid params, sweeps) of each configured check, in config order."""
+    return [(name, list(CHECK_REGISTRY[name].grid(cfg)), range(cfg.random_sweeps)) for name in cfg.checks]
 
 
-def _expand(cfg: SuiteConfig, descriptors) -> list[dict]:
-    """The task of each descriptor, for a contiguous slice of _descriptors.
-    Each run of one check's consecutive sweeps (number minus position fixed)
-    is one spec.random call; a sweep's params depend only on (seed, check
-    index, sweep), so any slice expands to the same tasks as the whole."""
-    tasks = []
-    runs = itertools.groupby(enumerate(descriptors),
-                             lambda d: (d[1][0], None if isinstance(d[1][1], dict) else d[1][1] - d[0]))
-    for (name, offset), run in runs:
-        items = [item for _, (_, item) in run]
-        if offset is not None:
-            sweeps = range(items[0], items[0] + len(items))
-            drawn = CHECK_REGISTRY[name].random(cfg, _CHECK_INDEX[name], sweeps)
-            items = [{**params, "sweep": sweep} for sweep, params in zip(sweeps, drawn)]
-        tasks.extend({"check": name, "params": params} for params in items)
-    return tasks
+def _tasks(cfg: SuiteConfig, name: str, grid: list, sweeps: range) -> list[dict]:
+    """The params of a slice of one check's tasks: the grid params, then
+    one spec.random call's params for the sweeps, each with its "sweep".
+    A sweep's params depend only on (seed, check index, sweep), so any
+    cut of a check's tasks gives the params of the whole."""
+    drawn = CHECK_REGISTRY[name].random(cfg, _CHECK_INDEX[name], sweeps) if sweeps else []
+    return grid + [{**params, "sweep": sweep} for sweep, params in zip(sweeps, drawn)]
 
 
 def build_tasks(cfg: SuiteConfig) -> list[dict]:
     """Grid tasks, then one task per random sweep, for each configured check."""
-    return _expand(cfg, _descriptors(cfg))
+    return [{"check": name, "params": params}
+            for name, grid, sweeps in _runs(cfg) for params in _tasks(cfg, name, grid, sweeps)]
 
 
 def _run_chunk(chunk) -> list[tuple[str, str, bool]]:
-    """Expand a chunk, give the tasks of each check (contiguous in it) to
-    the check's spec.run in one call, and render their rows at once:
-    the chunk's rendered rows, in task order."""
-    cfg, tols, descriptors = chunk
-    done = []
-    for name, group in itertools.groupby(_expand(cfg, descriptors), operator.itemgetter("check")):
-        try:
-            results = CHECK_REGISTRY[name].run([task["params"] for task in group], tols)
-        except INPUT_ERRORS as exc:
-            raise ConfigError(f"{name} task cannot run: {exc}") from exc
-        for rows in results:
-            done.extend(_render([r.negated() for r in rows] if cfg.negate else rows))
-    return done
+    """Give a chunk's tasks, a slice of one check's, to the check's
+    spec.run in one call and render their rows at once: the chunk's
+    rendered rows, in task order."""
+    cfg, tols, name, grid, sweeps = chunk
+    tasks = _tasks(cfg, name, grid, sweeps)
+    try:
+        results = CHECK_REGISTRY[name].run(tasks, tols)
+    except INPUT_ERRORS as exc:
+        raise ConfigError(f"{name} task cannot run: {exc}") from exc
+    return [line for rows in results for line in _render([r.negated() for r in rows] if cfg.negate else rows)]
 
 
 def run_rendered(cfg: SuiteConfig, jobs: int = 1) -> list[tuple[str, str, bool]]:
@@ -177,17 +158,20 @@ def run_rendered(cfg: SuiteConfig, jobs: int = 1) -> list[tuple[str, str, bool]]
     line, pass), in task order.
 
     The workers are jobs, but never more than os.cpu_count() or than the
-    tasks; the tasks are cut into 4 chunks per worker, which run in a pool
-    of that many workers, or in this process when there is one.  A task
-    that raises one of INPUT_ERRORS raises ConfigError naming its check;
-    any other exception propagates as it is.  Either way nothing is
-    returned, at any jobs.
+    tasks.  A chunk is a slice of one check's tasks, at most ceil(tasks /
+    (4 * workers)) long, so there are at most 4 * workers chunks plus one
+    per check; they run in a pool of that many workers, or in this
+    process when there is one.  A task that raises one of INPUT_ERRORS
+    raises ConfigError naming its check; any other exception propagates
+    as it is.  Either way nothing is returned, at any jobs.
     """
     tols = resolve_tols(cfg.tolerances)
-    descriptors = list(_descriptors(cfg))
-    workers = max(1, min(jobs, os.cpu_count() or 1, len(descriptors)))
-    size = max(1, -(-len(descriptors) // (4 * workers)))
-    chunks = [(cfg, tols, descriptors[i:i + size]) for i in range(0, len(descriptors), size)]
+    runs = _runs(cfg)
+    total = sum(len(grid) + len(sweeps) for _, grid, sweeps in runs)
+    workers = max(1, min(jobs, os.cpu_count() or 1, total))
+    size = max(1, -(-total // (4 * workers)))
+    chunks = [(cfg, tols, name, grid[i:i + size], sweeps[max(i - len(grid), 0):max(i + size - len(grid), 0)])
+              for name, grid, sweeps in runs for i in range(0, len(grid) + len(sweeps), size)]
     if workers > 1:
         # imported here: the pool module costs every run some 15 ms to import
         from concurrent.futures import ProcessPoolExecutor

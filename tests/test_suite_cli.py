@@ -22,7 +22,7 @@ from wickbench import (
     run_suite,
     write_reports,
 )
-from wickbench import cli, expspan, measures, suite
+from wickbench import checks, cli, expspan, measures, suite
 from wickbench.checks import DEFAULT_TOLS, run_check
 from wickbench.cli import main
 from wickbench.report import InequalityReport
@@ -188,17 +188,24 @@ def test_random_streams_are_pinned(check, digest):
     # no grid: the two copies' sweeps 0..4 sit next to each other
     {"seed": 4, "checks": ["g_lambda_bound", "g_lambda_bound"], "random_sweeps": 5},
 ], ids=["every-check", "check-twice"])
-def test_any_slice_of_the_descriptors_expands_to_the_same_tasks(config):
-    # chunks are contiguous slices of the descriptors, cut anywhere: each
-    # side of every cut, and each descriptor alone, expands to the tasks of
-    # build_tasks
+def test_any_slice_of_a_checks_tasks_expands_to_the_same_tasks(config):
+    # a chunk is a slice of one check's tasks, cut as run_rendered cuts it:
+    # at every slice size, the slices of every run expand to build_tasks
     cfg = SuiteConfig.from_json_dict(config)
-    descriptors = list(suite._descriptors(cfg))
+    runs = suite._runs(cfg)
     tasks = build_tasks(cfg)
-    assert len(tasks) == len(descriptors) >= len(cfg.checks) * cfg.random_sweeps
-    for cut in range(len(descriptors) + 1):
-        assert suite._expand(cfg, descriptors[:cut]) + suite._expand(cfg, descriptors[cut:]) == tasks
-    assert [t for d in descriptors for t in suite._expand(cfg, [d])] == tasks
+    assert [name for name, _, _ in runs] == cfg.checks
+    assert len(tasks) == sum(len(grid) + len(sweeps) for _, grid, sweeps in runs)
+    assert len(tasks) >= len(cfg.checks) * cfg.random_sweeps
+    for size in range(1, len(tasks) + 1):
+        sliced = []
+        for name, grid, sweeps in runs:
+            g = len(grid)
+            for i in range(0, g + len(sweeps), size):
+                part = suite._tasks(cfg, name, grid[i:i + size], sweeps[max(i - g, 0):max(i + size - g, 0)])
+                assert 1 <= len(part) <= size
+                sliced.extend({"check": name, "params": params} for params in part)
+        assert sliced == tasks
     for check in set(cfg.checks):
         sweeps = [t for t in tasks if t["check"] == check and "sweep" in t["params"]]
         copies = cfg.checks.count(check)
@@ -474,6 +481,31 @@ def test_jobs_never_asks_for_more_workers_than_cpus(monkeypatch):
     assert all(n <= 4 * cpus for n in chunks)
 
 
+def test_each_spec_run_call_gets_the_tasks_of_one_check(tmp_path, monkeypatch):
+    # a chunk is a slice of one check's tasks and makes one spec.run call;
+    # at --jobs 1 there are at most 4 chunks plus one per check; here the
+    # 24 tasks come in slices of 6, which cut each g_lambda_bound run in two
+    calls = []
+
+    def spy(name, run):
+        def recorded(tasks, tols):
+            calls.append((name, list(tasks)))
+            return run(tasks, tols)
+        return recorded
+
+    for name, spec in list(CHECK_REGISTRY.items()):
+        monkeypatch.setitem(CHECK_REGISTRY, name, spec._replace(run=spy(name, spec.run)))
+    config = {"seed": 3, "alphas": [0.5, 1.0], "functions": [E_ONE], "measures": [NU_ZERO, NU_SYM],
+              "checks": ["holder", "g_lambda_bound", "holder", "g_lambda_bound"], "random_sweeps": 3}
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+    cfg = SuiteConfig.from_json_dict(config)
+    assert [{"check": name, "params": params} for name, tasks in calls for params in tasks] == build_tasks(cfg)
+    assert all(tasks for _, tasks in calls)
+    assert len(cfg.checks) < len(calls) <= 4 + len(cfg.checks)
+
+
 def test_report_files_are_well_formed(tmp_path, monkeypatch):
     # ab_psd rows share one params object per task; beckner_deficit rows
     # do not; the two fabricated rows carry non-finite sides, which no
@@ -668,6 +700,20 @@ def test_cli_check(capsys):
     assert row["check"] == "beckner_deficit" and row["pass"] is True
     # the same line report.json holds for this row
     assert out[0] == _ENCODE(run_check("beckner_deficit", json.loads(params))[0].as_dict())
+
+
+def test_cli_check_wick_density_term_count_mismatch_is_a_failing_row(capsys, monkeypatch):
+    # a wrong convolution gives the left side one term and the right two:
+    # a counterexample, so a FAIL row and exit 1, not a crash and exit 2
+    monkeypatch.setattr(checks, "convolutions", lambda nu1s, nu2s: nu1s)
+    params = json.dumps({"nu1": {"dim": 1, "atoms": [[0.5]], "weights": [1.0]},
+                         "nu2": {"dim": 1, "atoms": [[0.0], [1.0]], "weights": [0.5, 0.5]}})
+    assert main(["check", "wick_density_identity", "--params", params]) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.out.strip().splitlines()
+    row = json.loads(line)
+    assert row["pass"] is False and row["lhs"] == 0.5 and row["gap"] == -0.5
+    assert captured.err == ""
 
 
 def test_cli_check_bad_inputs(capsys):
