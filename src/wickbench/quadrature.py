@@ -121,12 +121,22 @@ def integrate_rho(fn, nu: DiscreteMeasure, grid: QuadratureGrid) -> float:
     return total
 
 
-def mc_integral_rho(fn, nu: DiscreteMeasure, seed, count: int) -> tuple[float, float]:
-    """Monte Carlo mean of fn under rho = mu * nu: (estimate, standard error)."""
+def mc_integral_rho(fn, nu: DiscreteMeasure, seed, count: int):
+    """Monte Carlo mean of fn under rho = mu * nu: (estimate, standard error).
+
+    fn maps the (N, n) sample to N values, or to an (m, N) array, one row
+    per integrand, all read from the one draw; the estimate and standard
+    error are then (m,) arrays.  Each row is summed contiguously, so
+    numpy's pairwise summation applies.  For importance sampling, nu is
+    the proposal and fn returns the values times the density ratio.
+    """
     if count < 2:
         raise ValueError("count must be >= 2")
-    vals = _eval_at(fn, sample_rho(nu, seed, count))
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(count))
+    vals = np.asarray(fn(sample_rho(nu, seed, count)), dtype=float)
+    if vals.ndim not in (1, 2) or vals.shape[-1] != count:
+        raise ValueError(f"point function returned shape {vals.shape}, expected ({count},) or (m, {count})")
+    est, se = vals.mean(axis=-1), vals.std(axis=-1, ddof=1) / math.sqrt(count)
+    return (float(est), float(se)) if vals.ndim == 1 else (est, se)
 
 
 def lp_norm_exp(f: ExpCombo, p: float) -> tuple[float, str]:

@@ -18,6 +18,7 @@ from wickbench import (
     CHECK_REGISTRY,
     run_check,
 )
+from wickbench import checks, quadrature
 from wickbench.checks import (
     _Block,
     _chaos_jsons,
@@ -25,8 +26,11 @@ from wickbench.checks import (
     _dirichlet,
     _nu_jsons,
     functions_from_json,
+    resolve_tols,
 )
-from wickbench.measures import WEIGHT_SUM_TOL, measures_from_json
+from wickbench.expspan import alpha_exp, exp_eval, gradient_exp
+from wickbench.measures import WEIGHT_SUM_TOL, measures_from_json, sample_rho
+from wickbench.quadrature import mc_integral_rho
 from wickbench.suite import SuiteConfig, build_tasks
 from wickbench.suite import _ENCODE
 
@@ -325,6 +329,91 @@ def test_oracle_triangle_exact_is_the_deficit_kernel():
     assert (exact["f_sq"], exact["alpha_prod"], exact["dirichlet"]) == _deficit_batch([f], [rho], [0.5])[0]
 
 
+def _oracle_sweeps(seed, sweeps, mc_count):
+    cfg = SuiteConfig(seed=seed, checks=["oracle_triangle"], random_sweeps=sweeps, mc_count=mc_count,
+                      quad_order=10)
+    tasks = [t["params"] for t in build_tasks(cfg)]
+    return [row for rows in CHECK_REGISTRY["oracle_triangle"].run(tasks, resolve_tols({})) for row in rows]
+
+
+def test_oracle_mc_rows_do_not_fail_on_correct_integrals():
+    # a bounded importance weight makes the mc_sigmas gate valid: a plain
+    # draw fails 5-15 of these 1,500 correct mc rows per seed
+    for seed in range(1, 6):
+        assert [r.params for r in _oracle_sweeps(seed, 100, 500) if not r.passed] == []
+
+
+def test_oracle_mc_rows_catch_a_tiny_error_in_the_deficit_kernel(monkeypatch):
+    # int f^2 off by 1e-9 relative: rows whose weighted values are one
+    # constant (one-signed f) leave only a rounding tolerance, so they fail
+    clean = _oracle_sweeps(1, 40, 2000)
+
+    def planted(fs, nus, alphas):
+        return [(sq * (1.0 + 1e-9), ap, en) for sq, ap, en in _deficit_batch(fs, nus, alphas)]
+
+    monkeypatch.setattr(checks, "_deficit_batch", planted)
+    broken = _oracle_sweeps(1, 40, 2000)
+    newly = [b.params for a, b in zip(clean, broken) if a.passed and not b.passed]
+    assert newly and all((p["integral"], p["route"]) == ("f_sq", "mc") for p in newly)
+
+
+def test_oracle_mc_rows_catch_a_shifted_sampler(monkeypatch):
+    # rows whose weighted values vary still read the sample: moving every
+    # drawn point by 0.2 along the first axis turns some correct mc rows into
+    # FAILs, and only rows with real variance (the constant rows read Z
+    # wherever the points fall)
+    clean = _oracle_sweeps(1, 40, 2000)
+
+    def shifted(nu, seed, count):
+        pts = sample_rho(nu, seed, count)
+        pts[:, 0] += 0.2
+        return pts
+
+    monkeypatch.setattr(quadrature, "sample_rho", shifted)
+    broken = _oracle_sweeps(1, 40, 2000)
+    newly = [b for a, b in zip(clean, broken) if a.passed and not b.passed]
+    assert newly and all(b.params["route"] == "mc" and b.params["se"] > b.tolerance for b in newly)
+
+
+def test_oracle_weighted_mc_agrees_with_a_plain_draw():
+    # mixed-sign f, so every weighted integrand has real variance
+    f = ExpCombo(2, [(1.2, [0.6, -0.3]), (-0.9, [-0.4, 0.8]), (0.5, [0.1, 0.2])])
+    nu = DiscreteMeasure(2, [[0.5, 0.5], [-0.7, 0.2]], [0.3, 0.7])
+    rows = run_check("oracle_triangle", {"alpha": 0.3, "f": f.to_json_dict(), "nu": nu.to_json_dict(),
+                                         "quad_order": 10, "mc_seed": 11, "mc_count": 20_000})
+    prod = alpha_exp(f, f, 0.3)
+    plain = {
+        "f_sq": lambda p: exp_eval(f, p) ** 2,
+        "alpha_prod": prod.eval,
+        "dirichlet": lambda p: sum(exp_eval(g, p) ** 2 for g in gradient_exp(f)),
+    }
+    for row in rows:
+        if row.params["route"] == "mc":
+            assert row.params["se"] > 0.0 and row.tolerance < 1e-12 * abs(row.params["exact"])
+            est, se = mc_integral_rho(plain[row.params["integral"]], nu, 12, 20_000)
+            assert abs(row.params["value"] - est) <= 4.0 * math.hypot(row.params["se"], se)
+
+
+def test_oracle_mc_rows_when_the_proposal_has_equal_atoms():
+    # y_i + h_j + h_k repeats (1 = 0 + 0 + 1 = 1 + 0 + 0, ...), so the proposal's
+    # canonical form merges equal atoms: the same measure, the same weight
+    f = ExpCombo(1, [(1.0, [0.0]), (0.5, [1.0])])
+    nu = DiscreteMeasure(1, [[0.0], [1.0]], [0.5, 0.5])
+    rows = run_check("oracle_triangle", {"alpha": 0.5, "f": f.to_json_dict(), "nu": nu.to_json_dict(),
+                                         "quad_order": 20, "mc_seed": 3, "mc_count": 5000})
+    assert all(r.passed for r in rows)
+    (sq,) = [r for r in rows if (r.params["integral"], r.params["route"]) == ("f_sq", "mc")]
+    assert sq.params["value"] == pytest.approx(sq.params["exact"], rel=1e-12)
+
+
+def test_oracle_mc_rows_of_a_zero_function():
+    rows = run_check("oracle_triangle", {"alpha": 0.5, "f": {"kind": "exp", "dim": 1, "terms": []},
+                                         "nu": SYM.to_json_dict(), "mc_count": 100})
+    for row in rows:
+        if row.params["route"] == "mc":
+            assert (row.params["value"], row.params["se"], row.tolerance, row.passed) == (0.0, 0.0, 0.0, True)
+
+
 @pytest.mark.parametrize("check", ["classic_beckner", "beckner_deficit"])
 def test_chaos_rows_do_not_depend_on_term_order(check):
     # one chaos function with its JSON terms reversed or shuffled gives the
@@ -499,3 +588,8 @@ def test_a_sweep_reads_the_same_columns_whatever_it_draws():
             assert len(spec.draw(dim, block)) == 3
             used.add(block.used)
         assert len(used) == 1, check
+
+
+@pytest.mark.parametrize("check", list(CHECK_REGISTRY))
+def test_random_takes_an_empty_range(check):
+    assert CHECK_REGISTRY[check].random(SuiteConfig(seed=1), 0, range(3, 3)) == []
