@@ -29,7 +29,6 @@ from .expspan import (
     alpha_exp,
     exp_eval,
     gammas_exp,
-    gradient_exp,
     mu_inner_exp,
     pointwise_exp,
     to_chaos,
@@ -89,7 +88,6 @@ __all__ = [
     "gammas_exp",
     "gauss_hermite_grid",
     "gradient",
-    "gradient_exp",
     "integrate_rho",
     "l2_inner",
     "l2_norm",

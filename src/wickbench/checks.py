@@ -26,13 +26,15 @@ Gram matrix K per integral -- the paper's Schur-product form:
 
     int f^2 drho      = c' K^1 c
     int f o_a f drho  = c' K^a c
-    int |Df|^2 drho   = sum_l d_l' K^1 d_l  over the indices m - e_l,
-                        with weights (d_l)_{m - e_l} = m_l c_m.
+    int |Df|^2 drho   = c' K^D c,  K^D_mn = sum_l m_l n_l K^1_{m - e_l, n - e_l}
+
+  (a shifted index clipped at 0 where its weight m_l n_l is 0).
 
 oracle_triangle validates these forms, the ones the checks use, against
-quadrature and Monte Carlo integrals of the product functions
-(alpha_exp, gradient_exp); the tests also compare them with the product
-route (alpha_* / pointwise_* then rho_integral_*).
+quadrature and Monte Carlo integrals of one point function, which gives
+f^2, f o_a f (alpha_exp's product, evaluated) and |Df|^2 at the points of
+either route; the tests also compare the forms with the product route
+(alpha_* / pointwise_* then rho_integral_*).
 
 CHECK_REGISTRY maps each check name to one CheckSpec: its description,
 its runner on the JSON parameters of many tasks, and the grid and random
@@ -74,10 +76,8 @@ from .expspan import (
     ExpCombo,
     _stack,
     alpha_exp,
-    exp_eval,
     exps_from_json,
     gammas_exp,
-    gradient_exp,
     mu_inner_exp,
     products_exp,
 )
@@ -163,51 +163,48 @@ def _hermite_pair_tables(y: np.ndarray, top: int, alpha: float) -> np.ndarray:
     return np.einsum("rsk,ixrsk->ixrs", coef, powers[..., expo])
 
 
-def _chaos_deficit(f: ChaosExpansion, nu: DiscreteMeasure, alpha: float):
-    # the three integrals of one chaos function, from the pair tables
-    idx = np.array(list(f.coeffs), dtype=int).reshape(-1, f.dim)
-    c = np.array(list(f.coeffs.values()), dtype=float)
-    p = nu.weights
-    top = int(idx.max(initial=0))
-    t1, ta = (_hermite_pair_tables(nu.atoms, top, a) for a in (1.0, alpha))
+def _chaos_grams(f: ChaosExpansion, nu: DiscreteMeasure, alpha: float):
+    """c, K^1, K^a and K^D of one chaos function on its own indices m, from
+    the pair tables (module docstring)."""
+    idx = np.array(list(f.coeffs), dtype=int).reshape(len(f.coeffs), f.dim)
+    # rows[0] = the indices m, rows[1 + l] = m - e_l, clipped at 0 where
+    # its weight m_l is 0
+    rows = np.concatenate([idx[None], np.maximum(idx - np.eye(f.dim, dtype=int)[:, None], 0)])
+    top, axes = int(idx.max(initial=0)), np.arange(f.dim)
 
-    def form(tables, rows, weights):
-        gram = np.ones((p.size, len(rows), len(rows)))
-        for x in range(f.dim):
-            gram *= tables[:, x, rows[:, x, None], rows[None, :, x]]
-        return float(weights @ np.tensordot(p, gram, axes=1) @ weights)
+    def grams(a, rows):
+        # K[s]_mn = sum_i p_i prod_x T_a[rows[s, m, x], rows[s, n, x]](y_ix); the
+        # gather leaves the atom axis innermost, and the C-order copy gives the
+        # sum over atoms the BLAS route, so the bits, of one C-order (a, M, M) Gram
+        tables = _hermite_pair_tables(nu.atoms, top, a)[:, axes, rows[:, :, None], rows[:, None, :]]
+        return np.tensordot(nu.weights, np.ascontiguousarray(tables.prod(axis=-1)), axes=1)
 
-    energy = 0.0
-    for x in range(f.dim):
-        keep = idx[:, x] > 0
-        rows = idx[keep] - np.eye(f.dim, dtype=int)[x]
-        energy += form(t1, rows, idx[keep, x] * c[keep])
-    return form(t1, idx, c), form(ta, idx, c), energy
+    k1 = grams(1.0, rows)
+    kd = np.einsum("lm,ln,lmn->mn", idx.T, idx.T, k1[1:])
+    return np.array(list(f.coeffs.values()), dtype=float), k1[0], grams(alpha, idx[None])[0], kd
 
 
 def _deficit_batch(fs, nus, alphas) -> list[tuple[float, float, float]]:
     """(int f^2 drho, int f o_a f drho, int |Df|^2 drho), rho = mu * nu, per
-    task, as the quadratic forms of the module docstring; int f o_1 f is
-    bitwise int f^2.  Exponential combinations of one shape are one stack
-    up to the last quadratic form of each task; chaos functions run one
-    at a time."""
+    task: the forms c' K c of the module docstring, with c and (K^1, K^a,
+    K^D) on f's own basis; int f o_1 f is bitwise int f^2.  Exponential
+    combinations of one shape are one stack up to the last quadratic form
+    of each task; chaos functions run one at a time."""
     for f, nu in zip(fs, nus):
         check_dims(f, nu)
 
-    def run(idx):
+    def grams(idx):
         if isinstance(fs[idx[0]], ChaosExpansion):
-            return [_chaos_deficit(fs[i], nus[i], alphas[i]) for i in idx]
+            return [_chaos_grams(fs[i], nus[i], alphas[i]) for i in idx]
         s, exp_s, b = _exp_gram(_stack(fs, "directions", idx), _stack(nus, "atoms", idx),
                                 _stack(nus, "weights", idx))
         alpha = np.array([float(alphas[i]) for i in idx])[:, None, None]
-        k1, ka = exp_s * b, np.exp(alpha * s) * b
-        kd = s * k1
-        return [(float(w @ k1[t] @ w), float(w @ ka[t] @ w), float(w @ kd[t] @ w))
-                for t, w in enumerate(_stack(fs, "weights", idx))]
+        k1 = exp_s * b
+        return zip(_stack(fs, "weights", idx), k1, np.exp(alpha * s) * b, s * k1)
 
     keys = [(f.n_terms, nu.n_atoms, f.dim) if isinstance(f, ExpCombo) else ChaosExpansion
             for f, nu in zip(fs, nus)]
-    return per_shape(keys, run)
+    return [tuple(float(c @ k @ c) for k in ks) for c, *ks in per_shape(keys, grams)]
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +685,10 @@ def _grid_g_lambda(cfg):
 # to point, and so shows in se.
 
 
-def _mc_oracle(f: ExpCombo, nu: DiscreteMeasure, alpha, prod: ExpCombo, seed, count: int):
+def _mc_oracle(f: ExpCombo, nu: DiscreteMeasure, alpha, values, seed, count: int):
     """(estimate, se, tolerance) of int f^2, int f o_a f and int |Df|^2 drho
-    from one draw of count points of mu * nu_q, weighted by drho/dq (the
-    comment above)."""
+    from one draw of count points of mu * nu_q: rows 0-2 of values(pts),
+    weighted by drho/dq = Z / fbar^2, its row 3 (the comment above)."""
     if f.n_terms == 0:
         return [(0.0, 0.0, 0.0)] * 3
     h, w, y = f.directions, f.weights, nu.atoms
@@ -700,23 +697,12 @@ def _mc_oracle(f: ExpCombo, nu: DiscreteMeasure, alpha, prod: ExpCombo, seed, co
     pi = nu.weights[:, None] * ((2.0 - (j == k)) * np.abs(w[j] * w[k]) * np.exp(s + y @ pairs.T))
     z = float(pi.sum())
     nu_q = DiscreteMeasure(f.dim, (y[:, None, :] + pairs).reshape(-1, f.dim), pi.ravel() / z)
-    half = 0.5 * np.sum(h**2, axis=1)[:, None]
-    coefs = np.vstack([w, np.abs(w), h.T * w])
 
-    def values(pts):
-        # f, fbar and the n partials: rows of one product with the (k, N)
-        # matrix of the E(h_j) at the points
-        e = h @ pts.T
-        e -= half
-        v = coefs @ np.exp(e, out=e)
-        out = np.empty((3, len(pts)))
-        np.multiply(v[0], v[0], out=out[0])
-        out[1] = prod.eval(pts)
-        np.sum(v[2:] ** 2, axis=0, out=out[2])
-        out *= z / (v[1] * v[1])
-        return out
+    def weighted(pts):
+        vals = values(pts)
+        return vals[:3] * (z / vals[3])
 
-    est, se = mc_integral_rho(values, nu_q, seed, count)
+    est, se = mc_integral_rho(weighted, nu_q, seed, count)
     hh = np.abs(h)
     scale = float(np.max(np.sum(hh[j] * hh[k], axis=1) + np.abs(y) @ (hh[j] + hh[k]).T))
     n, a = f.dim, nu.n_atoms
@@ -737,28 +723,30 @@ def _oracle_rows(params, f, nu: DiscreteMeasure, alpha, integrals, tols) -> list
         check_integer(seed, "mc_seed (or each entry of a non-empty mc_seed list)", 0)
     order = default_order(nu.dim) if quad_order is None else quad_order
     grid = gauss_hermite_grid(nu.dim, order)
-    grads = gradient_exp(f)
+    h, w = f.directions, f.weights
+    half = 0.5 * np.sum(h**2, axis=1)[:, None]
+    coefs = np.vstack([w, np.abs(w), h.T * w])
     prod = alpha_exp(f, f, alpha)
 
-    def f_sq(pts):
-        vals = exp_eval(f, pts)
-        vals *= vals
-        return vals
+    def values(pts):
+        # f^2, f o_a f, |Df|^2 and fbar^2: f, fbar and the n partials are
+        # rows of one product with the (k, N) matrix of the E(h_j) at the points
+        e = h @ pts.T
+        e -= half
+        v = coefs @ np.exp(e, out=e)
+        out = np.empty((4, len(pts)))
+        np.multiply(v[0], v[0], out=out[0])
+        out[1] = prod.eval(pts)
+        np.sum(v[2:] ** 2, axis=0, out=out[2])
+        np.multiply(v[1], v[1], out=out[3])
+        return out
 
-    def dirichlet(pts):
-        total = np.zeros(np.atleast_2d(pts).shape[0])
-        for g in grads:
-            vals = exp_eval(g, pts)
-            vals *= vals
-            total += vals
-        return total
-
-    integrands = zip(("f_sq", "alpha_prod", "dirichlet"), (f_sq, prod.eval, dirichlet), integrals,
-                     _mc_oracle(f, nu, float(alpha), prod, mc_seed, mc_count))
+    quads = integrate_rho(lambda pts: values(pts)[:3], nu, grid).tolist()
+    integrands = zip(("f_sq", "alpha_prod", "dirichlet"), quads, integrals,
+                     _mc_oracle(f, nu, float(alpha), values, mc_seed, mc_count))
     base = {"alpha": float(alpha), "f": f.to_json_dict(), "nu": nu.to_json_dict()}
     rows = []
-    for name, fn, exact, (est, se, tol) in integrands:
-        quad = integrate_rho(fn, nu, grid)
+    for name, quad, exact, (est, se, tol) in integrands:
         qp = {**base, "integral": name, "route": "quadrature", "order": order, "value": quad, "exact": exact}
         rows.append(InequalityReport.from_sides(
             "oracle_triangle", qp, abs(quad - exact), tols["quadrature"] * max(1.0, abs(exact)),

@@ -227,14 +227,6 @@ def gammas_exp(lams, fs) -> list[ExpCombo]:
     return per_shape([(f.n_terms, f.dim) for f in fs], run)
 
 
-def gradient_exp(f: ExpCombo) -> list[ExpCombo]:
-    """Coordinate partials: d_k E(h) = h_k E(h), the n of them as one stack."""
-    if f.dim == 0:
-        return []
-    dirs = np.broadcast_to(f.directions, (f.dim, *f.directions.shape))
-    return exp_combos(f.dim, f.weights * f.directions.T, dirs)
-
-
 def mu_inner_exp(f: ExpCombo, g: ExpCombo) -> float:
     """Gaussian inner product: int E(h)E(k) dmu = e^{<h,k>}, bilinearly."""
     check_dims(f, g)

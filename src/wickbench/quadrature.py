@@ -97,11 +97,14 @@ def default_grid(n: int) -> QuadratureGrid:
     return gauss_hermite_grid(n, default_order(n))
 
 
-def _eval_at(fn, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a batch point function on an (N, n) array; it must return shape (N,)."""
+def _eval_at(fn, pts: np.ndarray, rows: bool = False) -> np.ndarray:
+    """fn on an (N, n) array of points: shape (N,), or with rows also (m, N),
+    one row per integrand.  ValueError naming any other shape."""
     vals = np.asarray(fn(pts), dtype=float)
-    if vals.shape != (pts.shape[0],):
-        raise ValueError(f"point function returned shape {vals.shape}, expected ({pts.shape[0]},)")
+    count = pts.shape[0]
+    if vals.shape != (count,) and not (rows and vals.ndim == 2 and vals.shape[1] == count):
+        expected = f"({count},) or (m, {count})" if rows else f"({count},)"
+        raise ValueError(f"point function returned shape {vals.shape}, expected {expected}")
     return vals
 
 
@@ -113,12 +116,17 @@ def lp_norm_mu(fn, p: float, grid: QuadratureGrid) -> float:
     return float((vals**p @ grid.weights) ** (1.0 / p))
 
 
-def integrate_rho(fn, nu: DiscreteMeasure, grid: QuadratureGrid) -> float:
-    """int fn d(mu * nu) = sum_i p_i int fn(w + y_i) dmu(w), each term by quadrature."""
+def integrate_rho(fn, nu: DiscreteMeasure, grid: QuadratureGrid):
+    """int fn d(mu * nu) = sum_i p_i int fn(w + y_i) dmu(w), each term by quadrature.
+
+    fn maps the (N, n) nodes to N values, or to an (m, N) array, one row
+    per integrand, all read from the one evaluation per atom; the integral
+    is then an (m,) array.
+    """
     total = 0.0
     for y, p in zip(nu.atoms, nu.weights):
-        total += p * float(_eval_at(fn, grid.nodes + y) @ grid.weights)
-    return total
+        total += p * (_eval_at(fn, grid.nodes + y, rows=True) @ grid.weights)
+    return float(total) if np.ndim(total) == 0 else total
 
 
 def mc_integral_rho(fn, nu: DiscreteMeasure, seed, count: int):
@@ -132,9 +140,7 @@ def mc_integral_rho(fn, nu: DiscreteMeasure, seed, count: int):
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    vals = np.asarray(fn(sample_rho(nu, seed, count)), dtype=float)
-    if vals.ndim not in (1, 2) or vals.shape[-1] != count:
-        raise ValueError(f"point function returned shape {vals.shape}, expected ({count},) or (m, {count})")
+    vals = _eval_at(fn, sample_rho(nu, seed, count), rows=True)
     est, se = vals.mean(axis=-1), vals.std(axis=-1, ddof=1) / math.sqrt(count)
     return (float(est), float(se)) if vals.ndim == 1 else (est, se)
 

@@ -1,7 +1,8 @@
 """Reference routes the tests compare the library against.
 
 Plain quadrature against the standard Gaussian, the Mehler smoothing form
-of the Ornstein-Uhlenbeck semigroup and the one-atom measure.  The
+of the Ornstein-Uhlenbeck semigroup, the one-atom measure and the
+coordinate partials of an exponential combination.  The
 library computes none of these itself; the tests use them as second
 routes to its closed forms.
 """
@@ -10,6 +11,7 @@ import math
 
 import numpy as np
 
+from wickbench.expspan import ExpCombo, exp_combos
 from wickbench.measures import DiscreteMeasure
 from wickbench.quadrature import QuadratureGrid, _eval_at
 
@@ -44,3 +46,11 @@ def mehler_ou(fn, tau: float, grid: QuadratureGrid):
         return out if arr.ndim == 2 else float(out[0])
 
     return smoothed
+
+
+def gradient_exp(f: ExpCombo) -> list[ExpCombo]:
+    """Coordinate partials: d_k E(h) = h_k E(h), the n of them as one stack."""
+    if f.dim == 0:
+        return []
+    dirs = np.broadcast_to(f.directions, (f.dim, *f.directions.shape))
+    return exp_combos(f.dim, f.weights * f.directions.T, dirs)

@@ -28,13 +28,13 @@ from wickbench.checks import (
     functions_from_json,
     resolve_tols,
 )
-from wickbench.expspan import alpha_exp, exp_eval, gradient_exp
+from wickbench.expspan import alpha_exp, exp_eval
 from wickbench.measures import WEIGHT_SUM_TOL, measures_from_json, sample_rho
 from wickbench.quadrature import mc_integral_rho
 from wickbench.suite import SuiteConfig, build_tasks
 from wickbench.suite import _ENCODE
 
-from reference_routes import dirac
+from reference_routes import dirac, gradient_exp
 
 E1 = ExpCombo.exponential([1.0])
 RHO0 = dirac([0.0] * 1)

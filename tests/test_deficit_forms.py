@@ -25,17 +25,17 @@ from wickbench import (
     alpha_chaos,
     alpha_exp,
     gradient,
-    gradient_exp,
     pointwise_chaos,
     pointwise_exp,
     rho_integral_chaos,
     rho_integral_exp,
     run_check,
 )
+from wickbench import checks
 from wickbench.checks import functions_from_json
 from wickbench.measures import measures_from_json
 
-from reference_routes import dirac
+from reference_routes import dirac, gradient_exp
 
 REL = 1e-12
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=120)
@@ -159,3 +159,55 @@ def test_deficit_checks_reject_dimension_mismatch(f):
         run_check("beckner_deficit", params)
     with pytest.raises(ValueError, match="dimension mismatch"):
         run_check("left_positivity", params)
+
+
+@pytest.mark.parametrize("check", ["beckner_deficit", "left_positivity"])
+def test_constant_chaos_and_exp_functions_give_the_same_rows(check):
+    # f = 2 in dim 0: the index () and the direction () are one constant
+    nu = {"dim": 0, "atoms": [[]], "weights": [1.0]}
+    chaos = {"kind": "chaos", "dim": 0, "terms": [{"m": [], "c": 2.0}]}
+    exp = {"kind": "exp", "dim": 0, "terms": [{"coef": 2.0, "h": []}]}
+    (c_row,), (e_row,) = (run_check(check, {"alpha": 0.5, "f": f, "nu": nu}) for f in (chaos, exp))
+    assert (c_row.lhs, c_row.rhs, c_row.passed) == (e_row.lhs, e_row.rhs, True)
+    assert c_row.params["integrals"] == e_row.params["integrals"]
+    assert (c_row.lhs, c_row.rhs) == ((0.0, 0.0) if check == "beckner_deficit" else (4.0, 4.0))
+
+
+FIRST_CHAOS = [([1.3], [0.3]), ([1.3, -0.7], [0.3, -1.1]), ([0.5, -1.2, 0.9], [1.4, 0.2, -0.6])]
+
+
+def _first_chaos_rows(c, y, alpha):
+    dim = len(c)
+    f = {"kind": "chaos", "dim": dim,
+         "terms": [{"m": np.eye(dim, dtype=int)[l].tolist(), "c": c[l]} for l in range(dim)]}
+    (row,) = run_check("beckner_deficit", {"alpha": alpha, "f": f, "nu": dirac(y).to_json_dict()})
+    return row
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
+@pytest.mark.parametrize("c, y", FIRST_CHAOS)
+def test_first_chaos_under_a_dirac_is_the_equality_case(c, y, alpha):
+    # f = sum_l c_l He_{e_l} under mu * delta_y: int f^2 = (c.y)^2 + |c|^2,
+    # int f o_a f = (c.y)^2 + a |c|^2 and int |Df|^2 = |c|^2 (K^D is the
+    # identity on the first chaos), so both sides are (1 - a) |c|^2
+    row = _first_chaos_rows(c, y, alpha)
+    cy, cc = float(np.dot(c, y)), float(np.dot(c, c))
+    scale = float(np.dot(np.abs(c), np.abs(y))) ** 2 + cc
+    ulp = np.finfo(float).eps * scale
+    got = row.params["integrals"]
+    assert abs(got["f_sq"] - (cy**2 + cc)) <= 4 * ulp
+    assert abs(got["alpha_prod"] - (cy**2 + alpha * cc)) <= 4 * ulp
+    assert abs(got["dirichlet"] - cc) <= 4 * ulp
+    assert abs(row.lhs - (1.0 - alpha) * cc) <= 8 * ulp
+    assert abs(row.rhs - (1.0 - alpha) * cc) <= 8 * ulp
+    assert row.passed
+
+
+def test_first_chaos_equality_catches_a_wrong_pair_table(monkeypatch):
+    # a^{k+1} for a^k in T_a scales each axis's table by a, so K^a by a^n:
+    # the deficit outgrows (1 - a) |c|^2 at every 0 < a < 1
+    right = checks._hermite_pair_tables
+    monkeypatch.setattr(checks, "_hermite_pair_tables", lambda y, top, alpha: alpha * right(y, top, alpha))
+    for c, y in FIRST_CHAOS:
+        for alpha in (0.3, 0.7):
+            assert not _first_chaos_rows(c, y, alpha).passed

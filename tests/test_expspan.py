@@ -12,7 +12,6 @@ from wickbench import (
     eval_chaos,
     exp_eval,
     gammas_exp,
-    gradient_exp,
     l2_inner,
     mu_inner_exp,
     pointwise_exp,
@@ -21,6 +20,8 @@ from wickbench import (
     wick_exp,
 )
 from wickbench.expspan import exps_from_json
+
+from reference_routes import gradient_exp
 
 
 def _random_combo(rng, dim, n_terms, scale=1.0):

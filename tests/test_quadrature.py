@@ -1,6 +1,7 @@
 """The independent oracles: Gauss-Hermite grids, Monte Carlo, Mehler smoothing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -141,6 +142,32 @@ def test_integrate_rho_shifts():
     f = ExpCombo.exponential([2.0])
     val = integrate_rho(f.eval, rho, grid)
     assert val == pytest.approx(math.cosh(2.0), rel=1e-10)
+
+
+def test_integrate_rho_rows_are_one_integral_each():
+    # a point function of three rows gives the three 1-D integrals, read
+    # from one evaluation per atom
+    grid = gauss_hermite_grid(2, 12)
+    nu = DiscreteMeasure(2, [[0.4, -0.3], [-1.1, 0.2]], [0.3, 0.7])
+    fns = [ExpCombo(2, [(1.2, [0.6, -0.3]), (-0.9, [-0.4, 0.8])]).eval,
+           lambda p: p[:, 0] ** 2 * p[:, 1], lambda p: np.cos(p).sum(axis=1)]
+    rows = integrate_rho(lambda p: np.stack([fn(p) for fn in fns]), nu, grid)
+    assert rows.shape == (3,)
+    for got, fn in zip(rows, fns):
+        want = integrate_rho(fn, nu, grid)
+        assert isinstance(want, float)
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("shape", [(11,), (2, 11), (2, 3, 10)])
+def test_rho_integrals_reject_other_shapes(shape):
+    # integrate_rho and mc_integral_rho share one contract on their 10
+    # points: (10,) or (m, 10)
+    grid, nu = gauss_hermite_grid(1, 10), DiscreteMeasure(1, [[0.5]], [1.0])
+    message = re.escape(f"returned shape {shape}, expected (10,) or (m, 10)")
+    for integrate in (lambda fn: integrate_rho(fn, nu, grid), lambda fn: mc_integral_rho(fn, nu, 3, 10)):
+        with pytest.raises(ValueError, match=message):
+            integrate(lambda p: np.zeros(shape))
 
 
 def test_mc_integral_rho():

@@ -35,6 +35,9 @@ F_DIM4 = {"kind": "exp", "dim": 4, "terms": [{"coef": 1.0, "h": [0.1, 0.2, 0.3, 
                                             {"coef": 0.5, "h": [-0.2, 0.1, 0.0, 0.3]}]}
 # its L^p norm e^{(p-1)|h|^2/2} is far past float range
 E_HUGE = {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [1000.0]}]}
+# tier-1 turns RuntimeWarnings into errors (pyproject.toml); these cases
+# overflow by design, and their numpy overflow warnings are expected
+OVERFLOWS = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 E_ZERO = {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [0.0]}]}
 NU_30 = {"dim": 1, "atoms": [[30.0]], "weights": [1.0]}
 CHAOS_ONE = {"kind": "chaos", "dim": 1, "terms": [{"m": [1], "c": 1.0}]}
@@ -325,9 +328,9 @@ def test_buckets_write_the_bytes_of_one_task_at_a_time(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("check, functions, message", [
-    ("holder", [E_ONE, E_HUGE], "holder task cannot run: math range error"),
-    ("beckner_deficit", [E_ONE, {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [40.0]}]}],
-     "beckner_deficit task cannot run: beckner_deficit has a non-finite side"),
+    pytest.param("holder", [E_ONE, E_HUGE], "holder task cannot run: math range error", marks=OVERFLOWS),
+    pytest.param("beckner_deficit", [E_ONE, {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [40.0]}]}],
+                 "beckner_deficit task cannot run: beckner_deficit has a non-finite side", marks=OVERFLOWS),
 ], ids=["holder-overflow", "beckner-overflow"])
 def test_a_bucket_task_that_cannot_run_exits_two(tmp_path, capsys, jobs, check, functions, message):
     # the bad task shares its JSON shape, so its parser stack, with good ones
@@ -602,8 +605,9 @@ def test_cli_run_config_error(tmp_path, capsys):
     # an L^2.6 norm of a 2-term function in dim 4: no closed form, no default grid
     ({"checks": ["holder"], "alphas": [0.3], "functions": [F_DIM4]}, []),
     # an overflow is a task that cannot run, not a failed inequality
-    ({"checks": ["holder"], "alphas": [0.3], "functions": [E_HUGE]}, []),
-    ({"checks": ["holder"], "alphas": [0.3], "functions": [E_HUGE]}, ["--jobs", "2"]),
+    pytest.param({"checks": ["holder"], "alphas": [0.3], "functions": [E_HUGE]}, [], marks=OVERFLOWS),
+    pytest.param({"checks": ["holder"], "alphas": [0.3], "functions": [E_HUGE]}, ["--jobs", "2"],
+                 marks=OVERFLOWS),
     ({}, ["--jobs", "0"]),
     ({}, ["--jobs", "-2"]),
     # "dim": 1.9 and true were read as 1: no beckner_deficit task for the
@@ -641,7 +645,8 @@ def test_cli_run_rejects_bad_scalar_fields(tmp_path, capsys, monkeypatch, overri
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("f, message", [(F_DIM4, "no exact route"), (E_HUGE, "math range error")],
+@pytest.mark.parametrize("f, message", [(F_DIM4, "no exact route"),
+                                        pytest.param(E_HUGE, "math range error", marks=OVERFLOWS)],
                          ids=["dim4", "overflow"])
 def test_run_suite_names_the_check_of_a_task_that_cannot_run(jobs, f, message):
     # the config loads; its grid task raises when it runs
@@ -734,7 +739,7 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
 
 
 @pytest.mark.parametrize("name, params, message", [
-    ("holder", {"alpha": 0.3, "f": E_HUGE}, "math range error"),
+    pytest.param("holder", {"alpha": 0.3, "f": E_HUGE}, "math range error", marks=OVERFLOWS),
     ("g_lambda_bound", {"nu": NU_SYM, "lambda": math.nan}, "lambda must be finite"),
     ("g_lambda_bound", {"nu": NU_SYM, "lambda": math.inf}, "lambda must be finite"),
     ("char_gram_psd", {"nu": NU_SYM, "hs": [[0.0], [math.nan]]}, "hs must be finite"),
@@ -745,13 +750,14 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
     ("holder", {"alpha": 0.5, "f": E_ONE, "p": math.inf, "q": 1.75, "r": 2.0},
      "p, q and r must be finite"),
     # a side past float range is no verdict: these printed FAIL, FAIL and PASS
-    ("g_lambda_bound", {"nu": {"dim": 1, "atoms": [[1.5]], "weights": [1.0]}, "lambda": 40},
-     "g_lambda_bound has a non-finite side: lhs=inf, rhs=inf"),
-    ("beckner_deficit", {"alpha": 0.5, "f": {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [40.0]}]},
-                         "nu": NU_ZERO},
-     "beckner_deficit has a non-finite side: lhs=nan, rhs=inf"),
-    ("covariance", {"nu1": NU_30, "nu2": NU_30, "phi": E_ZERO},
-     "covariance has a non-finite side: lhs=0.0, rhs=inf"),
+    pytest.param("g_lambda_bound", {"nu": {"dim": 1, "atoms": [[1.5]], "weights": [1.0]}, "lambda": 40},
+                 "g_lambda_bound has a non-finite side: lhs=inf, rhs=inf", marks=OVERFLOWS),
+    pytest.param("beckner_deficit",
+                 {"alpha": 0.5, "f": {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [40.0]}]},
+                  "nu": NU_ZERO},
+                 "beckner_deficit has a non-finite side: lhs=nan, rhs=inf", marks=OVERFLOWS),
+    pytest.param("covariance", {"nu1": NU_30, "nu2": NU_30, "phi": E_ZERO},
+                 "covariance has a non-finite side: lhs=0.0, rhs=inf", marks=OVERFLOWS),
     # a function of the wrong kind crashed with an AttributeError traceback
     ("holder", {"alpha": 0.5, "f": CHAOS_ONE}, "expected exp functions, got kind 'chaos'"),
     ("strong_positivity", {"alpha": 0.5, "nu": NU_ZERO, "phi": CHAOS_ONE},
