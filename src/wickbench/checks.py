@@ -233,7 +233,7 @@ def _pairs(seq):
     return [(a, b) for i, a in enumerate(seq) for b in seq[i:]]
 
 
-# Random sweeps: each light check has one stream of uniforms, keyed by
+# Random sweeps: each check has one stream of uniforms, keyed by
 # (seed, check index); sweep s owns the B uniforms from draw s * B on, B the
 # columns one sweep's draw reads.  A run of sweeps is one (sweeps, B) block,
 # turned column by column into params; slots a sweep does not need go
@@ -276,8 +276,8 @@ def _points(block: _Block, dims, max_count=6, scale=COORD_SCALE) -> list[list]:
     return [pts[:c, :n].tolist() for n, c, pts in zip(dims, counts, coords)]
 
 
-def _nu_jsons(block: _Block, dims, max_atoms=5) -> list[dict]:
-    atoms = _points(block, dims, max_atoms)
+def _nu_jsons(block: _Block, dims, max_atoms=5, scale=COORD_SCALE) -> list[dict]:
+    atoms = _points(block, dims, max_atoms, scale)
     weights = _dirichlet(block.uniform(0.0, 1.0, max_atoms), [len(a) for a in atoms])
     return [{"dim": n, "atoms": a, "weights": w} for n, a, w in zip(dims, atoms, weights)]
 
@@ -309,7 +309,7 @@ def _phis(block: _Block, dims) -> list[dict]:
 
 
 class _Blocks(NamedTuple):
-    """random(cfg, index, sweeps) of a light check.  draw takes a sweep's
+    """random(cfg, index, sweeps) of a check.  draw takes a sweep's
     params in order from its block: a dim in 1..cap (unused when dim is
     set), then unless alpha is None an alpha k/10 with k in alpha..10, then
     the fields(block, dims) dict, its values drawn in its order."""
@@ -342,38 +342,30 @@ def _deficit_tasks(tasks):
     return zip(fs, nus, alphas, _deficit_batch(fs, nus, alphas))
 
 
+_INTEGRALS = ("f_sq", "alpha_prod", "dirichlet")
+
+
+def _deficit_rows(name, tasks, tols, shown: int, sides):
+    """Each deficit task's one row: (lhs, rhs) = sides(alpha, *integrals),
+    its params showing the first shown of the three integrals."""
+    return [[InequalityReport.from_sides(
+        name, {"alpha": float(alpha), "f": f.to_json_dict(), "nu": nu.to_json_dict(),
+               "integrals": dict(zip(_INTEGRALS[:shown], ints))}, *sides(alpha, *ints), tols["exact"])]
+        for f, nu, alpha, ints in _deficit_tasks(tasks)]
+
+
 def _run_beckner(tasks, tols):
     """int f^2 drho - int (f o_a f) drho <= (1 - a) int |Df|^2 drho.
 
     The interpolation-deficit inequality for rho = mu * nu; at alpha = 1
     both sides vanish, at alpha = 0 it is the Wick-form bound.
     """
-    rows = []
-    for f, nu, alpha, (sq, ap, en) in _deficit_tasks(tasks):
-        params = {
-            "alpha": float(alpha),
-            "f": f.to_json_dict(),
-            "nu": nu.to_json_dict(),
-            "integrals": {"f_sq": sq, "alpha_prod": ap, "dirichlet": en},
-        }
-        rows.append([InequalityReport.from_sides("beckner_deficit", params, lhs=sq - ap,
-                                                 rhs=(1.0 - alpha) * en, tolerance=tols["exact"])])
-    return rows
+    return _deficit_rows("beckner_deficit", tasks, tols, 3, lambda a, sq, ap, en: (sq - ap, (1.0 - a) * en))
 
 
 def _run_left(tasks, tols):
     """int (f o_a f) drho <= int f^2 drho, rho = mu * nu; equality at alpha = 1."""
-    rows = []
-    for f, nu, alpha, (sq, ap, _) in _deficit_tasks(tasks):
-        params = {
-            "alpha": float(alpha),
-            "f": f.to_json_dict(),
-            "nu": nu.to_json_dict(),
-            "integrals": {"f_sq": sq, "alpha_prod": ap},
-        }
-        rows.append([InequalityReport.from_sides("left_positivity", params,
-                                                 lhs=ap, rhs=sq, tolerance=tols["exact"])])
-    return rows
+    return _deficit_rows("left_positivity", tasks, tols, 2, lambda a, sq, ap, en: (ap, sq))
 
 
 def _grid_deficit(cfg):
@@ -742,7 +734,7 @@ def _oracle_rows(params, f, nu: DiscreteMeasure, alpha, integrals, tols) -> list
         return out
 
     quads = integrate_rho(lambda pts: values(pts)[:3], nu, grid).tolist()
-    integrands = zip(("f_sq", "alpha_prod", "dirichlet"), quads, integrals,
+    integrands = zip(_INTEGRALS, quads, integrals,
                      _mc_oracle(f, nu, float(alpha), values, mc_seed, mc_count))
     base = {"alpha": float(alpha), "f": f.to_json_dict(), "nu": nu.to_json_dict()}
     rows = []
@@ -785,24 +777,15 @@ def _grid_oracle(cfg):
                 }
 
 
+# the oracle's sweeps: n <= 2 (cap 2) for its tensor grid, up to 3 terms
+# and 3 atoms with coordinates in [-1, 1], and a Monte Carlo seed
+_ORACLE_BLOCKS = _Blocks(0, lambda b, dims: {"f": _exp_jsons(b, dims, 3, 1.0), "nu": _nu_jsons(b, dims, 3, 1.0),
+                                             "mc_seed": b.integers(0, 2**32 - 1).tolist()}, cap=2)
+
+
 def _random_oracle(cfg, index: int, sweeps: range) -> list[dict]:
-    # Not a block stream: each sweep keeps its own generator and draws, so
-    # the Monte Carlo rows (and their false alarms, ROADMAP 2d) stay as they are.
-    tasks = []
-    for sweep in sweeps:
-        rng = np.random.default_rng([cfg.seed, index, sweep])
-        n = min(cfg.dim, 2) if cfg.dim is not None else int(rng.integers(1, 3))
-        alpha = int(rng.integers(0, 11)) / 10
-        count = int(rng.integers(1, 4))
-        dirs, coefs = rng.uniform(-1.0, 1.0, size=(count, n)), rng.uniform(-1.5, 1.5, size=count)
-        f = {"kind": "exp", "dim": n,
-             "terms": [{"coef": float(c), "h": d.tolist()} for c, d in zip(coefs, dirs)]}
-        count = int(rng.integers(1, 4))
-        nu = {"dim": n, "atoms": rng.uniform(-1.0, 1.0, size=(count, n)).tolist(),
-              "weights": rng.dirichlet(np.ones(count)).tolist()}
-        tasks.append({"alpha": alpha, "f": f, "nu": nu, "quad_order": cfg.quad_order,
-                      "mc_count": cfg.mc_count, "mc_seed": [cfg.seed, index, sweep, 7]})
-    return tasks
+    return [{**params, "quad_order": cfg.quad_order, "mc_count": cfg.mc_count}
+            for params in _ORACLE_BLOCKS(cfg, index, sweeps)]
 
 
 class CheckSpec(NamedTuple):
@@ -815,7 +798,8 @@ class CheckSpec(NamedTuple):
     params of the config's grid tasks; random(cfg, index, sweeps), index
     the check's position in CHECK_REGISTRY, returns the params of the
     consecutive random sweeps in the range sweeps, each of which depends
-    only on (seed, index, sweep).
+    only on (seed, index, sweep): a _Blocks draw from the check's one
+    stream, and for oracle_triangle the config's quad_order and mc_count.
     """
 
     describe: str

@@ -130,7 +130,7 @@ def _tasks(cfg: SuiteConfig, name: str, grid: list, sweeps: range) -> list[dict]
     one spec.random call's params for the sweeps, each with its "sweep".
     A sweep's params depend only on (seed, check index, sweep), so any
     cut of a check's tasks gives the params of the whole."""
-    drawn = CHECK_REGISTRY[name].random(cfg, _CHECK_INDEX[name], sweeps) if sweeps else []
+    drawn = CHECK_REGISTRY[name].random(cfg, _CHECK_INDEX[name], sweeps)
     return grid + [{**params, "sweep": sweep} for sweep, params in zip(sweeps, drawn)]
 
 

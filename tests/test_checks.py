@@ -329,18 +329,56 @@ def test_oracle_triangle_exact_is_the_deficit_kernel():
     assert (exact["f_sq"], exact["alpha_prod"], exact["dirichlet"]) == _deficit_batch([f], [rho], [0.5])[0]
 
 
-def _oracle_sweeps(seed, sweeps, mc_count):
+def _oracle_sweeps(seed, sweeps, mc_count, quad_order=10):
     cfg = SuiteConfig(seed=seed, checks=["oracle_triangle"], random_sweeps=sweeps, mc_count=mc_count,
-                      quad_order=10)
+                      quad_order=quad_order)
     tasks = [t["params"] for t in build_tasks(cfg)]
     return [row for rows in CHECK_REGISTRY["oracle_triangle"].run(tasks, resolve_tols({})) for row in rows]
 
 
+@pytest.mark.parametrize("dim, dims", [(None, {1, 2}), (1, {1}), (2, {2}), (5, {2})])
+def test_oracle_sweeps_keep_their_distribution(dim, dims):
+    # f: 1-3 terms, |h| coordinates <= 1, |coef| <= 1.5; nu: 1-3 atoms,
+    # coordinates in [-1, 1], weights summing to 1; n <= 2 for the grid
+    sweeps = [t["params"] for seed in (1, 2, 3) for t in build_tasks(SuiteConfig(
+        seed=seed, dim=dim, checks=["oracle_triangle"], random_sweeps=200, quad_order=12, mc_count=500))]
+    assert {p["f"]["dim"] for p in sweeps} == {p["nu"]["dim"] for p in sweeps} == dims
+    assert {len(p["f"]["terms"]) for p in sweeps} == {len(p["nu"]["atoms"]) for p in sweeps} == {1, 2, 3}
+    assert {p["alpha"] for p in sweeps} == {k / 10 for k in range(11)}
+    for p in sweeps:
+        f, nu = p["f"], p["nu"]
+        assert f["dim"] == nu["dim"]
+        assert all(len(t["h"]) == f["dim"] and max(map(abs, t["h"])) <= 1.0 and abs(t["coef"]) <= 1.5
+                   for t in f["terms"])
+        assert all(len(y) == nu["dim"] and max(map(abs, y)) <= 1.0 for y in nu["atoms"])
+        assert len(nu["weights"]) == len(nu["atoms"]) and min(nu["weights"]) >= 0.0
+        assert abs(sum(nu["weights"]) - 1.0) <= WEIGHT_SUM_TOL
+        assert type(p["mc_seed"]) is int and p["mc_seed"] >= 0
+        assert (p["quad_order"], p["mc_count"]) == (12, 500)
+
+
 def test_oracle_mc_rows_do_not_fail_on_correct_integrals():
     # a bounded importance weight makes the mc_sigmas gate valid: a plain
-    # draw fails 5-15 of these 1,500 correct mc rows per seed
+    # draw fails 5-15 of these 1,500 correct mc rows per seed.  The
+    # quadrature rows run at the default order: at order 10 some of them
+    # fail on correct closed forms (the strict xfail below)
     for seed in range(1, 6):
-        assert [r.params for r in _oracle_sweeps(seed, 100, 500) if not r.passed] == []
+        assert [r.params for r in _oracle_sweeps(seed, 100, 500, None) if not r.passed] == []
+
+
+@pytest.mark.xfail(strict=True, reason="the quadrature tolerance ignores the order: at a user-set "
+                   "order 10 a correct closed form fails its quadrature row (ROADMAP item 3)")
+def test_oracle_quadrature_at_order_10_passes_on_correct_integrals():
+    # alpha_prod's quadrature row is off by 1.93x its 1e-6 relative bound
+    # at order 10 while the exact value is right; at orders 11, 12, 14, 20 and
+    # 30 every row passes
+    f = ExpCombo(1, [(-1.2866672849629608, [-0.9921288060264333]), (1.0831861416831563, [0.5049949206447744]),
+                     (1.1752618826293708, [0.5413948453327679])])
+    nu = DiscreteMeasure(1, [[-0.8352053104946799], [-0.47370656011876555], [-0.4001259614858643]],
+                         [0.12465407003043429, 0.20450026530835236, 0.6708456646612133])
+    rows = run_check("oracle_triangle", {"alpha": 0.1, "f": f.to_json_dict(), "nu": nu.to_json_dict(),
+                                         "quad_order": 10, "mc_count": 500, "mc_seed": 1})
+    assert all(r.passed for r in rows)
 
 
 def test_oracle_mc_rows_catch_a_tiny_error_in_the_deficit_kernel(monkeypatch):
