@@ -367,18 +367,17 @@ def eval_chaos(f: ChaosExpansion, w) -> float | np.ndarray:
     """Evaluate f = sum_m c_m H_m at a single point (n,) or a batch (N, n)."""
     pts, batch = _as_points(w, f.dim)
     acc = np.zeros(pts.shape[0])
-    if f.coeffs:
-        axis_max = [0] * f.dim
-        for m in f.coeffs:
-            for k, mk in enumerate(m):
-                axis_max[k] = max(axis_max[k], mk)
-        tables = [_he_table(axis_max[k], pts[:, k]) for k in range(f.dim)]
-        for m, c in f.coeffs.items():
-            term = np.full(pts.shape[0], c)
-            for k, mk in enumerate(m):
-                if mk:
-                    term = term * tables[k][mk]
-            acc += term
+    axis_max = [0] * f.dim
+    for m in f.coeffs:
+        for k, mk in enumerate(m):
+            axis_max[k] = max(axis_max[k], mk)
+    tables = [_he_table(axis_max[k], pts[:, k]) for k in range(f.dim)]
+    for m, c in f.coeffs.items():
+        term = np.full(pts.shape[0], c)
+        for k, mk in enumerate(m):
+            if mk:
+                term = term * tables[k][mk]
+        acc += term
     return acc if batch else float(acc[0])
 
 

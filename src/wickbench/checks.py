@@ -102,6 +102,11 @@ DEFAULT_TOLS = {
     "quadrature": 1e-6,
     "mc_sigmas": 4.0,
 }
+# oracle_triangle's Monte Carlo sample size, where a task or config gives none
+DEFAULT_MC_COUNT = 100_000
+# the most times oracle_triangle raises its quadrature order by half:
+# to 225 in n <= 2, 90 in n = 3
+_QUAD_STEPS = 5
 
 
 def resolve_tols(overrides) -> dict:
@@ -707,14 +712,11 @@ def _mc_oracle(f: ExpCombo, nu: DiscreteMeasure, alpha, values, seed, count: int
 def _oracle_rows(params, f, nu: DiscreteMeasure, alpha, integrals, tols) -> list[InequalityReport]:
     if isinstance(f, ChaosExpansion):
         raise ValueError("expected exp functions, got kind 'chaos'")
-    quad_order, mc_count = params.get("quad_order"), params.get("mc_count", 100_000)
-    check_integer(quad_order, "quad_order", 1, nullable=True)
+    mc_count = params.get("mc_count", DEFAULT_MC_COUNT)
     check_integer(mc_count, "mc_count", 2)
     mc_seed = params.get("mc_seed", 0)
     for seed in mc_seed if isinstance(mc_seed, list) and mc_seed else [mc_seed]:
         check_integer(seed, "mc_seed (or each entry of a non-empty mc_seed list)", 0)
-    order = default_order(nu.dim) if quad_order is None else quad_order
-    grid = gauss_hermite_grid(nu.dim, order)
     h, w = f.directions, f.weights
     half = 0.5 * np.sum(h**2, axis=1)[:, None]
     coefs = np.vstack([w, np.abs(w), h.T * w])
@@ -733,8 +735,21 @@ def _oracle_rows(params, f, nu: DiscreteMeasure, alpha, integrals, tols) -> list
         np.multiply(v[1], v[1], out=out[3])
         return out
 
-    quads = integrate_rho(lambda pts: values(pts)[:3], nu, grid).tolist()
-    integrands = zip(_INTEGRALS, quads, integrals,
+    # settle the order on quadrature values alone, never the exact side,
+    # so that the two routes stay independent
+    orders = [default_order(nu.dim) * 2 // 3, default_order(nu.dim)]
+    for _ in range(_QUAD_STEPS):
+        orders.append(orders[-1] * 3 // 2)
+    quads = integrate_rho(lambda pts: values(pts)[:3], nu, gauss_hermite_grid(nu.dim, orders[0]))
+    for order in orders[1:]:
+        low, quads = quads, integrate_rho(lambda pts: values(pts)[:3], nu, gauss_hermite_grid(nu.dim, order))
+        drift = float(np.max(np.abs(quads - low) / np.maximum(1.0, np.abs(quads))))
+        if drift <= 0.1 * tols["quadrature"]:
+            break
+    else:
+        raise ValueError(f"quadrature does not settle by order {order}: it moves {drift:.3g} relative "
+                         f"from order {orders[-2]}, above a tenth of the quadrature tolerance")
+    integrands = zip(_INTEGRALS, quads.tolist(), integrals,
                      _mc_oracle(f, nu, float(alpha), values, mc_seed, mc_count))
     base = {"alpha": float(alpha), "f": f.to_json_dict(), "nu": nu.to_json_dict()}
     rows = []
@@ -760,6 +775,11 @@ def _run_oracle(tasks, tols):
     tolerance, relative) and a Monte Carlo value (within mc_sigmas
     standard errors plus a rounding tolerance; _mc_oracle draws once per
     task for the three).  Six rows per task.
+
+    The quadrature order starts at default_order(n), which refuses n > 3,
+    and is checked against two thirds of it; until the two agree it rises
+    by half, at most _QUAD_STEPS times, and a task whose quadrature does
+    not settle raises ValueError.  Its rows record the accepted order.
     """
     return [_oracle_rows(params, *task, tols) for params, task in zip(tasks, _deficit_tasks(tasks))]
 
@@ -771,8 +791,7 @@ def _grid_oracle(cfg):
                 continue
             for a in cfg.alphas:
                 yield {
-                    "alpha": a, "f": f, "nu": nu,
-                    "quad_order": cfg.quad_order, "mc_count": cfg.mc_count,
+                    "alpha": a, "f": f, "nu": nu, "mc_count": cfg.mc_count,
                     "mc_seed": [cfg.seed, 9000 + idx, jdx],
                 }
 
@@ -784,8 +803,7 @@ _ORACLE_BLOCKS = _Blocks(0, lambda b, dims: {"f": _exp_jsons(b, dims, 3, 1.0), "
 
 
 def _random_oracle(cfg, index: int, sweeps: range) -> list[dict]:
-    return [{**params, "quad_order": cfg.quad_order, "mc_count": cfg.mc_count}
-            for params in _ORACLE_BLOCKS(cfg, index, sweeps)]
+    return [{**params, "mc_count": cfg.mc_count} for params in _ORACLE_BLOCKS(cfg, index, sweeps)]
 
 
 class CheckSpec(NamedTuple):
@@ -799,7 +817,7 @@ class CheckSpec(NamedTuple):
     the check's position in CHECK_REGISTRY, returns the params of the
     consecutive random sweeps in the range sweeps, each of which depends
     only on (seed, index, sweep): a _Blocks draw from the check's one
-    stream, and for oracle_triangle the config's quad_order and mc_count.
+    stream, and for oracle_triangle the config's mc_count.
     """
 
     describe: str

@@ -158,14 +158,11 @@ def exps_from_json(datas) -> list[ExpCombo]:
 def exp_eval(f: ExpCombo, w):
     """Evaluate at a point (n,) or batch (N, n) of points."""
     pts, batch = _as_points(w, f.dim)
-    if f.n_terms == 0:
-        vals = np.zeros(pts.shape[0])
-    else:
-        # one (N, k) temporary, exponentiated in place: at Monte Carlo sizes
-        # each fresh array of that size costs page faults
-        z = pts @ f.directions.T
-        z -= 0.5 * np.sum(f.directions**2, axis=1)
-        vals = np.exp(z, out=z) @ f.weights
+    # one (N, k) temporary, exponentiated in place: at Monte Carlo sizes
+    # each fresh array of that size costs page faults
+    z = pts @ f.directions.T
+    z -= 0.5 * np.sum(f.directions**2, axis=1)
+    vals = np.exp(z, out=z) @ f.weights
     return vals if batch else float(vals[0])
 
 
@@ -230,8 +227,6 @@ def gammas_exp(lams, fs) -> list[ExpCombo]:
 def mu_inner_exp(f: ExpCombo, g: ExpCombo) -> float:
     """Gaussian inner product: int E(h)E(k) dmu = e^{<h,k>}, bilinearly."""
     check_dims(f, g)
-    if f.n_terms == 0 or g.n_terms == 0:
-        return 0.0
     return float(f.weights @ np.exp(f.directions @ g.directions.T) @ g.weights)
 
 
@@ -245,12 +240,8 @@ def to_chaos(f: ExpCombo, max_degree: int) -> ChaosExpansion:
         raise ValueError("max_degree must be >= 0")
     coeffs = {}
     for m in multi_indices(f.dim, max_degree):
-        if f.n_terms:
-            powers = np.prod(f.directions ** np.asarray(m), axis=1)
-            c = float(f.weights @ powers) / index_factorial(m)
-        else:
-            c = 0.0
-        coeffs[m] = c
+        powers = np.prod(f.directions ** np.asarray(m), axis=1)
+        coeffs[m] = float(f.weights @ powers) / index_factorial(m)
     return ChaosExpansion(f.dim, coeffs)
 
 
@@ -269,8 +260,6 @@ def to_chaos_tail_bound(f: ExpCombo, max_degree: int) -> float:
 
 def _exp_series_tail(x: float, cap: int) -> float:
     # sum_{t>cap} x^t/t!, summed forward; terms decay once t > x
-    if x == 0.0:
-        return 0.0
     term = x ** (cap + 1) / math.factorial(cap + 1)
     total = 0.0
     t = cap + 1

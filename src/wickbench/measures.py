@@ -166,8 +166,6 @@ def g_lambda_norms(nus, lams) -> list[tuple[float, float]]:
 def rho_integral_exp(f: ExpCombo, nu: DiscreteMeasure) -> float:
     """int f drho, rho = mu * nu: sum_j w_j sum_i p_i e^{<y_i, h_j>}, exactly."""
     check_dims(f, nu)
-    if f.n_terms == 0:
-        return 0.0
     return float(f.weights @ np.exp(f.directions @ nu.atoms.T) @ nu.weights)
 
 

@@ -20,8 +20,6 @@ from .expspan import ExpCombo, mu_inner_exp, pointwise_exp
 from .measures import DiscreteMeasure, sample_rho
 
 NODE_COUNT_WARN = 1_000_000
-# largest dimension whose default tensor grid lp_norm_exp will build
-QUADRATURE_MAX_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,7 @@ class QuadratureGrid:
         if self.nodes.shape != (self.order**self.dim, self.dim):
             raise ValueError("node array shape does not match order^n x n")
         if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
+            raise ValueError("weights must be positive (high-order tensor weights can underflow to 0)")
         if abs(self.weights.sum() - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1")
         self.nodes.setflags(write=False)
@@ -84,13 +82,12 @@ def _tensor_grid(n: int, order: int) -> QuadratureGrid:
 
 
 def default_order(n: int) -> int:
-    """Per-axis order keeping node counts reasonable as n grows."""
-    if n <= 2:
-        return 30
-    if n == 3:
-        return 12
-    warnings.warn(f"tensor quadrature in n={n} is impractical; prefer Monte Carlo", stacklevel=2)
-    return 6
+    """Per-axis starting order of tensor quadrature: 30 in n <= 2, 12 in
+    n = 3.  The one rule for which dimensions tensor quadrature serves:
+    ValueError for n > 3, where a grid of useful order is too large."""
+    if n > 3:
+        raise ValueError(f"tensor quadrature is limited to n <= 3, got n={n}; use Monte Carlo")
+    return 30 if n <= 2 else 12
 
 
 def default_grid(n: int) -> QuadratureGrid:
@@ -150,16 +147,13 @@ def lp_norm_exp(f: ExpCombo, p: float) -> tuple[float, str]:
 
     Exact routes: a single term has norm |w| e^{(p-1)|h|^2/2} for any p;
     p = 2 is a Gaussian inner product; even integer p expands the power.
-    Anything else takes quadrature, on the default grid only for
-    n <= QUADRATURE_MAX_DIM; above that it raises ValueError.  The
-    one-term closed form raises OverflowError past float range.
+    Anything else takes quadrature on the default grid, at the fixed
+    default_order, which raises ValueError for n > 3.  The one-term closed
+    form raises OverflowError past float range.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if f.n_terms > 1 and not (float(p).is_integer() and int(p) % 2 == 0):
-        if f.dim > QUADRATURE_MAX_DIM:
-            raise ValueError(f"no exact route and quadrature impractical for n > {QUADRATURE_MAX_DIM}; "
-                             "use Monte Carlo")
         return lp_norm_mu(f.eval, p, default_grid(f.dim)), "quadrature"
     if f.n_terms == 0:
         return 0.0, "exact"

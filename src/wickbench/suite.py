@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .chaos import INPUT_ERRORS, check_alpha, check_integer
-from .checks import _CHECK_INDEX, CHECK_REGISTRY, functions_from_json, resolve_tols
+from .checks import _CHECK_INDEX, CHECK_REGISTRY, DEFAULT_MC_COUNT, functions_from_json, resolve_tols
 from .measures import measures_from_json
 from .report import InequalityReport
 
@@ -52,7 +52,6 @@ _INT_FIELDS = (
     ("seed", 0, False),
     ("dim", 1, True),
     ("random_sweeps", 0, False),
-    ("quad_order", 1, True),
     ("mc_count", 2, False),
 )
 
@@ -67,8 +66,7 @@ class SuiteConfig:
     checks: list = field(default_factory=list)
     random_sweeps: int = 0
     tolerances: dict = field(default_factory=dict)
-    quad_order: int | None = None
-    mc_count: int = 100_000
+    mc_count: int = DEFAULT_MC_COUNT
     negate: bool = False
     out: str | None = None
 

@@ -228,7 +228,7 @@ def test_08_oracle_triangle_battery(capsys):
             alpha = ((5 * i + j) % 11) / 10
             rows = run_check("oracle_triangle", {
                 "alpha": alpha, "f": f.to_json_dict(), "nu": rho.to_json_dict(),
-                "quad_order": 30, "mc_seed": [2468, i, j], "mc_count": 100_000})
+                "mc_seed": [2468, i, j], "mc_count": 100_000})
             all_rows.extend(rows)
             for r in rows:
                 if r.params["route"] == "quadrature":

@@ -306,7 +306,7 @@ def test_g_lambda_bound_check():
 def test_oracle_triangle_small():
     f = ExpCombo.exponential([0.5], 1.5)
     params = {"alpha": 0.5, "f": f.to_json_dict(), "nu": RHO_SYM.to_json_dict(),
-              "quad_order": 25, "mc_seed": 4, "mc_count": 30_000}
+              "mc_seed": 4, "mc_count": 30_000}
     rows = run_check("oracle_triangle", params)
     assert len(rows) == 6
     assert all(r.passed for r in rows)
@@ -329,9 +329,8 @@ def test_oracle_triangle_exact_is_the_deficit_kernel():
     assert (exact["f_sq"], exact["alpha_prod"], exact["dirichlet"]) == _deficit_batch([f], [rho], [0.5])[0]
 
 
-def _oracle_sweeps(seed, sweeps, mc_count, quad_order=10):
-    cfg = SuiteConfig(seed=seed, checks=["oracle_triangle"], random_sweeps=sweeps, mc_count=mc_count,
-                      quad_order=quad_order)
+def _oracle_sweeps(seed, sweeps, mc_count):
+    cfg = SuiteConfig(seed=seed, checks=["oracle_triangle"], random_sweeps=sweeps, mc_count=mc_count)
     tasks = [t["params"] for t in build_tasks(cfg)]
     return [row for rows in CHECK_REGISTRY["oracle_triangle"].run(tasks, resolve_tols({})) for row in rows]
 
@@ -341,7 +340,7 @@ def test_oracle_sweeps_keep_their_distribution(dim, dims):
     # f: 1-3 terms, |h| coordinates <= 1, |coef| <= 1.5; nu: 1-3 atoms,
     # coordinates in [-1, 1], weights summing to 1; n <= 2 for the grid
     sweeps = [t["params"] for seed in (1, 2, 3) for t in build_tasks(SuiteConfig(
-        seed=seed, dim=dim, checks=["oracle_triangle"], random_sweeps=200, quad_order=12, mc_count=500))]
+        seed=seed, dim=dim, checks=["oracle_triangle"], random_sweeps=200, mc_count=500))]
     assert {p["f"]["dim"] for p in sweeps} == {p["nu"]["dim"] for p in sweeps} == dims
     assert {len(p["f"]["terms"]) for p in sweeps} == {len(p["nu"]["atoms"]) for p in sweeps} == {1, 2, 3}
     assert {p["alpha"] for p in sweeps} == {k / 10 for k in range(11)}
@@ -354,31 +353,69 @@ def test_oracle_sweeps_keep_their_distribution(dim, dims):
         assert len(nu["weights"]) == len(nu["atoms"]) and min(nu["weights"]) >= 0.0
         assert abs(sum(nu["weights"]) - 1.0) <= WEIGHT_SUM_TOL
         assert type(p["mc_seed"]) is int and p["mc_seed"] >= 0
-        assert (p["quad_order"], p["mc_count"]) == (12, 500)
+        assert p["mc_count"] == 500 and "quad_order" not in p
 
 
 def test_oracle_mc_rows_do_not_fail_on_correct_integrals():
     # a bounded importance weight makes the mc_sigmas gate valid: a plain
-    # draw fails 5-15 of these 1,500 correct mc rows per seed.  The
-    # quadrature rows run at the default order: at order 10 some of them
-    # fail on correct closed forms (the strict xfail below)
+    # draw fails 5-15 of these 1,500 correct mc rows per seed
     for seed in range(1, 6):
-        assert [r.params for r in _oracle_sweeps(seed, 100, 500, None) if not r.passed] == []
+        assert [r.params for r in _oracle_sweeps(seed, 100, 500) if not r.passed] == []
 
 
-@pytest.mark.xfail(strict=True, reason="the quadrature tolerance ignores the order: at a user-set "
-                   "order 10 a correct closed form fails its quadrature row (ROADMAP item 3)")
-def test_oracle_quadrature_at_order_10_passes_on_correct_integrals():
-    # alpha_prod's quadrature row is off by 1.93x its 1e-6 relative bound
-    # at order 10 while the exact value is right; at orders 11, 12, 14, 20 and
-    # 30 every row passes
+def test_oracle_quadrature_passes_where_a_set_order_10_failed():
+    # at a fixed order 10 alpha_prod's quadrature row was off by 1.93x its
+    # 1e-6 relative bound while the exact value is right; the oracle now
+    # picks its own order, checked against two thirds of it
     f = ExpCombo(1, [(-1.2866672849629608, [-0.9921288060264333]), (1.0831861416831563, [0.5049949206447744]),
                      (1.1752618826293708, [0.5413948453327679])])
     nu = DiscreteMeasure(1, [[-0.8352053104946799], [-0.47370656011876555], [-0.4001259614858643]],
                          [0.12465407003043429, 0.20450026530835236, 0.6708456646612133])
     rows = run_check("oracle_triangle", {"alpha": 0.1, "f": f.to_json_dict(), "nu": nu.to_json_dict(),
-                                         "quad_order": 10, "mc_count": 500, "mc_seed": 1})
+                                         "mc_count": 500, "mc_seed": 1})
     assert all(r.passed for r in rows)
+    assert {r.params["order"] for r in rows if r.params["route"] == "quadrature"} == {30}
+
+
+def _box_tasks(n, scale, count=30):
+    # 3 terms, coef U(-1.5, 1.5), and 2 atoms, weights 0.4/0.6, with every
+    # direction and atom coordinate uniform in [-scale, scale]; alpha 0.5
+    rng = np.random.default_rng([n, int(10 * scale)])
+    for _ in range(count):
+        coefs, hs = rng.uniform(-1.5, 1.5, 3), rng.uniform(-scale, scale, (3, n))
+        f = ExpCombo(n, zip(coefs, hs))
+        nu = DiscreteMeasure(n, rng.uniform(-scale, scale, (2, n)), [0.4, 0.6])
+        yield {"alpha": 0.5, "f": f.to_json_dict(), "nu": nu.to_json_dict(), "mc_count": 200}
+
+
+@pytest.mark.parametrize("n, scale, orders", [
+    (1, 1.0, {30}), (2, 1.0, {30}), (3, 1.0, {12, 18}), (3, 1.5, {18, 27}), (3, 2.0, {27, 40}),
+    (2, 4.0, {30, 45, 67}), (1, 5.0, {30, 45, 67, 100})])
+def test_oracle_quadrature_rows_pass_on_correct_integrals_far_from_the_origin(n, scale, orders):
+    # at the fixed default order (30 in n <= 2, 12 in n = 3) 45-87 of each
+    # family's 90 quadrature rows failed from coordinates +-1.5 in n = 3,
+    # +-4 in n = 2 and +-5 in n = 1 on, with the closed forms right; the
+    # rows record the orders they settled at
+    quad = [r for params in _box_tasks(n, scale)
+            for r in run_check("oracle_triangle", params) if r.params["route"] == "quadrature"]
+    assert [r.params for r in quad if not r.passed] == []
+    assert {r.params["order"] for r in quad} == orders
+
+
+def test_oracle_refuses_a_task_whose_quadrature_does_not_settle():
+    # +-6 in n = 1 needs orders up to 150: each task passes its quadrature
+    # rows or is refused, never a FAIL row
+    for params in _box_tasks(1, 6.0):
+        try:
+            rows = run_check("oracle_triangle", params)
+        except ValueError as exc:
+            assert "quadrature does not settle by order 225" in str(exc)
+        else:
+            assert all(r.passed for r in rows if r.params["route"] == "quadrature")
+    # a zero quadrature tolerance asks two orders to agree to the last bit
+    params = next(_box_tasks(1, 1.0))
+    with pytest.raises(ValueError, match="quadrature does not settle by order 225"):
+        run_check("oracle_triangle", params, {"quadrature": 0.0})
 
 
 def test_oracle_mc_rows_catch_a_tiny_error_in_the_deficit_kernel(monkeypatch):
@@ -418,7 +455,7 @@ def test_oracle_weighted_mc_agrees_with_a_plain_draw():
     f = ExpCombo(2, [(1.2, [0.6, -0.3]), (-0.9, [-0.4, 0.8]), (0.5, [0.1, 0.2])])
     nu = DiscreteMeasure(2, [[0.5, 0.5], [-0.7, 0.2]], [0.3, 0.7])
     rows = run_check("oracle_triangle", {"alpha": 0.3, "f": f.to_json_dict(), "nu": nu.to_json_dict(),
-                                         "quad_order": 10, "mc_seed": 11, "mc_count": 20_000})
+                                         "mc_seed": 11, "mc_count": 20_000})
     prod = alpha_exp(f, f, 0.3)
     plain = {
         "f_sq": lambda p: exp_eval(f, p) ** 2,
@@ -438,7 +475,7 @@ def test_oracle_mc_rows_when_the_proposal_has_equal_atoms():
     f = ExpCombo(1, [(1.0, [0.0]), (0.5, [1.0])])
     nu = DiscreteMeasure(1, [[0.0], [1.0]], [0.5, 0.5])
     rows = run_check("oracle_triangle", {"alpha": 0.5, "f": f.to_json_dict(), "nu": nu.to_json_dict(),
-                                         "quad_order": 20, "mc_seed": 3, "mc_count": 5000})
+                                         "mc_seed": 3, "mc_count": 5000})
     assert all(r.passed for r in rows)
     (sq,) = [r for r in rows if (r.params["integral"], r.params["route"]) == ("f_sq", "mc")]
     assert sq.params["value"] == pytest.approx(sq.params["exact"], rel=1e-12)

@@ -187,8 +187,9 @@ def test_default_order_policy():
     assert default_order(1) == 30
     assert default_order(2) == 30
     assert default_order(3) == 12
-    with pytest.warns(UserWarning):
-        assert default_order(4) == 6
+    # the one rule for which dimensions tensor quadrature serves
+    with pytest.raises(ValueError, match="tensor quadrature is limited to n <= 3, got n=4"):
+        default_order(4)
 
 
 def test_lp_norm_exp_single_term():
@@ -225,7 +226,7 @@ def test_lp_norm_exp_quadrature_fallback():
 
 def test_lp_norm_exp_rejects_odd_high_dim():
     f = ExpCombo.exponential([0.1] * 4) + ExpCombo.exponential([0.2] * 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tensor quadrature is limited to n <= 3"):
         lp_norm_exp(f, 3.0)
     with pytest.raises(ValueError):
         lp_norm_exp(f, 0.9)

@@ -137,8 +137,8 @@ PIN_MEASURES = [
 
 
 @pytest.mark.parametrize("overrides, digest", [
-    ({}, "ae820443bad0fe3641c531be4e6a3e0e402b8a4de3ce5f67003c1250c9d1672d"),
-    ({"dim": 2, "seed": 3}, "8339599da195a3bf057cf80929576183bb75bd18feb74f527ee896f599702921"),
+    ({}, "7a20b3116af96a71ed092671d372cd2b215648713315ee21f0fe4c552999bd73"),
+    ({"dim": 2, "seed": 3}, "4716c0c3131f1bef2abc1d00415c289bec57908838ac9c4d130988db921c0990"),
 ], ids=["drawn-dims", "dim2-seed3"])
 def test_task_expansion_is_pinned(overrides, digest):
     # every grid rule and every random draw, in order: a changed digest
@@ -146,7 +146,7 @@ def test_task_expansion_is_pinned(overrides, digest):
     cfg = SuiteConfig.from_json_dict({
         "seed": 7, "alphas": [0.0, 0.25, 0.5, 1.0], "functions": PIN_FUNCTIONS,
         "measures": PIN_MEASURES, "checks": list(CHECK_REGISTRY), "random_sweeps": 25,
-        "quad_order": 12, "mc_count": 500, **overrides,
+        "mc_count": 500, **overrides,
     })
     tasks = build_tasks(cfg)
     assert len(tasks) == 517
@@ -169,7 +169,7 @@ STREAM_PINS = [
     ("covariance", "6870cce7c208b3a5df4011153ab59a68f51e0a9b41f7fe4cdacb071b30966dcb"),
     ("wick_density_identity", "cddd2bc4ef754d5bf156ff200c6cf322c750d3e2ac3e36680dbeb2dd01322c26"),
     ("g_lambda_bound", "ee39908e153a567a45d2fa4713a3712fc1556db73287c13a3282598000817d84"),
-    ("oracle_triangle", "c771daeeec83ca92b26d03ca202d08b296155e5b3a7c58999f21add3ee9e1d95"),
+    ("oracle_triangle", "93eeaa19a0ee956ecad85e1f0461beee77d5c8d97810c0504e980446ec12b431"),
 ]
 
 
@@ -281,7 +281,7 @@ BUCKET_MEASURES = [
 
 def _bucket_config(**overrides):
     return {"seed": 9, "functions": BUCKET_FUNCTIONS, "measures": BUCKET_MEASURES,
-            "checks": list(CHECK_REGISTRY), "random_sweeps": 40, "quad_order": 8, "mc_count": 200,
+            "checks": list(CHECK_REGISTRY), "random_sweeps": 40, "mc_count": 200,
             **overrides}
 
 
@@ -645,7 +645,7 @@ def test_cli_run_rejects_bad_scalar_fields(tmp_path, capsys, monkeypatch, overri
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("f, message", [(F_DIM4, "no exact route"),
+@pytest.mark.parametrize("f, message", [(F_DIM4, "tensor quadrature is limited to n <= 3, got n=4"),
                                         pytest.param(E_HUGE, "math range error", marks=OVERFLOWS)],
                          ids=["dim4", "overflow"])
 def test_run_suite_names_the_check_of_a_task_that_cannot_run(jobs, f, message):
@@ -782,8 +782,6 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
     ("holder", {"alpha": True, "f": E_ONE}, "alpha must be a number in [0, 1], got True"),
     ("strong_positivity", {"alpha": 5, "nu": NU_ZERO, "phi": E_ONE}, "alpha must be a number in [0, 1], got 5"),
     ("g_lambda_bound", {"nu": NU_SYM, "lambda": True}, "lambda must be finite (a number, not a bool), got True"),
-    ("oracle_triangle", {"alpha": 0.5, "f": E_ONE, "nu": NU_ZERO, "quad_order": True, "mc_count": 100},
-     "quad_order must be an integer >= 1 or null, got True"),
     # these printed a PASS row with r = 1.0, or a seed recorded as given
     ("holder", {"alpha": 1.0, "f": E_ONE, "p": 2, "q": 2, "r": True},
      "p, q and r must be finite numbers, got 2, 2, True"),
@@ -802,11 +800,29 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
         "oracle_triangle-chaos", "classic_beckner-exp", "beckner-dim-float", "beckner-dim-bool",
         "g_lambda-dim-str", "beckner-f-not-object", "oracle-f-not-object", "beckner-alpha-bool",
         "holder-alpha-bool", "strong_positivity-alpha-above-one", "g_lambda-lambda-bool",
-        "oracle-quad_order-bool", "holder-r-bool", "oracle-mc_seed-bool", "oracle-mc_seed-str",
+        "holder-r-bool", "oracle-mc_seed-bool", "oracle-mc_seed-str",
         "oracle-mc_seed-list-bool", "ab_psd-hs-empty", "char_gram_psd-hs-empty"])
 def test_cli_check_rejects_params_it_cannot_compute(capsys, name, params, message):
     assert main(["check", name, "--params", json.dumps(params)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
+
+
+def test_cli_check_refuses_the_oracle_in_dim_4(capsys):
+    # a fixed order 6 in n = 4 gave a warning and three FAIL quadrature rows
+    nu = {"dim": 4, "atoms": [[0.1, 0.0, -0.2, 0.3]], "weights": [1.0]}
+    params = json.dumps({"alpha": 0.5, "f": F_DIM4, "nu": nu, "mc_count": 100})
+    assert main(["check", "oracle_triangle", "--params", params]) == 2
+    assert "config error: tensor quadrature is limited to n <= 3, got n=4" in capsys.readouterr().err
+
+
+def test_a_config_that_sets_quad_order_exits_two(tmp_path, capsys):
+    # oracle_triangle works out its own quadrature order; the option it
+    # replaced is refused like any unknown key, not ignored
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"checks": ["oracle_triangle"], "random_sweeps": 1, "quad_order": 30}))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: unknown config keys: quad_order" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
