@@ -92,7 +92,14 @@ from .measures import (
     vector_stacks,
 )
 from .products import HolderParams, holder_relation_check
-from .quadrature import default_order, gauss_hermite_grid, integrate_rho, lp_norm_exp, mc_integral_rho
+from .quadrature import (
+    default_order,
+    gauss_hermite_grid,
+    integrate_rho,
+    lp_norm_exp,
+    mc_integral_rho,
+    tensor_weights_positive,
+)
 from .report import InequalityReport
 
 DEFAULT_TOLS = {
@@ -105,7 +112,8 @@ DEFAULT_TOLS = {
 # oracle_triangle's Monte Carlo sample size, where a task or config gives none
 DEFAULT_MC_COUNT = 100_000
 # the most times oracle_triangle raises its quadrature order by half:
-# to 225 in n <= 2, 90 in n = 3
+# to 225 in n = 1, 90 in n = 3; in n = 2 the tensor weights of order 225
+# underflow, so there it stops at 150
 _QUAD_STEPS = 5
 
 
@@ -735,20 +743,29 @@ def _oracle_rows(params, f, nu: DiscreteMeasure, alpha, integrals, tols) -> list
         np.multiply(v[1], v[1], out=out[3])
         return out
 
+    def quadrature(order):
+        grid = gauss_hermite_grid(nu.dim, order)
+        # an overflow would make the value inf or NaN at this order and every
+        # higher one, so the task stops at the first
+        with np.errstate(over="raise"):
+            try:
+                return integrate_rho(lambda pts: values(pts)[:3], nu, grid)
+            except FloatingPointError as exc:
+                raise ValueError(f"quadrature integrand overflows at order {order} ({exc})") from None
+
     # settle the order on quadrature values alone, never the exact side,
     # so that the two routes stay independent
-    orders = [default_order(nu.dim) * 2 // 3, default_order(nu.dim)]
-    for _ in range(_QUAD_STEPS):
-        orders.append(orders[-1] * 3 // 2)
-    quads = integrate_rho(lambda pts: values(pts)[:3], nu, gauss_hermite_grid(nu.dim, orders[0]))
-    for order in orders[1:]:
-        low, quads = quads, integrate_rho(lambda pts: values(pts)[:3], nu, gauss_hermite_grid(nu.dim, order))
-        drift = float(np.max(np.abs(quads - low) / np.maximum(1.0, np.abs(quads))))
+    low, order = default_order(nu.dim) * 2 // 3, default_order(nu.dim)
+    lows, quads = quadrature(low), quadrature(order)
+    for step in range(_QUAD_STEPS + 1):
+        drift = float(np.max(np.abs(quads - lows) / np.maximum(1.0, np.abs(quads))))
         if drift <= 0.1 * tols["quadrature"]:
             break
-    else:
-        raise ValueError(f"quadrature does not settle by order {order}: it moves {drift:.3g} relative "
-                         f"from order {orders[-2]}, above a tenth of the quadrature tolerance")
+        if step == _QUAD_STEPS or not tensor_weights_positive(nu.dim, order * 3 // 2):
+            raise ValueError(f"quadrature does not settle by order {order}: it moves {drift:.3g} relative "
+                             f"from order {low}, above a tenth of the quadrature tolerance")
+        low, order = order, order * 3 // 2
+        lows, quads = quads, quadrature(order)
     integrands = zip(_INTEGRALS, quads.tolist(), integrals,
                      _mc_oracle(f, nu, float(alpha), values, mc_seed, mc_count))
     base = {"alpha": float(alpha), "f": f.to_json_dict(), "nu": nu.to_json_dict()}

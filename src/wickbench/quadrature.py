@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expspan import ExpCombo, mu_inner_exp, pointwise_exp
-from .measures import DiscreteMeasure, sample_rho
+from .measures import MC_BLOCK, DiscreteMeasure, sample_rho
 
 NODE_COUNT_WARN = 1_000_000
 
@@ -81,6 +81,16 @@ def _tensor_grid(n: int, order: int) -> QuadratureGrid:
     return QuadratureGrid(n, order, nodes, weights)
 
 
+def tensor_weights_positive(n: int, order: int) -> bool:
+    """Whether every weight of the order^n tensor rule is positive, so that
+    gauss_hermite_grid(n, order) builds: its least weight, the 1-D rule's
+    least multiplied in n times as _tensor_grid does, does not underflow."""
+    least = weight = float(_hermite_rule(order)[1].min())
+    for _ in range(n - 1):
+        weight *= least
+    return weight > 0.0
+
+
 def default_order(n: int) -> int:
     """Per-axis starting order of tensor quadrature: 30 in n <= 2, 12 in
     n = 3.  The one rule for which dimensions tensor quadrature serves:
@@ -129,16 +139,30 @@ def integrate_rho(fn, nu: DiscreteMeasure, grid: QuadratureGrid):
 def mc_integral_rho(fn, nu: DiscreteMeasure, seed, count: int):
     """Monte Carlo mean of fn under rho = mu * nu: (estimate, standard error).
 
-    fn maps the (N, n) sample to N values, or to an (m, N) array, one row
-    per integrand, all read from the one draw; the estimate and standard
-    error are then (m,) arrays.  Each row is summed contiguously, so
-    numpy's pairwise summation applies.  For importance sampling, nu is
+    fn maps (N, n) points to N values, or to an (m, N) array, one row per
+    integrand, all read from the one draw of sample_rho; the estimate and
+    standard error are then (m,) arrays.  fn is evaluated on consecutive
+    blocks of MC_BLOCK points of the sample, written into one (m, count)
+    array, so its temporaries are one block's size.  Each row is then
+    summed whole and contiguously (numpy's pairwise summation): where fn's
+    value at a point does not depend on the other points, the estimate and
+    standard error are bit for bit mean() and std(ddof=1) / sqrt(count) of
+    one evaluation on the whole sample.  For importance sampling, nu is
     the proposal and fn returns the values times the density ratio.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
-    vals = _eval_at(fn, sample_rho(nu, seed, count), rows=True)
-    est, se = vals.mean(axis=-1), vals.std(axis=-1, ddof=1) / math.sqrt(count)
+    pts = sample_rho(nu, seed, count)
+    first = _eval_at(fn, pts[:MC_BLOCK], rows=True)
+    vals = np.empty((*first.shape[:-1], count))
+    vals[..., :MC_BLOCK] = first
+    for start in range(MC_BLOCK, count, MC_BLOCK):
+        vals[..., start:start + MC_BLOCK] = _eval_at(fn, pts[start:start + MC_BLOCK], rows=True)
+    # std(ddof=1) as numpy computes it, with the deviations squared in place
+    mean = vals.mean(axis=-1, keepdims=True)
+    vals -= mean
+    vals *= vals
+    est, se = mean[..., 0], np.sqrt(vals.sum(axis=-1) / (count - 1)) / math.sqrt(count)
     return (float(est), float(se)) if vals.ndim == 1 else (est, se)
 
 

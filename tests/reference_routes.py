@@ -1,10 +1,10 @@
 """Reference routes the tests compare the library against.
 
 Plain quadrature against the standard Gaussian, the Mehler smoothing form
-of the Ornstein-Uhlenbeck semigroup, the one-atom measure and the
-coordinate partials of an exponential combination.  The
-library computes none of these itself; the tests use them as second
-routes to its closed forms.
+of the Ornstein-Uhlenbeck semigroup, the one-atom measure, the
+coordinate partials of an exponential combination and the textbook draw
+of mu * nu.  The library computes none of these itself; the tests use
+them as second routes to its closed forms and its sampler.
 """
 
 import math
@@ -54,3 +54,12 @@ def gradient_exp(f: ExpCombo) -> list[ExpCombo]:
         return []
     dirs = np.broadcast_to(f.directions, (f.dim, *f.directions.shape))
     return exp_combos(f.dim, f.weights * f.directions.T, dirs)
+
+
+def draw_rho(nu: DiscreteMeasure, rng_seed, count: int) -> np.ndarray:
+    """count points g + y of mu * nu as numpy draws them whole: the
+    normals, then rng.choice's atoms, added by index."""
+    rng = np.random.default_rng(rng_seed)
+    gauss = rng.standard_normal((count, nu.dim))
+    idx = rng.choice(nu.n_atoms, size=count, p=nu.weights)
+    return gauss + np.take(nu.atoms, idx, axis=0)

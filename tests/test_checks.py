@@ -5,6 +5,7 @@ math.exp/cosh only, never through the code paths under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +419,45 @@ def test_oracle_refuses_a_task_whose_quadrature_does_not_settle():
         run_check("oracle_triangle", params, {"quadrature": 0.0})
 
 
+def _oracle_refusals(n, scale):
+    """The refusal messages of a _box_tasks family; every task that runs
+    passes its quadrature rows."""
+    refusals = []
+    for params in _box_tasks(n, scale):
+        try:
+            rows = run_check("oracle_triangle", params)
+        except ValueError as exc:
+            refusals.append(str(exc))
+        else:
+            assert all(r.passed for r in rows if r.params["route"] == "quadrature")
+    return refusals
+
+
+def test_oracle_stops_at_the_last_order_whose_grid_builds():
+    # in n = 2 the order-225 grid's corner weights (about 7e-185 squared)
+    # underflow to 0, so the order stops rising at 150: the 7 tasks of this
+    # +-8 family that do not settle are refused by the order check, not by
+    # the grid's weight check
+    assert quadrature.tensor_weights_positive(2, 150) and not quadrature.tensor_weights_positive(2, 225)
+    with pytest.raises(ValueError, match="weights must be positive"):
+        quadrature.gauss_hermite_grid(2, 225)
+    refusals = _oracle_refusals(2, 8.0)
+    assert len(refusals) == 7
+    assert all(m.startswith("quadrature does not settle by order 150: ") for m in refusals)
+
+
+def test_oracle_names_an_overflowing_integrand_and_its_order():
+    # +-12 in n = 1: at order 225 nodes near +-29 meet directions near 12,
+    # and f^2 overflows in 3 of 30 tasks.  They are refused at that order,
+    # naming the overflow, with no numpy warning (which tier-1 turns into
+    # an error); they read "moves nan relative" before
+    refusals = _oracle_refusals(1, 12.0)
+    overflows = [m for m in refusals if "overflow" in m]
+    assert len(overflows) == 3
+    assert all(m.startswith("quadrature integrand overflows at order 225 (overflow encountered in ") for m in overflows)
+    assert all(m.startswith("quadrature does not settle by order 225: ") for m in set(refusals) - set(overflows))
+
+
 def test_oracle_mc_rows_catch_a_tiny_error_in_the_deficit_kernel(monkeypatch):
     # int f^2 off by 1e-9 relative: rows whose weighted values are one
     # constant (one-signed f) leave only a rounding tolerance, so they fail
@@ -467,6 +507,23 @@ def test_oracle_weighted_mc_agrees_with_a_plain_draw():
             assert row.params["se"] > 0.0 and row.tolerance < 1e-12 * abs(row.params["exact"])
             est, se = mc_integral_rho(plain[row.params["integral"]], nu, 12, 20_000)
             assert abs(row.params["value"] - est) <= 4.0 * math.hypot(row.params["se"], se)
+
+
+def test_oracle_mc_task_allocates_one_sample_and_its_value_rows():
+    # 3 terms in dim 2 at count 20,000: the draw (320 kB) and the (3, N)
+    # weighted rows (480 kB) are the only sample-sized arrays; the rest is
+    # one block's size.  Whole-sample temporaries peaked at 3.2 MB
+    f = ExpCombo(2, [(1.2, [0.6, -0.3]), (-0.9, [-0.4, 0.8]), (0.5, [0.1, 0.2])])
+    nu = DiscreteMeasure(2, [[0.5, 0.5], [-0.7, 0.2]], [0.3, 0.7])
+    params = {"alpha": 0.3, "f": f.to_json_dict(), "nu": nu.to_json_dict(), "mc_seed": 11, "mc_count": 20_000}
+    run_check("oracle_triangle", params)
+    tracemalloc.start()
+    try:
+        run_check("oracle_triangle", params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_oracle_mc_rows_when_the_proposal_has_equal_atoms():

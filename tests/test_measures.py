@@ -20,10 +20,10 @@ from wickbench import (
     run_check,
     sample_rho,
 )
-from wickbench.measures import gammas_xi, measures_from_json
+from wickbench.measures import MC_BLOCK, gammas_xi, measures_from_json
 from wickbench.suite import _ENCODE
 
-from reference_routes import dirac
+from reference_routes import dirac, draw_rho
 
 
 def _two_atom(dim=1, a=1.0):
@@ -223,13 +223,24 @@ def test_sample_rho():
 
 
 def test_sample_rho_is_gauss_plus_chosen_atoms():
-    # the in-place sum must give the bits of the textbook draw
-    nu = DiscreteMeasure(2, [[0.1, -0.2], [0.4, 0.0], [-1.3, 0.7]], [0.2, 0.5, 0.3])
-    pts = sample_rho(nu, [5, 6], 20_000)
-    rng = np.random.default_rng([5, 6])
-    gauss = rng.standard_normal((20_000, 2))
-    idx = rng.choice(nu.n_atoms, size=20_000, p=nu.weights)
-    assert np.array_equal(pts, gauss + nu.atoms[idx])
+    # the blocked draw, atoms found by counting cdf entries, gives the bits
+    # of the textbook draw with rng.choice: 1, 2 and 18 atoms and a
+    # weight-0 atom, dims 1-3, counts around the block size, int and list seeds
+    rng = np.random.default_rng(4)
+    for dim in (1, 2, 3):
+        measures = [
+            DiscreteMeasure(dim, rng.uniform(-1, 1, (1, dim)), [1.0]),
+            DiscreteMeasure(dim, rng.uniform(-1, 1, (2, dim)), [0.3, 0.7]),
+            DiscreteMeasure(dim, rng.uniform(-1, 1, (18, dim)), rng.dirichlet(np.ones(18))),
+            DiscreteMeasure(dim, rng.uniform(-1, 1, (3, dim)), [0.25, 0.0, 0.75]),
+        ]
+        assert 0.0 in measures[3].weights.tolist()
+        for nu in measures:
+            for count in (1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 20_000):
+                for seed in (5, [5, 6]):
+                    pts = sample_rho(nu, seed, count)
+                    assert pts.shape == (count, dim)
+                    assert np.array_equal(pts, draw_rho(nu, seed, count)), (dim, nu.n_atoms, count, seed)
 
 
 def test_measure_json_round_trip():

@@ -20,9 +20,11 @@ from wickbench import (
     mc_integral_rho,
     mu_inner_exp,
     ou_apply,
+    sample_rho,
 )
 from wickbench import quadrature
 from wickbench.chaos import multi_indices
+from wickbench.measures import MC_BLOCK
 from wickbench.quadrature import default_order, lp_norm_mu
 
 from reference_routes import integrate_mu, mehler_ou
@@ -181,6 +183,28 @@ def test_mc_integral_rho():
     assert est2 == est
     with pytest.raises(ValueError):
         mc_integral_rho(f.eval, rho, 1, 1)
+
+
+@pytest.mark.parametrize("count", [2, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 20_000])
+def test_mc_integral_rho_blocks_give_the_bits_of_a_whole_evaluation(count):
+    # fn sees at most MC_BLOCK points at a time, and the estimate and
+    # standard error are bit for bit those of mean() and std(ddof=1) over
+    # one evaluation on the whole sample, for (N,) and (m, N) values
+    nu = DiscreteMeasure(2, [[0.4, -0.3], [-1.1, 0.2]], [0.3, 0.7])
+    f = ExpCombo(2, [(1.2, [0.6, -0.3]), (-0.9, [-0.4, 0.8])])
+    for fn in (f.eval, lambda p: np.stack([f.eval(p), p[:, 0] ** 2 * p[:, 1], np.cos(p).sum(axis=1)])):
+        sizes = []
+
+        def blocked(p):
+            sizes.append(len(p))
+            return fn(p)
+
+        est, se = mc_integral_rho(blocked, nu, 9, count)
+        assert max(sizes) <= MC_BLOCK and sum(sizes) == count
+        vals = fn(sample_rho(nu, 9, count))
+        whole = vals.mean(axis=-1), vals.std(axis=-1, ddof=1) / math.sqrt(count)
+        assert np.ndim(est) == np.ndim(se) == vals.ndim - 1
+        assert np.asarray(est).tobytes() == whole[0].tobytes() and np.asarray(se).tobytes() == whole[1].tobytes()
 
 
 def test_default_order_policy():

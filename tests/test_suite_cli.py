@@ -815,6 +815,20 @@ def test_cli_check_refuses_the_oracle_in_dim_4(capsys):
     assert "config error: tensor quadrature is limited to n <= 3, got n=4" in capsys.readouterr().err
 
 
+def test_cli_check_refuses_an_oracle_task_whose_quadrature_overflows(capsys):
+    # f^2 overflows on the order-225 grid (nodes near +-29, h near 12); the
+    # refusal names it, where it read "moves nan relative" after numpy's
+    # overflow warning (which tier-1 turns into an error)
+    f = {"kind": "exp", "dim": 1, "terms": [{"coef": 0.34910218608456844, "h": [-11.919283204352334]},
+                                            {"coef": -0.7904745071494064, "h": [2.7547662514349085]},
+                                            {"coef": -0.2769823516794241, "h": [9.517326500834429]}]}
+    nu = {"dim": 1, "atoms": [[-8.700013600917039], [2.7078343179437994]], "weights": [0.6, 0.4]}
+    params = json.dumps({"alpha": 0.5, "f": f, "nu": nu, "mc_count": 200})
+    assert main(["check", "oracle_triangle", "--params", params]) == 2
+    err = capsys.readouterr().err
+    assert "config error: quadrature integrand overflows at order 225 (overflow encountered in multiply)" in err
+
+
 def test_a_config_that_sets_quad_order_exits_two(tmp_path, capsys):
     # oracle_triangle works out its own quadrature order; the option it
     # replaced is refused like any unknown key, not ignored
