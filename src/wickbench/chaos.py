@@ -78,6 +78,12 @@ def check_alpha(alpha):
         raise ValueError(f"alpha must be a number in [0, 1], got {alpha!r}")
 
 
+def check_real(value, what: str, low: float):
+    """ValueError unless value is a finite real number >= low, not a bool."""
+    if not is_real(value) or not low <= value < math.inf:
+        raise ValueError(f"{what} must be a finite number >= {low:g}, got {value!r}")
+
+
 def check_dims(f, g):
     """ValueError unless the two values live on the same R^n."""
     if f.dim != g.dim:
@@ -288,7 +294,7 @@ class ChaosExpansion:
             raise ValueError("dimension must be >= 0")
         pairs = list(coeffs.items() if isinstance(coeffs, dict) else coeffs)
         idx = _index_rows(dim, [[m for m, _ in pairs]])
-        cs = np.array([[c for _, c in pairs]], dtype=float)
+        cs = finite_array([[c for _, c in pairs]], "chaos coefficients")
         fill(self, dim=dim, coeffs=_canonical_coeffs(idx, cs)[0])
 
     def __setattr__(self, name, value):
@@ -317,6 +323,7 @@ class ChaosExpansion:
         return self + (-1.0) * other
 
     def __mul__(self, scalar: float) -> "ChaosExpansion":
+        scalar = float(finite_array(scalar, "chaos coefficients"))
         return ChaosExpansion(self.dim, {m: scalar * c for m, c in self.coeffs.items()})
 
     __rmul__ = __mul__
@@ -431,16 +438,14 @@ def _compositions(total: int, parts: int):
 
 def gamma_apply(lam: float, f: ChaosExpansion) -> ChaosExpansion:
     """Second quantization: scale the degree-|m| coefficient by lam^{|m|}."""
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
+    check_real(lam, "lambda", 0)
     lam = float(lam)
     return ChaosExpansion(f.dim, {m: lam ** sum(m) * c for m, c in f.coeffs.items()})
 
 
 def ou_apply(tau: float, f: ChaosExpansion) -> ChaosExpansion:
     """Ornstein-Uhlenbeck semigroup P_tau = Gamma(e^{-tau}), tau >= 0."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
+    check_real(tau, "tau", 0)
     return gamma_apply(math.exp(-tau), f)
 
 

@@ -27,6 +27,7 @@ from .chaos import (
     canonical_rows,
     check_alpha,
     check_dims,
+    check_real,
     fill,
     finite_array,
     index_factorial,
@@ -54,8 +55,8 @@ class ExpCombo:
         if dim < 0:
             raise ValueError("dimension must be >= 0")
         terms = list(terms)
-        w = np.array([c for c, _ in terms], dtype=float)
-        d = np.array([h for _, h in terms], dtype=float).reshape(len(terms), -1) if terms else np.zeros((0, dim))
+        w = finite_array([c for c, _ in terms], "coefficients")
+        d = finite_array([h for _, h in terms], "directions").reshape(len(terms), -1 if terms else dim)
         if d.shape[1] != dim:
             raise ValueError(f"directions have length {d.shape[1]}, expected {dim}")
         ((w, d),) = _canonical_terms(w[None], d[None])
@@ -96,7 +97,8 @@ class ExpCombo:
         return self + (-1.0) * other
 
     def __mul__(self, scalar: float) -> "ExpCombo":
-        return exp_combos(self.dim, (scalar * self.weights)[None], self.directions[None])[0]
+        w = finite_array(scalar, "coefficients") * self.weights
+        return exp_combos(self.dim, w[None], self.directions[None])[0]
 
     __rmul__ = __mul__
 
@@ -214,8 +216,7 @@ def gammas_exp(lams, fs) -> list[ExpCombo]:
     """Second quantization on exponentials, Gamma(lam) E(h) = E(lam h),
     as Gamma(lam_t) f_t per task; each shape as one stack."""
     for lam in lams:
-        if lam < 0:
-            raise ValueError("lambda must be >= 0")
+        check_real(lam, "lambda", 0)
 
     def run(idx):
         lam = np.array([float(lams[i]) for i in idx])[:, None, None]

@@ -37,10 +37,9 @@ from .chaos import (
 from .expspan import ExpCombo, _stack, exp_combos, gammas_exp
 
 WEIGHT_SUM_TOL = 1e-12
-# points per block of a Monte Carlo sample that sample_rho and
-# quadrature.mc_integral_rho work on: a block's temporaries, up to
-# (block, 6) float64 in prod.eval, stay under glibc's 128 KiB mmap
-# threshold, so they reuse heap memory instead of faulting in new pages
+# points per block of a sample that sample_rho and mc_integral_rho work on:
+# a block's few float64 rows stay under glibc's 128 KiB mmap threshold, so
+# they reuse heap memory instead of faulting in new pages
 MC_BLOCK = 2048
 
 
@@ -245,10 +244,10 @@ def sample_rho(nu: DiscreteMeasure, rng_seed, count: int) -> np.ndarray:
     The generator draws rng.standard_normal((count, n)), then count
     uniforms u, the draw of rng.choice(n_atoms, count, p=weights): the atom
     of u is the number of entries of choice's cdf (weights.cumsum(), over
-    its last entry) that are <= u, its searchsorted(side='right').  The
-    uniforms are drawn and placed MC_BLOCK at a time, from the one stream,
-    so the points are bit for bit those of that whole draw, and the count
-    x n result is the only array the size of the sample.
+    its last entry, which u < 1 never reaches) that are <= u.  The uniforms
+    are drawn and placed MC_BLOCK at a time, from the one stream, so the
+    points are bit for bit those of that whole draw, and the count x n
+    result is the only array the size of the sample.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -256,9 +255,7 @@ def sample_rho(nu: DiscreteMeasure, rng_seed, count: int) -> np.ndarray:
     pts = rng.standard_normal((count, nu.dim))
     cdf = nu.weights.cumsum()
     cdf /= cdf[-1]
-    # u < 1 = cdf[-1], so the last entry never counts
-    steps = cdf[:-1, None]
     for start in range(0, count, MC_BLOCK):
         u = rng.random(min(MC_BLOCK, count - start))
-        pts[start:start + len(u)] += np.take(nu.atoms, np.sum(steps <= u, axis=0), axis=0)
+        pts[start:start + len(u)] += np.take(nu.atoms, cdf[:-1].searchsorted(u, side="right"), axis=0)
     return pts

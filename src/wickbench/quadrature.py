@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chaos import check_real
 from .expspan import ExpCombo, mu_inner_exp, pointwise_exp
 from .measures import MC_BLOCK, DiscreteMeasure, sample_rho
 
@@ -117,8 +118,7 @@ def _eval_at(fn, pts: np.ndarray, rows: bool = False) -> np.ndarray:
 
 def lp_norm_mu(fn, p: float, grid: QuadratureGrid) -> float:
     """(int |fn|^p dmu)^(1/p) by quadrature; p >= 1."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_real(p, "p", 1)
     vals = np.abs(_eval_at(fn, grid.nodes))
     return float((vals**p @ grid.weights) ** (1.0 / p))
 
@@ -147,8 +147,7 @@ def mc_integral_rho(fn, nu: DiscreteMeasure, seed, count: int):
     summed whole and contiguously (numpy's pairwise summation): where fn's
     value at a point does not depend on the other points, the estimate and
     standard error are bit for bit mean() and std(ddof=1) / sqrt(count) of
-    one evaluation on the whole sample.  For importance sampling, nu is
-    the proposal and fn returns the values times the density ratio.
+    one evaluation on the whole sample.
     """
     if count < 2:
         raise ValueError("count must be >= 2")
@@ -175,8 +174,7 @@ def lp_norm_exp(f: ExpCombo, p: float) -> tuple[float, str]:
     default_order, which raises ValueError for n > 3.  The one-term closed
     form raises OverflowError past float range.
     """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    check_real(p, "p", 1)
     if f.n_terms > 1 and not (float(p).is_integer() and int(p) % 2 == 0):
         return lp_norm_mu(f.eval, p, default_grid(f.dim)), "quadrature"
     if f.n_terms == 0:

@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from .chaos import INPUT_ERRORS, check_alpha, check_integer
-from .checks import _CHECK_INDEX, CHECK_REGISTRY, DEFAULT_MC_COUNT, functions_from_json, resolve_tols
+from .checks import _CHECK_INDEX, CHECK_REGISTRY, functions_from_json, resolve_tols
 from .measures import measures_from_json
 from .report import InequalityReport
 
@@ -66,7 +66,7 @@ class SuiteConfig:
     checks: list = field(default_factory=list)
     random_sweeps: int = 0
     tolerances: dict = field(default_factory=dict)
-    mc_count: int = DEFAULT_MC_COUNT
+    mc_count: int = 100_000  # validated, read by no check: existing configs still load
     negate: bool = False
     out: str | None = None
 

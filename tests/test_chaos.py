@@ -177,6 +177,14 @@ def test_gamma_apply():
         gamma_apply(-0.1, f)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5, True, "1"])
+def test_gamma_apply_refuses_what_is_not_a_finite_lambda(lam):
+    # NaN passed "lam < 0" and scaled every coefficient of positive degree to
+    # NaN, which the constructor dropped: gamma_apply(nan, 1 + 0.5 He_2) was 1
+    with pytest.raises(ValueError, match="lambda must be a finite number >= 0"):
+        gamma_apply(lam, ChaosExpansion(1, {(0,): 1.0, (2,): 0.5}))
+
+
 def test_gamma_semigroup_and_linearity():
     rng = np.random.default_rng(3)
     f = ChaosExpansion(1, {(k,): float(rng.uniform(-1, 1)) for k in range(5)})
@@ -195,6 +203,12 @@ def test_ou_apply():
     assert ou_apply(800.0, f).allclose(ChaosExpansion.constant(1, 1.5))
     with pytest.raises(ValueError):
         ou_apply(-1.0, f)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0, False])
+def test_ou_apply_refuses_what_is_not_a_finite_tau(tau):
+    with pytest.raises(ValueError, match="tau must be a finite number >= 0"):
+        ou_apply(tau, ChaosExpansion(1, {(0,): 1.0, (2,): 0.5}))
 
 
 def test_number_operator_matches_energy():

@@ -5,7 +5,6 @@ math.exp/cosh only, never through the code paths under test.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,13 +28,11 @@ from wickbench.checks import (
     functions_from_json,
     resolve_tols,
 )
-from wickbench.expspan import alpha_exp, exp_eval
-from wickbench.measures import WEIGHT_SUM_TOL, measures_from_json, sample_rho
-from wickbench.quadrature import mc_integral_rho
+from wickbench.measures import WEIGHT_SUM_TOL, measures_from_json
 from wickbench.suite import SuiteConfig, build_tasks
 from wickbench.suite import _ENCODE
 
-from reference_routes import dirac, gradient_exp
+from reference_routes import dirac
 
 E1 = ExpCombo.exponential([1.0])
 RHO0 = dirac([0.0] * 1)
@@ -306,14 +303,13 @@ def test_g_lambda_bound_check():
 
 def test_oracle_triangle_small():
     f = ExpCombo.exponential([0.5], 1.5)
-    params = {"alpha": 0.5, "f": f.to_json_dict(), "nu": RHO_SYM.to_json_dict(),
-              "mc_seed": 4, "mc_count": 30_000}
+    params = {"alpha": 0.5, "f": f.to_json_dict(), "nu": RHO_SYM.to_json_dict()}
     rows = run_check("oracle_triangle", params)
     assert len(rows) == 6
     assert all(r.passed for r in rows)
-    routes = {(r.params["integral"], r.params["route"]) for r in rows}
-    assert routes == {(i, r) for i in ("f_sq", "alpha_prod", "dirichlet")
-                      for r in ("quadrature", "mc")}
+    assert {r.params["route"] for r in rows} == {"quadrature"} and {r.method for r in rows} == {"quadrature/exact"}
+    kinds = {(r.params["integral"], r.params.get("fbar", False)) for r in rows}
+    assert kinds == {(i, bar) for i in ("f_sq", "alpha_prod", "dirichlet") for bar in (False, True)}
     with pytest.raises(ValueError):
         run_check("oracle_triangle", {"alpha": -0.2, "f": f.to_json_dict(), "nu": RHO_SYM.to_json_dict()})
 
@@ -323,15 +319,14 @@ def test_oracle_triangle_exact_is_the_deficit_kernel():
     # int |Df|^2 drho = h^2 e^{h^2} e^{2hy} = 1.0000000001e-20, up to 2e-20 relative
     f = ExpCombo.exponential([1e-10])
     rho = dirac([0.5])
-    rows = run_check("oracle_triangle", {"alpha": 0.5, "f": f.to_json_dict(), "nu": rho.to_json_dict(),
-                                         "mc_count": 1000})
-    exact = {r.params["integral"]: r.params["exact"] for r in rows}
+    rows = run_check("oracle_triangle", {"alpha": 0.5, "f": f.to_json_dict(), "nu": rho.to_json_dict()})
+    exact = {r.params["integral"]: r.params["exact"] for r in rows if "fbar" not in r.params}
     assert exact["dirichlet"] == pytest.approx(1.0000000001e-20, rel=1e-15, abs=0.0)
     assert (exact["f_sq"], exact["alpha_prod"], exact["dirichlet"]) == _deficit_batch([f], [rho], [0.5])[0]
 
 
-def _oracle_sweeps(seed, sweeps, mc_count):
-    cfg = SuiteConfig(seed=seed, checks=["oracle_triangle"], random_sweeps=sweeps, mc_count=mc_count)
+def _oracle_sweeps(seed, sweeps):
+    cfg = SuiteConfig(seed=seed, checks=["oracle_triangle"], random_sweeps=sweeps)
     tasks = [t["params"] for t in build_tasks(cfg)]
     return [row for rows in CHECK_REGISTRY["oracle_triangle"].run(tasks, resolve_tols({})) for row in rows]
 
@@ -341,7 +336,7 @@ def test_oracle_sweeps_keep_their_distribution(dim, dims):
     # f: 1-3 terms, |h| coordinates <= 1, |coef| <= 1.5; nu: 1-3 atoms,
     # coordinates in [-1, 1], weights summing to 1; n <= 2 for the grid
     sweeps = [t["params"] for seed in (1, 2, 3) for t in build_tasks(SuiteConfig(
-        seed=seed, dim=dim, checks=["oracle_triangle"], random_sweeps=200, mc_count=500))]
+        seed=seed, dim=dim, checks=["oracle_triangle"], random_sweeps=200))]
     assert {p["f"]["dim"] for p in sweeps} == {p["nu"]["dim"] for p in sweeps} == dims
     assert {len(p["f"]["terms"]) for p in sweeps} == {len(p["nu"]["atoms"]) for p in sweeps} == {1, 2, 3}
     assert {p["alpha"] for p in sweeps} == {k / 10 for k in range(11)}
@@ -353,15 +348,14 @@ def test_oracle_sweeps_keep_their_distribution(dim, dims):
         assert all(len(y) == nu["dim"] and max(map(abs, y)) <= 1.0 for y in nu["atoms"])
         assert len(nu["weights"]) == len(nu["atoms"]) and min(nu["weights"]) >= 0.0
         assert abs(sum(nu["weights"]) - 1.0) <= WEIGHT_SUM_TOL
-        assert type(p["mc_seed"]) is int and p["mc_seed"] >= 0
-        assert p["mc_count"] == 500 and "quad_order" not in p
+        assert set(p) == {"alpha", "f", "nu", "sweep"}
 
 
-def test_oracle_mc_rows_do_not_fail_on_correct_integrals():
-    # a bounded importance weight makes the mc_sigmas gate valid: a plain
-    # draw fails 5-15 of these 1,500 correct mc rows per seed
+def test_oracle_rows_do_not_fail_on_correct_integrals():
+    # on oracle_chaos seeds 1-50 (45,000 rows) the largest error of an
+    # integral is 0.012 of its derived bound
     for seed in range(1, 6):
-        assert [r.params for r in _oracle_sweeps(seed, 100, 500) if not r.passed] == []
+        assert [r.params for r in _oracle_sweeps(seed, 100) if not r.passed] == []
 
 
 def test_oracle_quadrature_passes_where_a_set_order_10_failed():
@@ -372,10 +366,9 @@ def test_oracle_quadrature_passes_where_a_set_order_10_failed():
                      (1.1752618826293708, [0.5413948453327679])])
     nu = DiscreteMeasure(1, [[-0.8352053104946799], [-0.47370656011876555], [-0.4001259614858643]],
                          [0.12465407003043429, 0.20450026530835236, 0.6708456646612133])
-    rows = run_check("oracle_triangle", {"alpha": 0.1, "f": f.to_json_dict(), "nu": nu.to_json_dict(),
-                                         "mc_count": 500, "mc_seed": 1})
+    rows = run_check("oracle_triangle", {"alpha": 0.1, "f": f.to_json_dict(), "nu": nu.to_json_dict()})
     assert all(r.passed for r in rows)
-    assert {r.params["order"] for r in rows if r.params["route"] == "quadrature"} == {30}
+    assert {r.params["order"] for r in rows} == {30}
 
 
 def _box_tasks(n, scale, count=30):
@@ -386,7 +379,7 @@ def _box_tasks(n, scale, count=30):
         coefs, hs = rng.uniform(-1.5, 1.5, 3), rng.uniform(-scale, scale, (3, n))
         f = ExpCombo(n, zip(coefs, hs))
         nu = DiscreteMeasure(n, rng.uniform(-scale, scale, (2, n)), [0.4, 0.6])
-        yield {"alpha": 0.5, "f": f.to_json_dict(), "nu": nu.to_json_dict(), "mc_count": 200}
+        yield {"alpha": 0.5, "f": f.to_json_dict(), "nu": nu.to_json_dict()}
 
 
 @pytest.mark.parametrize("n, scale, orders", [
@@ -397,8 +390,7 @@ def test_oracle_quadrature_rows_pass_on_correct_integrals_far_from_the_origin(n,
     # family's 90 quadrature rows failed from coordinates +-1.5 in n = 3,
     # +-4 in n = 2 and +-5 in n = 1 on, with the closed forms right; the
     # rows record the orders they settled at
-    quad = [r for params in _box_tasks(n, scale)
-            for r in run_check("oracle_triangle", params) if r.params["route"] == "quadrature"]
+    quad = [r for params in _box_tasks(n, scale) for r in run_check("oracle_triangle", params)]
     assert [r.params for r in quad if not r.passed] == []
     assert {r.params["order"] for r in quad} == orders
 
@@ -412,7 +404,7 @@ def test_oracle_refuses_a_task_whose_quadrature_does_not_settle():
         except ValueError as exc:
             assert "quadrature does not settle by order 225" in str(exc)
         else:
-            assert all(r.passed for r in rows if r.params["route"] == "quadrature")
+            assert all(r.passed for r in rows)
     # a zero quadrature tolerance asks two orders to agree to the last bit
     params = next(_box_tasks(1, 1.0))
     with pytest.raises(ValueError, match="quadrature does not settle by order 225"):
@@ -421,7 +413,7 @@ def test_oracle_refuses_a_task_whose_quadrature_does_not_settle():
 
 def _oracle_refusals(n, scale):
     """The refusal messages of a _box_tasks family; every task that runs
-    passes its quadrature rows."""
+    passes its rows."""
     refusals = []
     for params in _box_tasks(n, scale):
         try:
@@ -429,7 +421,7 @@ def _oracle_refusals(n, scale):
         except ValueError as exc:
             refusals.append(str(exc))
         else:
-            assert all(r.passed for r in rows if r.params["route"] == "quadrature")
+            assert all(r.passed for r in rows)
     return refusals
 
 
@@ -458,92 +450,69 @@ def test_oracle_names_an_overflowing_integrand_and_its_order():
     assert all(m.startswith("quadrature does not settle by order 225: ") for m in set(refusals) - set(overflows))
 
 
-def test_oracle_mc_rows_catch_a_tiny_error_in_the_deficit_kernel(monkeypatch):
-    # int f^2 off by 1e-9 relative: rows whose weighted values are one
-    # constant (one-signed f) leave only a rounding tolerance, so they fail
-    clean = _oracle_sweeps(1, 40, 2000)
+def test_oracle_rows_catch_a_tiny_error_in_the_deficit_kernel(monkeypatch):
+    # int g^2 off by 1e-9 relative: a 1e-6 relative bound passed it, the
+    # derived bound (about 1e-13 of the fbar integral) fails every fbar f_sq
+    # row; the fbar dirichlet rows, sums of int g_l^2, fail with them
+    clean = _oracle_sweeps(1, 40)
 
     def planted(fs, nus, alphas):
         return [(sq * (1.0 + 1e-9), ap, en) for sq, ap, en in _deficit_batch(fs, nus, alphas)]
 
     monkeypatch.setattr(checks, "_deficit_batch", planted)
-    broken = _oracle_sweeps(1, 40, 2000)
-    newly = [b.params for a, b in zip(clean, broken) if a.passed and not b.passed]
-    assert newly and all((p["integral"], p["route"]) == ("f_sq", "mc") for p in newly)
+    broken = _oracle_sweeps(1, 40)
+    assert all(a.passed for a in clean)
+    newly = {(b.params["integral"], "fbar" in b.params) for b in broken if not b.passed}
+    assert {("f_sq", True), ("dirichlet", True)} <= newly <= {("f_sq", False), ("f_sq", True), ("dirichlet", True)}
+    assert all(not b.passed for b in broken if (b.params["integral"], "fbar" in b.params) == ("f_sq", True))
 
 
-def test_oracle_mc_rows_catch_a_shifted_sampler(monkeypatch):
-    # rows whose weighted values vary still read the sample: moving every
-    # drawn point by 0.2 along the first axis turns some correct mc rows into
-    # FAILs, and only rows with real variance (the constant rows read Z
-    # wherever the points fall)
-    clean = _oracle_sweeps(1, 40, 2000)
-
-    def shifted(nu, seed, count):
-        pts = sample_rho(nu, seed, count)
-        pts[:, 0] += 0.2
-        return pts
-
-    monkeypatch.setattr(quadrature, "sample_rho", shifted)
-    broken = _oracle_sweeps(1, 40, 2000)
-    newly = [b for a, b in zip(clean, broken) if a.passed and not b.passed]
-    assert newly and all(b.params["route"] == "mc" and b.params["se"] > b.tolerance for b in newly)
+# oracle_chaos seed 2's task 73: with the Gram exponent scaled by 0.9999,
+# its f_sq quadrature row was off by 3.10e-6 against a bound of 3.75e-6,
+# and only a Monte Carlo row, comparing two closed forms, failed it
+EXPONENT_CASE = {
+    "alpha": 0.1,
+    "f": {"kind": "exp", "dim": 2, "terms": [{"coef": 0.635098675355489, "h": [0.028960757383025726, 0.07983877753871815]},
+                                             {"coef": 1.2424448966137365, "h": [0.05913794055145161, -0.14332056635425205]}]},
+    "nu": {"dim": 2, "atoms": [[-0.6035198855168564, -0.598548370371011], [-0.17134425881238813, -0.6809230446987646]],
+           "weights": [0.4817115672464026, 0.5182884327535974]},
+}
 
 
-def test_oracle_weighted_mc_agrees_with_a_plain_draw():
-    # mixed-sign f, so every weighted integrand has real variance
-    f = ExpCombo(2, [(1.2, [0.6, -0.3]), (-0.9, [-0.4, 0.8]), (0.5, [0.1, 0.2])])
-    nu = DiscreteMeasure(2, [[0.5, 0.5], [-0.7, 0.2]], [0.3, 0.7])
-    rows = run_check("oracle_triangle", {"alpha": 0.3, "f": f.to_json_dict(), "nu": nu.to_json_dict(),
-                                         "mc_seed": 11, "mc_count": 20_000})
-    prod = alpha_exp(f, f, 0.3)
-    plain = {
-        "f_sq": lambda p: exp_eval(f, p) ** 2,
-        "alpha_prod": prod.eval,
-        "dirichlet": lambda p: sum(exp_eval(g, p) ** 2 for g in gradient_exp(f)),
-    }
-    for row in rows:
-        if row.params["route"] == "mc":
-            assert row.params["se"] > 0.0 and row.tolerance < 1e-12 * abs(row.params["exact"])
-            est, se = mc_integral_rho(plain[row.params["integral"]], nu, 12, 20_000)
-            assert abs(row.params["value"] - est) <= 4.0 * math.hypot(row.params["se"], se)
+def test_oracle_rows_catch_a_scaled_gram_exponent(monkeypatch):
+    # e^{0.9999 S} for e^S in the deficit kernel: every task of a sweep, and
+    # the case above, fails a quadrature row of f
+    assert all(r.passed for r in run_check("oracle_triangle", EXPONENT_CASE))
+    gram = checks._exp_gram
+
+    def scaled(h, y, p):
+        s, _, b = gram(h, y, p)
+        return s, np.exp(0.9999 * s), b
+
+    monkeypatch.setattr(checks, "_exp_gram", scaled)
+    rows = run_check("oracle_triangle", EXPONENT_CASE)
+    assert [(r.params["integral"], "fbar" in r.params) for r in rows if not r.passed][0] == ("f_sq", False)
+    sweeps = _oracle_sweeps(1, 40)
+    tasks = [sweeps[i:i + 6] for i in range(0, len(sweeps), 6)]
+    assert all(not all(r.passed for r in task if "fbar" not in r.params) for task in tasks)
 
 
-def test_oracle_mc_task_allocates_one_sample_and_its_value_rows():
-    # 3 terms in dim 2 at count 20,000: the draw (320 kB) and the (3, N)
-    # weighted rows (480 kB) are the only sample-sized arrays; the rest is
-    # one block's size.  Whole-sample temporaries peaked at 3.2 MB
-    f = ExpCombo(2, [(1.2, [0.6, -0.3]), (-0.9, [-0.4, 0.8]), (0.5, [0.1, 0.2])])
-    nu = DiscreteMeasure(2, [[0.5, 0.5], [-0.7, 0.2]], [0.3, 0.7])
-    params = {"alpha": 0.3, "f": f.to_json_dict(), "nu": nu.to_json_dict(), "mc_seed": 11, "mc_count": 20_000}
-    run_check("oracle_triangle", params)
-    tracemalloc.start()
-    try:
-        run_check("oracle_triangle", params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5e6
-
-
-def test_oracle_mc_rows_when_the_proposal_has_equal_atoms():
-    # y_i + h_j + h_k repeats (1 = 0 + 0 + 1 = 1 + 0 + 0, ...), so the proposal's
-    # canonical form merges equal atoms: the same measure, the same weight
-    f = ExpCombo(1, [(1.0, [0.0]), (0.5, [1.0])])
-    nu = DiscreteMeasure(1, [[0.0], [1.0]], [0.5, 0.5])
-    rows = run_check("oracle_triangle", {"alpha": 0.5, "f": f.to_json_dict(), "nu": nu.to_json_dict(),
-                                         "mc_seed": 3, "mc_count": 5000})
+@pytest.mark.parametrize("terms", [[(1.0, [1e-16])], [(1e-9, [0.3])]], ids=["h-1e-16", "w-1e-9"])
+def test_oracle_rows_pass_where_a_coefficient_is_below_coeff_eps(terms):
+    # E(1e-16): the bar g_1 = 1e-16 E(h) must not be dropped, or the fbar
+    # dirichlet row compares 1e-32 with 0; 1e-9 E(0.3): alpha_exp drops the
+    # product weight 1e-18, which the bound's term e allows for
+    f = ExpCombo(1, terms)
+    rows = run_check("oracle_triangle", {"alpha": 0.5, "f": f.to_json_dict(), "nu": dirac([2.0]).to_json_dict()})
     assert all(r.passed for r in rows)
-    (sq,) = [r for r in rows if (r.params["integral"], r.params["route"]) == ("f_sq", "mc")]
-    assert sq.params["value"] == pytest.approx(sq.params["exact"], rel=1e-12)
 
 
-def test_oracle_mc_rows_of_a_zero_function():
+def test_oracle_rows_of_a_zero_function():
     rows = run_check("oracle_triangle", {"alpha": 0.5, "f": {"kind": "exp", "dim": 1, "terms": []},
-                                         "nu": SYM.to_json_dict(), "mc_count": 100})
+                                         "nu": SYM.to_json_dict()})
+    assert len(rows) == 6
     for row in rows:
-        if row.params["route"] == "mc":
-            assert (row.params["value"], row.params["se"], row.tolerance, row.passed) == (0.0, 0.0, 0.0, True)
+        assert (row.params["value"], row.params["exact"], row.rhs, row.passed) == (0.0, 0.0, 0.0, True)
 
 
 @pytest.mark.parametrize("check", ["classic_beckner", "beckner_deficit"])

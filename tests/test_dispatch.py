@@ -31,8 +31,7 @@ def _found_features() -> list[str]:
 
 
 def _run(tmp_path, name, tolerances, extra_env):
-    cfg = {"seed": 3, "checks": list(CHECK_REGISTRY), "random_sweeps": 40, "mc_count": 2000,
-           "tolerances": tolerances}
+    cfg = {"seed": 3, "checks": list(CHECK_REGISTRY), "random_sweeps": 40, "tolerances": tolerances}
     cfg_path = tmp_path / f"{name}.json"
     cfg_path.write_text(json.dumps(cfg))
     path = os.environ.get("PYTHONPATH")
@@ -44,9 +43,12 @@ def _run(tmp_path, name, tolerances, extra_env):
 
 
 def _gap_bound(row) -> float:
-    # an oracle quadrature row's bound is its rhs and its tolerance 0
-    if row["check"] == "oracle_triangle" and row["params"]["route"] == "quadrature":
-        return 1e-3 * row["rhs"]
+    # an oracle row's tolerance is 0 and its rhs is its bound, derived from
+    # the quadrature's own drift and rounding, so the bound moves with the
+    # dispatch too (by up to 7.5% here): its gap must move by less than a
+    # quarter of it
+    if row["check"] == "oracle_triangle":
+        return 0.25 * row["rhs"]
     return row["tolerance"]
 
 

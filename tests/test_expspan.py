@@ -152,6 +152,13 @@ def test_gamma_exp():
         gammas_exp([-1.0], [e2])
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -0.5, True])
+def test_gammas_exp_refuses_what_is_not_a_finite_lambda(lam):
+    # NaN passed "lam < 0" and gave NaN directions
+    with pytest.raises(ValueError, match="lambda must be a finite number >= 0"):
+        gammas_exp([1.0, lam], [ExpCombo.exponential([1.0])] * 2)
+
+
 def test_gamma_exp_wick_homomorphism():
     rng = np.random.default_rng(31)
     for _ in range(10):

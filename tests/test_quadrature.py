@@ -224,6 +224,14 @@ def test_lp_norm_exp_single_term():
         assert val == pytest.approx(2.0 * math.exp(0.5 * (p - 1.0)), rel=1e-15)
 
 
+@pytest.mark.parametrize("p", [math.nan, math.inf, 0.5, True])
+def test_lp_norm_exp_refuses_what_is_not_a_finite_p(p):
+    # NaN passed "p < 1" and came back as (nan, "quadrature")
+    f = ExpCombo(1, [(1.0, [0.5]), (-0.5, [-0.3])])
+    with pytest.raises(ValueError, match="p must be a finite number >= 1"):
+        lp_norm_exp(f, p)
+
+
 def test_lp_norm_exp_p2_matches_inner():
     f = ExpCombo.exponential([1.0]) + ExpCombo.exponential([-0.5], 0.7)
     val, method = lp_norm_exp(f, 2.0)

@@ -137,8 +137,8 @@ PIN_MEASURES = [
 
 
 @pytest.mark.parametrize("overrides, digest", [
-    ({}, "7a20b3116af96a71ed092671d372cd2b215648713315ee21f0fe4c552999bd73"),
-    ({"dim": 2, "seed": 3}, "4716c0c3131f1bef2abc1d00415c289bec57908838ac9c4d130988db921c0990"),
+    ({}, "637aead896d9443a8e2ac0f9a227d7373b666aa4ab308bc1ed9ac9cde8600c8d"),
+    ({"dim": 2, "seed": 3}, "5ad71bab42cdd71dbfb54e383a500880dad1ccf4ccf390cbf0e0da1043266117"),
 ], ids=["drawn-dims", "dim2-seed3"])
 def test_task_expansion_is_pinned(overrides, digest):
     # every grid rule and every random draw, in order: a changed digest
@@ -169,7 +169,7 @@ STREAM_PINS = [
     ("covariance", "6870cce7c208b3a5df4011153ab59a68f51e0a9b41f7fe4cdacb071b30966dcb"),
     ("wick_density_identity", "cddd2bc4ef754d5bf156ff200c6cf322c750d3e2ac3e36680dbeb2dd01322c26"),
     ("g_lambda_bound", "ee39908e153a567a45d2fa4713a3712fc1556db73287c13a3282598000817d84"),
-    ("oracle_triangle", "93eeaa19a0ee956ecad85e1f0461beee77d5c8d97810c0504e980446ec12b431"),
+    ("oracle_triangle", "c04e0d1a8b4db799c0ab9cb4c217c68701c6faf8f0e8c8a4478169cd266518f3"),
 ]
 
 
@@ -763,7 +763,7 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
     ("strong_positivity", {"alpha": 0.5, "nu": NU_ZERO, "phi": CHAOS_ONE},
      "expected exp functions, got kind 'chaos'"),
     ("covariance", {"nu1": NU_ZERO, "nu2": NU_SYM, "phi": CHAOS_ONE}, "expected exp functions, got kind 'chaos'"),
-    ("oracle_triangle", {"alpha": 0.5, "f": CHAOS_ONE, "nu": NU_ZERO, "mc_count": 100},
+    ("oracle_triangle", {"alpha": 0.5, "f": CHAOS_ONE, "nu": NU_ZERO},
      "expected exp functions, got kind 'chaos'"),
     ("classic_beckner", {"alpha": 0.5, "f": E_ONE}, "expected chaos functions, got kind 'exp'"),
     # "dim": 1.9, true and "1" were read as 1, and these printed PASS rows
@@ -774,7 +774,7 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
     ("g_lambda_bound", {"nu": {**NU_ZERO, "dim": "1"}, "lambda": 1.5}, "dim must be an integer >= 0, got '1'"),
     # a function that is not an object ended in an AttributeError traceback
     ("beckner_deficit", {"alpha": 0.5, "f": "x", "nu": NU_ZERO}, "a function must be a JSON object, got 'x'"),
-    ("oracle_triangle", {"alpha": 0.5, "f": "x", "nu": NU_ZERO, "mc_count": 100},
+    ("oracle_triangle", {"alpha": 0.5, "f": "x", "nu": NU_ZERO},
      "a function must be a JSON object, got 'x'"),
     # values a config rejects: these printed PASS rows, and the last one FAIL
     # rows from a one-node grid
@@ -782,15 +782,9 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
     ("holder", {"alpha": True, "f": E_ONE}, "alpha must be a number in [0, 1], got True"),
     ("strong_positivity", {"alpha": 5, "nu": NU_ZERO, "phi": E_ONE}, "alpha must be a number in [0, 1], got 5"),
     ("g_lambda_bound", {"nu": NU_SYM, "lambda": True}, "lambda must be finite (a number, not a bool), got True"),
-    # these printed a PASS row with r = 1.0, or a seed recorded as given
+    # this printed a PASS row with r = 1.0
     ("holder", {"alpha": 1.0, "f": E_ONE, "p": 2, "q": 2, "r": True},
      "p, q and r must be finite numbers, got 2, 2, True"),
-    ("oracle_triangle", {"alpha": 0.5, "f": E_ONE, "nu": NU_ZERO, "mc_count": 100, "mc_seed": True},
-     "mc_seed (or each entry of a non-empty mc_seed list) must be an integer >= 0, got True"),
-    ("oracle_triangle", {"alpha": 0.5, "f": E_ONE, "nu": NU_ZERO, "mc_count": 100, "mc_seed": "7"},
-     "mc_seed (or each entry of a non-empty mc_seed list) must be an integer >= 0, got '7'"),
-    ("oracle_triangle", {"alpha": 0.5, "f": E_ONE, "nu": NU_ZERO, "mc_count": 100, "mc_seed": [1, True]},
-     "mc_seed (or each entry of a non-empty mc_seed list) must be an integer >= 0, got True"),
     # a 0 x 0 matrix has no minimum eigenvalue; these said "a list of vectors"
     ("ab_psd", {"alpha": 0.5, "nu": NU_SYM, "hs": []}, "hs must hold at least one vector"),
     ("char_gram_psd", {"nu": NU_SYM, "hs": []}, "hs must hold at least one vector"),
@@ -800,8 +794,7 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
         "oracle_triangle-chaos", "classic_beckner-exp", "beckner-dim-float", "beckner-dim-bool",
         "g_lambda-dim-str", "beckner-f-not-object", "oracle-f-not-object", "beckner-alpha-bool",
         "holder-alpha-bool", "strong_positivity-alpha-above-one", "g_lambda-lambda-bool",
-        "holder-r-bool", "oracle-mc_seed-bool", "oracle-mc_seed-str",
-        "oracle-mc_seed-list-bool", "ab_psd-hs-empty", "char_gram_psd-hs-empty"])
+        "holder-r-bool", "ab_psd-hs-empty", "char_gram_psd-hs-empty"])
 def test_cli_check_rejects_params_it_cannot_compute(capsys, name, params, message):
     assert main(["check", name, "--params", json.dumps(params)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
@@ -810,7 +803,7 @@ def test_cli_check_rejects_params_it_cannot_compute(capsys, name, params, messag
 def test_cli_check_refuses_the_oracle_in_dim_4(capsys):
     # a fixed order 6 in n = 4 gave a warning and three FAIL quadrature rows
     nu = {"dim": 4, "atoms": [[0.1, 0.0, -0.2, 0.3]], "weights": [1.0]}
-    params = json.dumps({"alpha": 0.5, "f": F_DIM4, "nu": nu, "mc_count": 100})
+    params = json.dumps({"alpha": 0.5, "f": F_DIM4, "nu": nu})
     assert main(["check", "oracle_triangle", "--params", params]) == 2
     assert "config error: tensor quadrature is limited to n <= 3, got n=4" in capsys.readouterr().err
 
@@ -823,7 +816,7 @@ def test_cli_check_refuses_an_oracle_task_whose_quadrature_overflows(capsys):
                                             {"coef": -0.7904745071494064, "h": [2.7547662514349085]},
                                             {"coef": -0.2769823516794241, "h": [9.517326500834429]}]}
     nu = {"dim": 1, "atoms": [[-8.700013600917039], [2.7078343179437994]], "weights": [0.6, 0.4]}
-    params = json.dumps({"alpha": 0.5, "f": f, "nu": nu, "mc_count": 200})
+    params = json.dumps({"alpha": 0.5, "f": f, "nu": nu})
     assert main(["check", "oracle_triangle", "--params", params]) == 2
     err = capsys.readouterr().err
     assert "config error: quadrature integrand overflows at order 225 (overflow encountered in multiply)" in err
@@ -837,6 +830,25 @@ def test_a_config_that_sets_quad_order_exits_two(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert "config error: unknown config keys: quad_order" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_config_that_sets_mc_sigmas_exits_two(tmp_path, capsys):
+    # the Monte Carlo gate's tolerance went with the oracle's Monte Carlo rows
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"checks": ["oracle_triangle"], "random_sweeps": 1,
+                                    "tolerances": {"mc_sigmas": 4.0}}))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: unknown tolerance keys: mc_sigmas" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mc_count_is_validated_and_read_by_no_check():
+    # existing configs that set it still load, and it changes no row
+    base = {"seed": 2, "checks": list(CHECK_REGISTRY), "random_sweeps": 2}
+    with pytest.raises(ConfigError, match="mc_count must be an integer >= 2"):
+        SuiteConfig.from_json_dict({**base, "mc_count": 1})
+    reports = [run_rendered(SuiteConfig.from_json_dict({**base, "mc_count": count})) for count in (2, 10**9)]
+    assert reports[0] == reports[1] == run_rendered(SuiteConfig.from_json_dict(base))
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
