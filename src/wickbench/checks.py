@@ -31,8 +31,8 @@ Gram matrix K per integral -- the paper's Schur-product form:
   (a shifted index clipped at 0 where its weight m_l n_l is 0).
 
 oracle_triangle validates these forms, the ones the checks use, against
-tensor quadrature of one point function, which gives f^2, f o_a f
-(alpha_exp's product, evaluated) and |Df|^2 at the nodes, within a bound
+tensor quadrature of one point function, which gives f^2, f o_a f and
+|Df|^2 at the nodes from the E(h_j) evaluated there once, within a bound
 derived from the quadrature itself; the tests also compare the forms
 with the product route (alpha_* / pointwise_* then rho_integral_*).
 
@@ -51,8 +51,7 @@ sort and eigvalsh steps give each task the bits it gets alone, but a
 stacked reduction (einsum over the task axis) does not.  So run_check,
 one task as a stack of one, gives the rows a suite run gives.  Each
 runner's docstring states its inequality.  classic_beckner's coefficient
-loop and oracle_triangle's quadrature gain nothing from stacking and run
-their tasks one at a time.
+loop gains nothing from stacking and runs its tasks one at a time.
 """
 
 from __future__ import annotations
@@ -63,20 +62,17 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .chaos import (
-    COEFF_EPS,
     ChaosExpansion,
     chaos_from_json,
     check_alpha,
     check_dims,
     check_real,
-    fill,
     index_factorial,
     per_shape,
 )
 from .expspan import (
     ExpCombo,
     _stack,
-    alpha_exp,
     exps_from_json,
     gammas_exp,
     mu_inner_exp,
@@ -193,12 +189,18 @@ def _chaos_grams(f: ChaosExpansion, nu: DiscreteMeasure, alpha: float):
     return np.array(list(f.coeffs.values()), dtype=float), k1[0], grams(alpha, idx[None])[0], kd
 
 
-def _deficit_batch(fs, nus, alphas) -> list[tuple[float, float, float]]:
-    """(int f^2 drho, int f o_a f drho, int |Df|^2 drho), rho = mu * nu, per
-    task: the forms c' K c of the module docstring, with c and (K^1, K^a,
-    K^D) on f's own basis; int f o_1 f is bitwise int f^2.  Exponential
-    combinations of one shape are one stack up to the last quadratic form
-    of each task; chaos functions run one at a time."""
+def _shapes(fs, nus) -> list:
+    """The per_shape keys of deficit tasks: (k, a, n) for exponential
+    combinations, one key for all chaos functions."""
+    return [(f.n_terms, nu.n_atoms, f.dim) if isinstance(f, ExpCombo) else ChaosExpansion
+            for f, nu in zip(fs, nus)]
+
+
+def _deficit_grams(fs, nus, alphas) -> list:
+    """(c, K^1, K^a, K^D) per task, rho = mu * nu: the coefficients of f
+    and the Gram matrices of the module docstring, on f's own basis.
+    Exponential combinations of one shape are one stack; chaos functions
+    run one at a time."""
     for f, nu in zip(fs, nus):
         check_dims(f, nu)
 
@@ -211,9 +213,13 @@ def _deficit_batch(fs, nus, alphas) -> list[tuple[float, float, float]]:
         k1 = exp_s * b
         return zip(_stack(fs, "weights", idx), k1, np.exp(alpha * s) * b, s * k1)
 
-    keys = [(f.n_terms, nu.n_atoms, f.dim) if isinstance(f, ExpCombo) else ChaosExpansion
-            for f, nu in zip(fs, nus)]
-    return [tuple(float(c @ k @ c) for k in ks) for c, *ks in per_shape(keys, grams)]
+    return per_shape(_shapes(fs, nus), grams)
+
+
+def _deficit_batch(fs, nus, alphas) -> list[tuple[float, float, float]]:
+    """(int f^2 drho, int f o_a f drho, int |Df|^2 drho) per task: the forms
+    c' K c of _deficit_grams, each task's own; int f o_1 f is bitwise int f^2."""
+    return [tuple(float(c @ k @ c) for k in ks) for c, *ks in _deficit_grams(fs, nus, alphas)]
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +348,13 @@ class _Blocks(NamedTuple):
         return [dict(zip(values, sweep)) for sweep in zip(*values.values())]
 
 
-def _deficit_tasks(tasks):
-    """(f, nu, alpha, _deficit_batch integrals) of each deficit task."""
+def _deficit_params(tasks):
+    """(fs, nus, alphas) of deficit tasks, parsed and checked."""
     fs, nus = functions_from_json([params["f"] for params in tasks]), _nus(tasks)
     alphas = [params["alpha"] for params in tasks]
     for alpha in alphas:
         check_alpha(alpha)
-    return zip(fs, nus, alphas, _deficit_batch(fs, nus, alphas))
+    return fs, nus, alphas
 
 
 _INTEGRALS = ("f_sq", "alpha_prod", "dirichlet")
@@ -357,10 +363,11 @@ _INTEGRALS = ("f_sq", "alpha_prod", "dirichlet")
 def _deficit_rows(name, tasks, tols, shown: int, sides):
     """Each deficit task's one row: (lhs, rhs) = sides(alpha, *integrals),
     its params showing the first shown of the three integrals."""
+    fs, nus, alphas = _deficit_params(tasks)
     return [[InequalityReport.from_sides(
         name, {"alpha": float(alpha), "f": f.to_json_dict(), "nu": nu.to_json_dict(),
                "integrals": dict(zip(_INTEGRALS[:shown], ints))}, *sides(alpha, *ints), tols["exact"])]
-        for f, nu, alpha, ints in _deficit_tasks(tasks)]
+        for f, nu, alpha, ints in zip(fs, nus, alphas, _deficit_batch(fs, nus, alphas))]
 
 
 def _run_beckner(tasks, tols):
@@ -659,17 +666,17 @@ def _grid_g_lambda(cfg):
 
 # oracle_triangle's bound.  A row compares an integral's exact value with its
 # quadrature Q at the accepted order (L at the order below) and passes when
-#   |Q - exact| <= min(10 |Q - L| + (c u + 2 t) M + e, tol max(1, |exact|)),
+#   |Q - exact| <= min(10 |Q - L| + (c u + 2 t) M, tol max(1, |exact|)),
 # u = 2^-53: ten times the order check's drift (whose target is a tenth of the
 # cap), then what the drift cannot see.  M is the quadrature of the bar of the
 # integrand, each coefficient of f and Df at its absolute value: fbar^2,
 # fbar o_a fbar or sum_l (sum_j |w_j h_jl| E(h_j))^2, fbar = sum_j |w_j| E(h_j).
-# A sum of terms e^{...} E(h_j + h_k), it bounds term by term the sums of
-# |terms| on both routes.
+# A sum of terms e^{...} E(h_j) E(h_k), it bounds term by term the sums of
+# |terms| on both routes; neither route drops a term.
 # - Rounding, c u M to first order; c counts on both routes:
-#   8 per exp (4 ulp), 5 of them: e^S and two e^{<y,h>} exactly, the two E(h)
-#     (or weight and E(h_j + h_k)) of a quadrature term;
-#   (n + 2) X per exponent, the same 5: X = 2 H (Y + 3 H + 1), H the largest
+#   8 per exp (4 ulp), 6 of them: e^S and two e^{<y,h>} exactly, E(h_j),
+#     E(h_k) and e^{(a-1) S_jk} of a quadrature term;
+#   (n + 2) X per exponent, the same 6: X = 2 H (Y + 3 H + 1), H the largest
 #     |h_j|_1 and Y the largest |y_il|, bounds an exponent's sum of |terms|
 #     where M's tilted Gaussians put their mass (E|x_l - y_il - h_jl - h_kl| < 1);
 #   the rule: 6 n order for its weights, 100 H for its nodes (hermegauss
@@ -680,80 +687,141 @@ def _grid_g_lambda(cfg):
 #   low on E(g) by at most sum_l P(Poisson(lam_l) >= m) <= sum_l e^-lam_l
 #   (e lam_l / m)^m of it, lam_l = g_l^2 / 2 < m (the Taylor terms of degree
 #   >= 2m, each at most its Gaussian moment); t is the largest over g = h_j +
-#   h_k.  M's own quadrature is that much low, so 2 t M bounds the miss while
-#   t <= 1/2; past it only the cap does.
-# - e, for f o_a f: alpha_exp's canonical form drops each summed weight below
-#   COEFF_EPS, at most COEFF_EPS sum_jk int E(h_j + h_k) drho in all.
+#   h_k, as E(h_j) E(h_k) = e^{S_jk} E(h_j + h_k).  M's own quadrature is that
+#   much low, so 2 t M bounds the miss while t <= 1/2; past it only the cap does.
+
+# the oracle integrates its tasks in blocks of about this many nodes in all
+# (one task at order 30 in n = 2, three at order 20): with blocks twice as
+# large the heap gave a block's arrays back and faulted them in anew, about
+# 12,000 minor faults per oracle_chaos run where this size takes 6,800
+_ORACLE_NODES = 1500
 
 
-def _oracle_rows(f, nu: DiscreteMeasure, alpha, ints, tols) -> list[InequalityReport]:
-    if isinstance(f, ChaosExpansion):
-        raise ValueError("expected exp functions, got kind 'chaos'")
-    h = f.directions
-    half = 0.5 * np.sum(h**2, axis=1)[:, None]
-    n, k, a = f.dim, f.n_terms, nu.n_atoms
-    # the coefficients of f and its n partials on the E(h_j); at their absolute
-    # values, fbar and the g_l = sum_j |w_j h_jl| E(h_j), whose int g_l^2 drho
-    # add up to int |Dbar f|^2 drho, each kept whole (no COEFF_EPS drop)
-    coefs = np.vstack([f.weights, h.T * f.weights])
-    bars = [fill(object.__new__(ExpCombo), dim=n, weights=c, directions=h) for c in np.abs(coefs)]
-    (sq, ap, _), *axes = _deficit_batch(bars, [nu] * (n + 1), [alpha] * (n + 1))
-    exact = np.array([ints, (sq, ap, sum(g[0] for g in axes))])
+def _oracle_integrands(h, w, alpha):
+    """The point function of a block of B tasks of one shape for
+    integrate_rho: at each task's shifted nodes, pts (B, N, n), its six
+    integrands (B, 6, N), f^2, f o_a f and |Df|^2 and then those of the
+    bars.  Each E(h_j) is evaluated once per node, and the coefficients of
+    f, its partials and their bars, and the pair weights of the products,
+    all act on that one array."""
+    b, k, n = h.shape
+    half = 0.5 * np.sum(h**2, axis=2)[:, :, None]
+    coefs = np.concatenate([w[:, None], h.transpose(0, 2, 1) * w[:, None]], axis=1)
+    coefs = np.concatenate([coefs, np.abs(coefs)], axis=1)
+    # f o_a f = sum_jk w_j w_k e^{(a - 1) S_jk} E(h_j) E(h_k), as E(h_j) o_a
+    # E(h_k) = e^{a S_jk} E(h_j + h_k) and E(h_j) E(h_k) = e^{S_jk} E(h_j + h_k)
+    ww = w[:, :, None] * w[:, None]
+    pair = np.exp((alpha - 1.0)[:, None, None] * (h @ h.transpose(0, 2, 1)))
+    pair = np.concatenate([ww * pair, np.abs(ww) * pair], axis=1)
 
-    def values(coefs, g: ExpCombo):
-        # g^2, g o_a g and |Dg|^2 (|Dbar f|^2 for fbar) at the points; g and its
-        # n partials are the rows of coefs times the (k, N) matrix of the E(h_j)
-        prod = alpha_exp(g, g, alpha)
+    def fn(pts):
+        count = pts.shape[1]
+        e = h @ pts.transpose(0, 2, 1)
+        e -= half
+        ex = np.exp(e, out=e)
+        squares = (coefs @ ex).reshape(b, 2, n + 1, count)
+        squares *= squares
+        terms = (pair @ ex).reshape(b, 2, k, count)
+        terms *= ex[:, None]
+        out = np.empty((b, 2, 3, count))
+        out[:, :, 0] = squares[:, :, 0]
+        np.sum(terms, axis=2, out=out[:, :, 1])
+        np.sum(squares[:, :, 1:], axis=2, out=out[:, :, 2])
+        return out.reshape(b, 6, count)
+    return fn
 
-        def fn(pts):
-            e = h @ pts.T
-            e -= half
-            v = coefs @ np.exp(e, out=e)
-            out = np.empty((3, len(pts)))
-            np.multiply(v[0], v[0], out=out[0])
-            out[1] = prod.eval(pts)
-            np.sum(v[1:] ** 2, axis=0, out=out[2])
-            return out
-        return fn
 
-    fns = values(coefs, f), values(np.abs(coefs), bars[0])
+def _oracle_exact(c, k1, ka, kd, h) -> list[list[float]]:
+    """The exact sides of one task from its Grams (_deficit_grams): the forms
+    of f, as _deficit_batch takes them, then those of its bars at the
+    absolute coefficients, sum_l g_l' K^1 g_l for |Dbar f|^2."""
+    bar = np.abs(c)
+    return [[float(c @ k1 @ c), float(c @ ka @ c), float(c @ kd @ c)],
+            [float(bar @ k1 @ bar), float(bar @ ka @ bar), sum(float(g @ k1 @ g) for g in np.abs(h.T * c))]]
+
+
+def _oracle_group(fs, nus, alphas, grams, tols) -> list:
+    """Each task's (order, quadratures, exact values, bounds), the last
+    three (2, 3) with rows f and fbar, or its refusal, for T tasks of one
+    shape (k, a, n)."""
+    h, w = np.array([f.directions for f in fs]), np.array([f.weights for f in fs])
+    alpha = np.array([float(a) for a in alphas])
+    (count, k, n), a = h.shape, nus[0].n_atoms
+    try:  # the dims tensor quadrature refuses, n > 3 and n < 1, refuse every task
+        order = default_order(n)
+        gauss_hermite_grid(n, order)
+    except ValueError as exc:
+        return [exc] * count
+    out, live = [None] * count, np.ones(count, dtype=bool)
 
     def quadrature(order):
-        grid = gauss_hermite_grid(n, order)
-        # an overflow would make the value inf or NaN at this order and every
-        # higher one, so the task stops at the first
-        with np.errstate(over="raise"):
+        # the six quadratures (T, 6) of the live tasks at order, in blocks of
+        # about _ORACLE_NODES nodes.  An overflow would make a value inf or NaN
+        # at this order and every higher one, so it refuses its task here; a
+        # block that overflows runs again task by task, to find its tasks' own
+        grid, values = gauss_hermite_grid(n, order), np.empty((count, 6))
+        size, idx = max(1, _ORACLE_NODES // len(grid.weights)), np.flatnonzero(live)
+        blocks = [idx[start:start + size] for start in range(0, len(idx), size)]
+        while blocks:
+            block = blocks.pop()
             try:
-                return np.array([integrate_rho(fn, nu, grid) for fn in fns])
+                with np.errstate(over="raise"):
+                    fn = _oracle_integrands(h[block], w[block], alpha[block])
+                    values[block] = integrate_rho(fn, [nus[i] for i in block], grid)
             except FloatingPointError as exc:
-                raise ValueError(f"quadrature integrand overflows at order {order} ({exc})") from None
+                if len(block) > 1:
+                    blocks += np.split(block, len(block))
+                else:
+                    out[block[0]] = ValueError(f"quadrature integrand overflows at order {order} ({exc})")
+                    live[block[0]] = False
+        return values
 
-    # settle the order on quadrature values alone, never the exact side,
-    # so that the two routes stay independent
-    low, order = default_order(n) * 2 // 3, default_order(n)
+    # settle the order on quadrature values alone, never the exact side, so
+    # that the two routes stay independent; the tasks that have not settled
+    # climb on as one stack
+    orders, accepted, below = np.zeros(count, dtype=int), np.empty((count, 6)), np.empty((count, 6))
+    low, order = order * 2 // 3, order
     lows, quads = quadrature(low), quadrature(order)
     for step in range(_QUAD_STEPS + 1):
-        drift = float(np.max(np.abs(quads - lows) / np.maximum(1.0, np.abs(quads))))
-        if drift <= 0.1 * tols["quadrature"]:
+        idx = np.flatnonzero(live)
+        drifts = np.max(np.abs(quads[idx] - lows[idx]) / np.maximum(1.0, np.abs(quads[idx])), axis=1, initial=0.0)
+        for i, drift in zip(idx.tolist(), drifts.tolist()):
+            if drift <= 0.1 * tols["quadrature"]:
+                orders[i], accepted[i], below[i], live[i] = order, quads[i], lows[i], False
+            elif step == _QUAD_STEPS or not tensor_weights_positive(n, order * 3 // 2):
+                live[i] = False
+                out[i] = ValueError(f"quadrature does not settle by order {order}: it moves {drift:.3g} relative "
+                                    f"from order {low}, above a tenth of the quadrature tolerance")
+        if not live.any():
             break
-        if step == _QUAD_STEPS or not tensor_weights_positive(n, order * 3 // 2):
-            raise ValueError(f"quadrature does not settle by order {order}: it moves {drift:.3g} relative "
-                             f"from order {low}, above a tenth of the quadrature tolerance")
-        low, order = order, order * 3 // 2
-        lows, quads = quads, quadrature(order)
-    big_h = float(np.max(np.sum(np.abs(h), axis=1), initial=0.0))
-    x = 2.0 * big_h * (float(np.max(np.abs(nu.atoms))) + 3.0 * big_h + 1.0)
-    c = 5 * (8 + (n + 2) * x) + 6 * n * order + 100 * big_h + order**n + 3 * a + k * k + 3 * k + n + 10
-    lam = np.minimum(0.5 * (h[:, None] + h) ** 2, order)
-    t = float(np.max(np.sum((np.e * lam / order) ** order * np.exp(-lam), axis=-1), initial=0.0))
-    drop = [0.0, COEFF_EPS * float(nu.weights @ np.exp(nu.atoms @ h.T).sum(axis=1) ** 2), 0.0]
+        low, order, lows = order, order * 3 // 2, quads
+        quads = quadrature(order)
+
+    done = np.flatnonzero(orders)
+    if not len(done):
+        return out
+    h, orders = h[done], orders[done]
+    quads, lows = accepted[done].reshape(-1, 2, 3), below[done].reshape(-1, 2, 3)
+    exact = np.array([_oracle_exact(*grams[i], h_i) for i, h_i in zip(done.tolist(), h)])
+    big_h = np.max(np.sum(np.abs(h), axis=2), axis=1, initial=0.0)
+    x = 2.0 * big_h * (np.array([np.max(np.abs(nus[i].atoms)) for i in done]) + 3.0 * big_h + 1.0)
+    c = 6 * (8 + (n + 2) * x) + 6 * n * orders + 100 * big_h + orders**n + 3 * a + k * k + 3 * k + n + 10
+    m = orders[:, None, None, None]
+    lam = np.minimum(0.5 * (h[:, :, None] + h[:, None]) ** 2, m)
+    t = np.max(np.sum((np.e * lam / m) ** m * np.exp(-lam), axis=-1), axis=(1, 2), initial=0.0)
     cap = tols["quadrature"] * np.maximum(1.0, np.abs(exact))
-    bounds = np.minimum(10.0 * np.abs(quads - lows) + (c * 2.0**-53 + 2.0 * t) * quads[1] + drop, cap)
-    bounds = bounds if t <= 0.5 else cap
+    bounds = np.minimum(10.0 * np.abs(quads - lows) + (c * 2.0**-53 + 2.0 * t)[:, None, None] * quads[:, 1:], cap)
+    bounds = np.where((t <= 0.5)[:, None, None], bounds, cap)
+    for i, *result in zip(done.tolist(), orders.tolist(), quads.tolist(), exact.tolist(), bounds.tolist()):
+        out[i] = result
+    return out
+
+
+def _oracle_rows(f, nu, alpha, order, quads, exact, bounds) -> list[InequalityReport]:
     base = {"alpha": float(alpha), "f": f.to_json_dict(), "nu": nu.to_json_dict(), "route": "quadrature",
             "order": order}
     rows = []
-    for name, qs, xs, bs in zip(_INTEGRALS, quads.T.tolist(), exact.T.tolist(), bounds.T.tolist()):
+    for name, qs, xs, bs in zip(_INTEGRALS, zip(*quads), zip(*exact), zip(*bounds)):
         for tag, quad, ex, bound in zip(({}, {"fbar": True}), qs, xs, bs):
             params = {**base, **tag, "integral": name, "value": quad, "exact": ex}
             rows.append(InequalityReport.from_sides("oracle_triangle", params, abs(quad - ex), bound,
@@ -765,7 +833,7 @@ def _run_oracle(tasks, tols):
     """Cross-validate the closed-form rho-integrals, rho = mu * nu, against quadrature.
 
     The exact values of int f^2, int f o_a f and int |Df|^2, the quadratic
-    forms the deficit checks use (_deficit_batch), and those of the bars
+    forms the deficit checks use (_deficit_grams), and those of the bars
     (fbar^2, fbar o_a fbar, |Dbar f|^2: rows tagged "fbar", one-signed term
     by term) are each compared with a tensor Gauss-Hermite value, within
     the bound the comment above derives.  Six rows per task.
@@ -773,10 +841,27 @@ def _run_oracle(tasks, tols):
     The quadrature order starts at default_order(n), which refuses n > 3,
     and is checked against two thirds of it; until the six integrals
     agree within a tenth of the quadrature tolerance it rises by half, at
-    most _QUAD_STEPS times, and a task whose quadrature does not settle
-    raises ValueError.  Its rows record the accepted order.
+    most _QUAD_STEPS times.  Its rows record the accepted order.  The
+    tasks of one shape (k, a, n) are one stack, integrated in blocks, and
+    climb the orders together; each gets the bits it gets alone.  A task
+    whose quadrature does not settle or overflows is refused: the first
+    refused task raises ValueError, with the message it raises alone.
     """
-    return [_oracle_rows(*task, tols) for task in _deficit_tasks(tasks)]
+    fs, nus, alphas = _deficit_params(tasks)
+    grams = _deficit_grams(fs, nus, alphas)
+
+    def run(idx):
+        if isinstance(fs[idx[0]], ChaosExpansion):
+            return [ValueError("expected exp functions, got kind 'chaos'")] * len(idx)
+        return _oracle_group([fs[i] for i in idx], [nus[i] for i in idx], [alphas[i] for i in idx],
+                             [grams[i] for i in idx], tols)
+
+    rows = []
+    for f, nu, alpha, result in zip(fs, nus, alphas, per_shape(_shapes(fs, nus), run)):
+        if isinstance(result, Exception):
+            raise result
+        rows.append(_oracle_rows(f, nu, alpha, *result))
+    return rows
 
 
 def _grid_oracle(cfg):

@@ -97,7 +97,9 @@ class ExpCombo:
         return self + (-1.0) * other
 
     def __mul__(self, scalar: float) -> "ExpCombo":
-        w = finite_array(scalar, "coefficients") * self.weights
+        # a finite scalar can still overflow a weight: the product is checked too
+        with np.errstate(over="ignore"):
+            w = finite_array(finite_array(scalar, "coefficients") * self.weights, "coefficients")
         return exp_combos(self.dim, w[None], self.directions[None])[0]
 
     __rmul__ = __mul__

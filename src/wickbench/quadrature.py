@@ -97,7 +97,7 @@ def default_order(n: int) -> int:
     n = 3.  The one rule for which dimensions tensor quadrature serves:
     ValueError for n > 3, where a grid of useful order is too large."""
     if n > 3:
-        raise ValueError(f"tensor quadrature is limited to n <= 3, got n={n}; use Monte Carlo")
+        raise ValueError(f"tensor quadrature is limited to n <= 3, got n={n}")
     return 30 if n <= 2 else 12
 
 
@@ -106,12 +106,16 @@ def default_grid(n: int) -> QuadratureGrid:
 
 
 def _eval_at(fn, pts: np.ndarray, rows: bool = False) -> np.ndarray:
-    """fn on an (N, n) array of points: shape (N,), or with rows also (m, N),
-    one row per integrand.  ValueError naming any other shape."""
+    """fn on an (N, n) array of points, or a (T, N, n) stack of them: shape
+    (N,), or with rows also (m, N), one row per integrand, after the
+    stack's leading T.  ValueError naming any other shape."""
     vals = np.asarray(fn(pts), dtype=float)
-    count = pts.shape[0]
-    if vals.shape != (count,) and not (rows and vals.ndim == 2 and vals.shape[1] == count):
-        expected = f"({count},) or (m, {count})" if rows else f"({count},)"
+    lead, count = pts.shape[:-2], pts.shape[-2]
+    if vals.shape != (*lead, count) and not (
+            rows and vals.ndim == len(lead) + 2 and vals.shape[:-2] == lead and vals.shape[-1] == count):
+        head = "".join(f"{t}, " for t in lead)
+        one = f"({head}{count})" if lead else f"({count},)"
+        expected = f"{one} or ({head}m, {count})" if rows else one
         raise ValueError(f"point function returned shape {vals.shape}, expected {expected}")
     return vals
 
@@ -123,17 +127,34 @@ def lp_norm_mu(fn, p: float, grid: QuadratureGrid) -> float:
     return float((vals**p @ grid.weights) ** (1.0 / p))
 
 
-def integrate_rho(fn, nu: DiscreteMeasure, grid: QuadratureGrid):
+def integrate_rho(fn, nu, grid: QuadratureGrid):
     """int fn d(mu * nu) = sum_i p_i int fn(w + y_i) dmu(w), each term by quadrature.
 
     fn maps the (N, n) nodes to N values, or to an (m, N) array, one row
     per integrand, all read from the one evaluation per atom; the integral
     is then an (m,) array.
+
+    nu may also be a list of T measures of one dim and atom count, a
+    stack: fn then maps the (T, N, n) nodes, measure t's shifted by its
+    atom, to (T, N) or (T, m, N) values, and the integrals are a (T,) or
+    (T, m) array.  A single measure is a stack of one: each measure's sum
+    over its atoms and each integrand's weighted sum over the nodes run
+    alone, so a stack gives each measure the bits it gets alone wherever
+    fn does.
     """
+    stack = not isinstance(nu, DiscreteMeasure)
+    nus = nu if stack else [nu]
+    atoms, probs = np.array([m.atoms for m in nus]), np.array([m.weights for m in nus])
     total = 0.0
-    for y, p in zip(nu.atoms, nu.weights):
-        total += p * (_eval_at(fn, grid.nodes + y, rows=True) @ grid.weights)
-    return float(total) if np.ndim(total) == 0 else total
+    for y, p in zip(atoms.transpose(1, 0, 2), probs.T):
+        pts = grid.nodes + y[:, None]
+        vals = _eval_at(fn, pts if stack else pts[0], rows=True)
+        # (T, m, N) @ (N,) is one product per measure and integrand block,
+        # the one a measure gets alone; a (T, N) product is not
+        total += p[:, None] * (vals.reshape(len(nus), -1, len(grid.weights)) @ grid.weights)
+    rows = vals.ndim == (3 if stack else 2)
+    total = total if rows else total[:, 0]
+    return total if stack else (total[0] if rows else float(total[0]))
 
 
 def mc_integral_rho(fn, nu: DiscreteMeasure, seed, count: int):

@@ -148,7 +148,7 @@ def _run_chunk(chunk) -> list[tuple[str, str, bool]]:
         results = CHECK_REGISTRY[name].run(tasks, tols)
     except INPUT_ERRORS as exc:
         raise ConfigError(f"{name} task cannot run: {exc}") from exc
-    return [line for rows in results for line in _render([r.negated() for r in rows] if cfg.negate else rows)]
+    return list(_render([r.negated() if cfg.negate else r for rows in results for r in rows]))
 
 
 def run_rendered(cfg: SuiteConfig, jobs: int = 1) -> list[tuple[str, str, bool]]:
@@ -192,16 +192,6 @@ def run_suite(cfg: SuiteConfig, jobs: int = 1) -> tuple[list[InequalityReport], 
     return reports, 0 if all(r.passed for r in reports) else 1
 
 
-def _row_line(row: dict, params_text: str) -> str:
-    """_ENCODE(row), with the value of row["params"] given as its encoded text.
-
-    The row is encoded once with a null params, and the text is spliced in.
-    Encoded strings escape every quote, and no other value of a row holds
-    a "params" key, so the first '"params":null' is the row's own key.
-    """
-    return _ENCODE({**row, "params": None}).replace('"params":null', f'"params":{params_text}', 1)
-
-
 def _csv_cell(text: str) -> str:
     """text as csv.writer writes a cell (excel dialect, "\\n" line ends):
     quoted, with quotes doubled, when it holds a comma, a quote or a line
@@ -211,25 +201,48 @@ def _csv_cell(text: str) -> str:
     return text
 
 
+# a float's JSON text is its repr, but for the spelling of the non-finite
+# ones, which is the C encoder's
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _heads(r) -> tuple[str, str, str, str]:
+    """The texts a row's check and methods give its lines: the JSON line up
+    to the gap's value and from the method key to the params value, then
+    the check and method cells.  One _ENCODE of {"check", "method"} gives
+    '{"check":C,"method":M}'; C is an encoded string, whose quotes are all
+    escaped, so the first ',"method":{' is the key's own."""
+    text = _ENCODE({"check": r.check, "method": {"lhs": r.method_lhs, "rhs": r.method_rhs}})
+    cut = text.index(',"method":{')
+    return text[:cut] + ',"gap":', text[cut:-1] + ',"params":', _csv_cell(r.check), _csv_cell(r.method)
+
+
 def _render(reports):
     """Yield each row's report.json line, report.csv line and pass flag.
 
-    The JSON line is ``_ENCODE(row.as_dict())``; the CSV line holds the
-    row's report.csv fields in _CSV_HEADER order, as csv.writer writes
-    them, and its params cell is the same params text.  Each params object
-    is encoded once, and consecutive rows sharing one (the three rows of
-    an ab_psd task) share its text.
+    The JSON line is ``_ENCODE(row.as_dict())`` byte for byte, its keys in
+    sorted order; the CSV line holds the row's report.csv fields in
+    _CSV_HEADER order, as csv.writer writes them.  Both lines share their
+    texts: each number's repr, the params text (each params object is
+    encoded once, and consecutive rows sharing one, the three rows of an
+    ab_psd task, share it) and the check and method texts, made once per
+    (check, method_lhs, method_rhs) in a call.
     """
-    params, params_text, params_cell = None, "null", "null"
+    heads, params, params_text, params_cell = {}, None, "null", "null"
     for r in reports:
-        row = r.as_dict()
-        if row["params"] is not params:
-            params = row["params"]
+        if r.params is not params:
+            params = r.params
             params_text = _ENCODE(params)
             params_cell = _csv_cell(params_text)
-        fields = (_csv_cell(r.check), params_cell, repr(r.lhs), repr(r.rhs), repr(r.gap),
-                  repr(r.tolerance), "true" if r.passed else "false", _csv_cell(r.method))
-        yield _row_line(row, params_text), ",".join(fields) + "\n", r.passed
+        key = r.check, r.method_lhs, r.method_rhs
+        head = heads.get(key)
+        if head is None:
+            head = heads[key] = _heads(r)
+        lhs, rhs, gap, tol = repr(r.lhs), repr(r.rhs), repr(r.gap), repr(r.tolerance)
+        flag = "true" if r.passed else "false"
+        line = (f'{head[0]}{_JSON_FLOATS.get(gap, gap)},"lhs":{_JSON_FLOATS.get(lhs, lhs)}{head[1]}{params_text},'
+                f'"pass":{flag},"rhs":{_JSON_FLOATS.get(rhs, rhs)},"tolerance":{_JSON_FLOATS.get(tol, tol)}}}')
+        yield line, f"{head[2]},{params_cell},{lhs},{rhs},{gap},{tol},{flag},{head[3]}\n", r.passed
 
 
 _CSV_HEADER = "check,params,lhs,rhs,gap,tol,pass,method\n"

@@ -234,14 +234,16 @@ def test_chaos_form_is_order_free(terms, rnd):
     (lambda: ExpCombo(1, [(1.0, [math.inf])]), "directions must be finite"),
     (lambda: math.nan * ExpCombo.one(1), "coefficients must be finite"),
     (lambda: ExpCombo.one(1) * math.inf, "coefficients must be finite"),
+    (lambda: ExpCombo(1, [(1e10, [0.0])]) * 1e300, "coefficients must be finite"),
     (lambda: ChaosExpansion(1, {(1,): math.nan}), "chaos coefficients must be finite"),
     (lambda: math.nan * ChaosExpansion.constant(1, 1.0), "chaos coefficients must be finite"),
     (lambda: math.nan * ChaosExpansion(1), "chaos coefficients must be finite"),
-], ids=["exp-coef-nan", "exp-h-inf", "exp-times-nan", "exp-times-inf", "chaos-coef-nan", "chaos-times-nan",
-        "zero-chaos-times-nan"])
+    (lambda: ChaosExpansion(1, {(1,): 1e10}) * 1e300, "chaos coefficients must be finite"),
+], ids=["exp-coef-nan", "exp-h-inf", "exp-times-nan", "exp-times-inf", "exp-times-overflows", "chaos-coef-nan",
+        "chaos-times-nan", "zero-chaos-times-nan", "chaos-times-overflows"])
 def test_constructors_and_scalars_refuse_what_the_parsers_refuse(build, message):
     # each of these built the zero function (a NaN weight is below no
-    # threshold and was dropped) or kept an infinite direction, where the
-    # JSON parsers raise
+    # threshold and was dropped), kept an infinite direction or overflowed
+    # a weight to inf, where the JSON parsers raise
     with pytest.raises(ValueError, match=message):
         build()

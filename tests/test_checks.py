@@ -353,7 +353,7 @@ def test_oracle_sweeps_keep_their_distribution(dim, dims):
 
 def test_oracle_rows_do_not_fail_on_correct_integrals():
     # on oracle_chaos seeds 1-50 (45,000 rows) the largest error of an
-    # integral is 0.012 of its derived bound
+    # integral is 0.014 of its derived bound
     for seed in range(1, 6):
         assert [r.params for r in _oracle_sweeps(seed, 100) if not r.passed] == []
 
@@ -450,16 +450,64 @@ def test_oracle_names_an_overflowing_integrand_and_its_order():
     assert all(m.startswith("quadrature does not settle by order 225: ") for m in set(refusals) - set(overflows))
 
 
+def _json_shape(params):
+    return len(params["f"]["terms"]), len(params["nu"]["atoms"]), params["f"]["dim"]
+
+
+def test_a_stack_of_oracle_tasks_climbs_each_to_its_own_order():
+    # sweeps that settle at order 30, with the +-5 (n = 1) and +-4 (n = 2)
+    # families that climb past it, in one run: the tasks of a shape climb as
+    # one stack, and each task's rows are its run_check rows byte for byte,
+    # its order included
+    sweeps = [t["params"] for t in build_tasks(SuiteConfig(seed=1, checks=["oracle_triangle"], random_sweeps=40))]
+    tasks = [p for pair in zip(sweeps, [*_box_tasks(1, 5.0), *_box_tasks(2, 4.0)]) for p in pair] + sweeps[60:]
+    stacked = CHECK_REGISTRY["oracle_triangle"].run(tasks, resolve_tols({}))
+    orders = {}
+    for params, rows in zip(tasks, stacked):
+        alone = run_check("oracle_triangle", params)
+        assert [_ENCODE(r.as_dict()) for r in rows] == [_ENCODE(r.as_dict()) for r in alone]
+        orders.setdefault(_json_shape(params), set()).add(rows[0].params["order"])
+    assert set().union(*orders.values()) == {30, 45, 67, 100}
+    assert {30, 100} <= orders[(3, 2, 1)] and {30, 67} <= orders[(3, 2, 2)]
+
+
+def test_a_stack_of_oracle_tasks_raises_its_first_refusal():
+    # the +-8 (n = 2) and +-12 (n = 1) families hold tasks refused for an
+    # order that does not settle and for an overflow; a stack that holds
+    # them raises the message of its first refused task, the text that task
+    # raises alone, wherever in its shape's stack that task sits
+    settled = [t["params"] for t in build_tasks(SuiteConfig(seed=2, checks=["oracle_triangle"], random_sweeps=6))]
+    families = [*_box_tasks(2, 8.0), *_box_tasks(1, 12.0)]
+    alone = []
+    for params in families:
+        try:
+            run_check("oracle_triangle", params)
+        except ValueError as exc:
+            alone.append(str(exc))
+        else:
+            alone.append(None)
+    overflow = next(i for i, m in enumerate(alone) if m and "overflow" in m)
+    settle = next(i for i, m in enumerate(alone) if m and "does not settle" in m)
+    ran = [i for i, m in enumerate(alone) if m is None]
+    for first in (overflow, settle):
+        order = ran + [first] + [i for i, m in enumerate(alone) if m and i != first][::-1]
+        with pytest.raises(ValueError) as exc:
+            CHECK_REGISTRY["oracle_triangle"].run(settled + [families[i] for i in order], resolve_tols({}))
+        assert str(exc.value) == alone[first]
+
+
 def test_oracle_rows_catch_a_tiny_error_in_the_deficit_kernel(monkeypatch):
-    # int g^2 off by 1e-9 relative: a 1e-6 relative bound passed it, the
-    # derived bound (about 1e-13 of the fbar integral) fails every fbar f_sq
-    # row; the fbar dirichlet rows, sums of int g_l^2, fail with them
+    # K^1 off by 1e-9 relative, so int g^2 is: a 1e-6 relative bound passed
+    # it, the derived bound (about 1e-13 of the fbar integral) fails every
+    # fbar f_sq row; the fbar dirichlet rows, sums of int g_l^2 = g_l' K^1
+    # g_l, fail with them
     clean = _oracle_sweeps(1, 40)
+    grams = checks._deficit_grams
 
     def planted(fs, nus, alphas):
-        return [(sq * (1.0 + 1e-9), ap, en) for sq, ap, en in _deficit_batch(fs, nus, alphas)]
+        return [(c, k1 * (1.0 + 1e-9), ka, kd) for c, k1, ka, kd in grams(fs, nus, alphas)]
 
-    monkeypatch.setattr(checks, "_deficit_batch", planted)
+    monkeypatch.setattr(checks, "_deficit_grams", planted)
     broken = _oracle_sweeps(1, 40)
     assert all(a.passed for a in clean)
     newly = {(b.params["integral"], "fbar" in b.params) for b in broken if not b.passed}

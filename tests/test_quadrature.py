@@ -161,6 +161,28 @@ def test_integrate_rho_rows_are_one_integral_each():
         assert abs(got - want) <= 1e-15 * abs(want)
 
 
+def test_integrate_rho_takes_a_stack_of_measures():
+    # a list of measures of one dim and atom count is a stack: fn sees each
+    # measure's shifted nodes at once, (T, N, n), and each measure gets the
+    # integrals, bit for bit, of a stack of one
+    grid = gauss_hermite_grid(2, 12)
+    nus = [DiscreteMeasure(2, [[0.4, -0.3], [-1.1, 0.2]], [0.3, 0.7]),
+           DiscreteMeasure(2, [[0.1, 0.9], [0.5, -0.6]], [0.5, 0.5]),
+           DiscreteMeasure(2, [[-0.7, 0.0], [1.2, 0.3]], [0.9, 0.1])]
+
+    def fn(p):
+        return np.stack([np.exp(p @ [0.6, -0.3]), p[..., 0] ** 2 * p[..., 1], np.cos(p).sum(axis=-1)], axis=-2)
+
+    rows = integrate_rho(fn, nus, grid)
+    assert rows.shape == (3, 3)
+    assert integrate_rho(lambda p: fn(p)[..., 0, :], nus, grid).shape == (3,)
+    for got, nu in zip(rows, nus):
+        assert got.tolist() == integrate_rho(fn, [nu], grid)[0].tolist()
+        assert np.allclose(got, integrate_rho(fn, nu, grid), rtol=1e-15, atol=0.0)
+    with pytest.raises(ValueError, match=re.escape("expected (3, 144) or (3, m, 144)")):
+        integrate_rho(lambda p: np.zeros(144), nus, grid)
+
+
 @pytest.mark.parametrize("shape", [(11,), (2, 11), (2, 3, 10)])
 def test_rho_integrals_reject_other_shapes(shape):
     # integrate_rho and mc_integral_rho share one contract on their 10
