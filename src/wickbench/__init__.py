@@ -8,6 +8,18 @@ gradients, convolution-measure integrals), and a harness sweeps the
 inequality and positivity checks built on top of it.
 """
 
+import os
+import sys
+
+# One BLAS thread per process; the --jobs workers are the only parallelism.
+# Every matrix multiplied here is small (k <= 4 terms on the sweeps, about
+# 45 chaos indices at most, oracle blocks of (B, k, N <= 1,500)), so a second
+# OpenBLAS thread has nothing to split, yet the one numpy starts on a 2-CPU
+# host spun 0.06-0.13 s of CPU per `wickbench run`.  Set only before numpy
+# loads: a value the user set wins, and a host that loaded numpy is left as is.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .chaos import (
     ChaosExpansion,
     dirichlet_energy,

@@ -59,7 +59,7 @@ def _canonical_measures(dim: int, atoms: np.ndarray, weights: np.ndarray):
     sums = weights.sum(axis=1)
     off = np.abs(sums - 1.0) > WEIGHT_SUM_TOL
     if off.any():
-        raise ValueError(f"weights must sum to 1, got {sums[off.argmax()]!r}")
+        raise ValueError(f"weights must sum to 1, got {float(sums[off.argmax()])!r}")
     return split_rows(*canonical_rows(atoms, weights))
 
 

@@ -155,18 +155,20 @@ def run_rendered(cfg: SuiteConfig, jobs: int = 1) -> list[tuple[str, str, bool]]
     """Run all tasks; returns each row's (report.json line, report.csv
     line, pass), in task order.
 
-    The workers are jobs, but never more than os.cpu_count() or than the
-    tasks.  A chunk is a slice of one check's tasks, at most ceil(tasks /
-    (4 * workers)) long, so there are at most 4 * workers chunks plus one
-    per check; they run in a pool of that many workers, or in this
-    process when there is one.  A task that raises one of INPUT_ERRORS
-    raises ConfigError naming its check; any other exception propagates
-    as it is.  Either way nothing is returned, at any jobs.
+    The workers are jobs, but never more than the tasks or the CPUs this
+    process may run on (its affinity set, or os.cpu_count() where the
+    platform has none).  A chunk is a slice of one check's tasks, at most
+    ceil(tasks / (4 * workers)) long, so there are at most 4 * workers
+    chunks plus one per check; they run in a pool of that many workers,
+    or in this process when there is one.  A task that raises one of
+    INPUT_ERRORS raises ConfigError naming its check; any other exception
+    propagates as it is.  Either way nothing is returned, at any jobs.
     """
     tols = resolve_tols(cfg.tolerances)
     runs = _runs(cfg)
     total = sum(len(grid) + len(sweeps) for _, grid, sweeps in runs)
-    workers = max(1, min(jobs, os.cpu_count() or 1, total))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = max(1, min(jobs, cpus, total))
     size = max(1, -(-total // (4 * workers)))
     chunks = [(cfg, tols, name, grid[i:i + size], sweeps[max(i - len(grid), 0):max(i + size - len(grid), 0)])
               for name, grid, sweeps in runs for i in range(0, len(grid) + len(sweeps), size)]

@@ -475,13 +475,27 @@ def test_jobs_never_asks_for_more_workers_than_cpus(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    cpus = os.cpu_count() or 1
+    # the CPUs this process may run on, as run_rendered counts them
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     cfg = _small_config(checks=["beckner_deficit", "g_lambda_bound"], random_sweeps=2 * cpus + 1)
     assert len(build_tasks(cfg)) > 4 * cpus
     assert run_rendered(cfg, 100_000) == run_rendered(cfg, 1)
     assert all(n <= cpus for n in asked)
     assert len(asked) == (1 if cpus > 1 else 0)
     assert all(n <= 4 * cpus for n in chunks)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform")
+def test_jobs_counts_only_the_cpus_this_process_may_use(monkeypatch):
+    # pinned to one CPU, --jobs 2 runs in this process however many CPUs
+    # the host has; the pool must not be started at all
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started on one allowed CPU")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    cfg = _small_config(checks=["beckner_deficit", "g_lambda_bound"], random_sweeps=5)
+    assert run_rendered(cfg, 2) == run_rendered(cfg, 1)
 
 
 def test_each_spec_run_call_gets_the_tasks_of_one_check(tmp_path, monkeypatch):
@@ -789,13 +803,16 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
     # a 0 x 0 matrix has no minimum eigenvalue; these said "a list of vectors"
     ("ab_psd", {"alpha": 0.5, "nu": NU_SYM, "hs": []}, "hs must hold at least one vector"),
     ("char_gram_psd", {"nu": NU_SYM, "hs": []}, "hs must hold at least one vector"),
+    # the sum read "np.float64(0.5)" under numpy 2
+    ("beckner_deficit", {"alpha": 0.5, "f": E_ONE, "nu": {"dim": 1, "atoms": [[0.0]], "weights": [0.5]}},
+     "weights must sum to 1, got 0.5\n"),
 ], ids=["holder-overflow", "g_lambda-nan", "g_lambda-inf", "char_gram-nan", "char_gram-inf",
         "ab-nan", "ab-inf", "holder-inf-p", "g_lambda-overflow", "beckner-overflow",
         "covariance-overflow", "holder-chaos", "strong_positivity-chaos", "covariance-chaos",
         "oracle_triangle-chaos", "classic_beckner-exp", "beckner-dim-float", "beckner-dim-bool",
         "g_lambda-dim-str", "beckner-f-not-object", "oracle-f-not-object", "beckner-alpha-bool",
         "holder-alpha-bool", "strong_positivity-alpha-above-one", "g_lambda-lambda-bool",
-        "holder-r-bool", "ab_psd-hs-empty", "char_gram_psd-hs-empty"])
+        "holder-r-bool", "ab_psd-hs-empty", "char_gram_psd-hs-empty", "beckner-nu-weights-half"])
 def test_cli_check_rejects_params_it_cannot_compute(capsys, name, params, message):
     assert main(["check", name, "--params", json.dumps(params)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
