@@ -7,34 +7,30 @@ integrates against rho = mu * nu takes the DiscreteMeasure nu, which
 determines rho; its row's params carry nu under the "nu" key.
 
 The deficit checks never build a product function.  Each of their three
-integrals is a quadratic form c' K c in the coefficients of f, with one
-Gram matrix K per integral -- the paper's Schur-product form:
+integrals is linear in nu, and the alpha-product commutes with translation,
+so under rho = mu * sum_i p_i delta_{y_i} each is sum_i p_i times the same
+Gaussian integral of the translate f(. + y_i):
 
-  f = sum_j w_j E(h_j) under rho = mu * sum_i p_i delta_{y_i}: with
-  S = H H' and B_jk = sum_i p_i e^{<y_i, h_j + h_k>},
+  f = sum_j w_j E(h_j): E(h)(. + y) = e^{<h, y>} E(h), and with S = H H'
+  and B_jk = sum_i p_i e^{<y_i, h_j + h_k>} the integrals are the forms
 
     int f^2 drho      = w' (e^S o B) w
     int f o_a f drho  = w' (e^{aS} o B) w
-    int |Df|^2 drho   = w' (S o e^S o B) w
+    int |Df|^2 drho   = w' (S o e^S o B) w     (the paper's Schur products)
 
-  f = sum_m c_m H_m: with the one-axis table
+  f = sum_m c_m H_m: He_r(x + y) = sum_k C(r,k) y^{r-k} He_k(x), so the
+  triangular P[k, r] = C(r, k) y_ix^{r-k} along each axis x of f's dense
+  coefficient box gives the coefficients d_i of f(. + y_i), and
 
-    T_a[r, s](y) = sum_k a^k C(r,k) C(s,k) k! y^{r+s-2k}
-                 = int He_r o_a He_s d(mu * delta_y)     (a = 0: Wick)
+    (int f^2, int f o_a f, int |Df|^2) drho = sum_i p_i sum_m m! d_im^2 (1, a^|m|, |m|),
 
-  and K^a_mn = sum_i p_i prod_x T_a[m_x, n_x](y_ix),
+  at nu = delta_0 the coefficient form classic_beckner sums in its own loop.
 
-    int f^2 drho      = c' K^1 c
-    int f o_a f drho  = c' K^a c
-    int |Df|^2 drho   = c' K^D c,  K^D_mn = sum_l m_l n_l K^1_{m - e_l, n - e_l}
-
-  (a shifted index clipped at 0 where its weight m_l n_l is 0).
-
-oracle_triangle validates these forms, the ones the checks use, against
-tensor quadrature of one point function, which gives f^2, f o_a f and
-|Df|^2 at the nodes from the E(h_j) evaluated there once, within a bound
-derived from the quadrature itself; the tests also compare the forms
-with the product route (alpha_* / pointwise_* then rho_integral_*).
+oracle_triangle validates the exponential forms against tensor quadrature
+of one point function, which gives f^2, f o_a f and |Df|^2 at the nodes
+from the E(h_j) evaluated there once, within a bound derived from the
+quadrature itself; the tests also compare both kinds with the product
+route (alpha_* / pointwise_* then rho_integral_*).
 
 CHECK_REGISTRY maps each check name to one CheckSpec: its description,
 its runner on the JSON parameters of many tasks, and the grid and random
@@ -50,8 +46,8 @@ reduction (w' K w, p' E p, a sum) runs per task: stacked matmul, exp,
 sort and eigvalsh steps give each task the bits it gets alone, but a
 stacked reduction (einsum over the task axis) does not.  So run_check,
 one task as a stack of one, gives the rows a suite run gives.  Each
-runner's docstring states its inequality.  classic_beckner's coefficient
-loop gains nothing from stacking and runs its tasks one at a time.
+runner's docstring states its inequality.  The few chaos deficit tasks
+and classic_beckner's coefficient loop run one task at a time.
 """
 
 from __future__ import annotations
@@ -71,7 +67,6 @@ from .chaos import (
     per_shape,
 )
 from .expspan import (
-    ExpCombo,
     _stack,
     exps_from_json,
     gammas_exp,
@@ -157,69 +152,58 @@ def _exp_gram(h: np.ndarray, y: np.ndarray, p: np.ndarray):
     return s, np.exp(s), v.transpose(0, 2, 1) @ (p[:, :, None] * v)
 
 
-def _hermite_pair_tables(y: np.ndarray, top: int, alpha: float) -> np.ndarray:
-    """T[i, x, r, s] = T_alpha[r, s](y_ix) for r, s <= top (module docstring)."""
+def _translation(y: np.ndarray, top: int) -> np.ndarray:
+    """P[..., k, r] = C(r, k) y^{r-k}, 0 for k > r, for r, k <= top and each
+    coordinate of y: He_r(x + y) = sum_k P[k, r] He_k(x)."""
     ks = np.arange(top + 1)
-    binom = np.array([[math.comb(r, k) for k in ks] for r in ks], dtype=float)
-    fact = np.array([math.factorial(k) for k in ks], dtype=float)
-    coef = binom[:, None, :] * binom[None, :, :] * fact * float(alpha) ** ks
-    expo = np.maximum(ks[:, None, None] + ks[None, :, None] - 2 * ks, 0)
-    powers = y[..., None] ** np.arange(2 * top + 1)
-    return np.einsum("rsk,ixrsk->ixrs", coef, powers[..., expo])
+    binom = np.array([[math.comb(r, k) for r in ks] for k in ks], dtype=float)
+    return binom * y[..., None, None] ** np.maximum(ks - ks[:, None], 0)
 
 
-def _chaos_grams(f: ChaosExpansion, nu: DiscreteMeasure, alpha: float):
-    """c, K^1, K^a and K^D of one chaos function on its own indices m, from
-    the pair tables (module docstring)."""
+def _chaos_forms(f: ChaosExpansion, nu: DiscreteMeasure, alpha) -> tuple[float, float, float]:
+    """(int f^2 drho, int f o_a f drho, int |Df|^2 drho) of one chaos
+    function, from the coefficient box of each translate f(. + y_i)
+    (module docstring)."""
     idx = np.array(list(f.coeffs), dtype=int).reshape(len(f.coeffs), f.dim)
-    # rows[0] = the indices m, rows[1 + l] = m - e_l, clipped at 0 where
-    # its weight m_l is 0
-    rows = np.concatenate([idx[None], np.maximum(idx - np.eye(f.dim, dtype=int)[:, None], 0)])
-    top, axes = int(idx.max(initial=0)), np.arange(f.dim)
-
-    def grams(a, rows):
-        # K[s]_mn = sum_i p_i prod_x T_a[rows[s, m, x], rows[s, n, x]](y_ix); the
-        # gather leaves the atom axis innermost, and the C-order copy gives the
-        # sum over atoms the BLAS route, so the bits, of one C-order (a, M, M) Gram
-        tables = _hermite_pair_tables(nu.atoms, top, a)[:, axes, rows[:, :, None], rows[:, None, :]]
-        return np.tensordot(nu.weights, np.ascontiguousarray(tables.prod(axis=-1)), axes=1)
-
-    k1 = grams(1.0, rows)
-    kd = np.einsum("lm,ln,lmn->mn", idx.T, idx.T, k1[1:])
-    return np.array(list(f.coeffs.values()), dtype=float), k1[0], grams(alpha, idx[None])[0], kd
-
-
-def _shapes(fs, nus) -> list:
-    """The per_shape keys of deficit tasks: (k, a, n) for exponential
-    combinations, one key for all chaos functions."""
-    return [(f.n_terms, nu.n_atoms, f.dim) if isinstance(f, ExpCombo) else ChaosExpansion
-            for f, nu in zip(fs, nus)]
+    top, n = int(idx.max(initial=0)), f.dim
+    grid = np.indices((top + 1,) * n).reshape(n, (top + 1) ** n)
+    d = np.zeros((nu.n_atoms, grid.shape[1]))
+    d[:, idx @ (top + 1) ** np.arange(n - 1, -1, -1)] = list(f.coeffs.values())
+    for p in _translation(nu.atoms, top).transpose(1, 0, 2, 3):
+        # P on the leading box axis, whose new index goes last: n steps restore the order
+        d = (p @ d.reshape(len(d), top + 1, -1)).transpose(0, 2, 1)
+    fact = np.array([math.factorial(k) for k in range(top + 1)], dtype=float)[grid].prod(axis=0)
+    sq = fact * d.reshape(len(d), -1) ** 2
+    deg = grid.sum(axis=0).astype(float)
+    # one reduction per form, so that at a = 1 int f o_a f is bitwise int f^2
+    return tuple(float(nu.weights @ (sq @ w)) for w in (np.ones(len(deg)), float(alpha) ** deg, deg))
 
 
 def _deficit_grams(fs, nus, alphas) -> list:
-    """(c, K^1, K^a, K^D) per task, rho = mu * nu: the coefficients of f
-    and the Gram matrices of the module docstring, on f's own basis.
-    Exponential combinations of one shape are one stack; chaos functions
-    run one at a time."""
-    for f, nu in zip(fs, nus):
-        check_dims(f, nu)
+    """(w, K^1, K^a, K^D) per task of exponential combinations: the Gram
+    matrices of the module docstring, one stack per shape (k, a, n)."""
 
     def grams(idx):
-        if isinstance(fs[idx[0]], ChaosExpansion):
-            return [_chaos_grams(fs[i], nus[i], alphas[i]) for i in idx]
         s, exp_s, b = _exp_gram(_stack(fs, "directions", idx), _stack(nus, "atoms", idx),
                                 _stack(nus, "weights", idx))
         alpha = np.array([float(alphas[i]) for i in idx])[:, None, None]
         k1 = exp_s * b
         return zip(_stack(fs, "weights", idx), k1, np.exp(alpha * s) * b, s * k1)
 
-    return per_shape(_shapes(fs, nus), grams)
+    return per_shape([(f.n_terms, nu.n_atoms, f.dim) for f, nu in zip(fs, nus)], grams)
 
 
 def _deficit_batch(fs, nus, alphas) -> list[tuple[float, float, float]]:
-    """(int f^2 drho, int f o_a f drho, int |Df|^2 drho) per task: the forms
-    c' K c of _deficit_grams, each task's own; int f o_1 f is bitwise int f^2."""
-    return [tuple(float(c @ k @ c) for k in ks) for c, *ks in _deficit_grams(fs, nus, alphas)]
+    """(int f^2 drho, int f o_a f drho, int |Df|^2 drho) per task, each task's
+    own: w' K w, or _chaos_forms one task at a time; int f o_1 f is bitwise int f^2."""
+
+    def forms(idx):
+        sub = [[seq[i] for i in idx] for seq in (fs, nus, alphas)]
+        if isinstance(sub[0][0], ChaosExpansion):
+            return [_chaos_forms(*task) for task in zip(*sub)]
+        return [tuple(float(c @ k @ c) for k in ks) for c, *ks in _deficit_grams(*sub)]
+
+    return per_shape([type(f) for f in fs], forms)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +338,8 @@ def _deficit_params(tasks):
     alphas = [params["alpha"] for params in tasks]
     for alpha in alphas:
         check_alpha(alpha)
+    for f, nu in zip(fs, nus):
+        check_dims(f, nu)
     return fs, nus, alphas
 
 
@@ -400,6 +386,23 @@ def _vectors(tasks, nus) -> list[np.ndarray]:
 _AB_ROWS = ("ab_matrix_a", "ab_matrix_b", "ab_matrix_hadamard")
 
 
+def _min_eigenvalues(nus, hs, matrices, overflow: str) -> list:
+    """The smallest eigenvalues of each task's matrices, matrices(idx, h, y,
+    p) building those of one shape's tasks from their stacked rows h,
+    atoms y and weights p; OverflowError(overflow) first if an entry is
+    not finite, which eigvalsh would hide."""
+
+    def run(idx):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mats = matrices(idx, np.array([hs[i] for i in idx]), _stack(nus, "atoms", idx),
+                            _stack(nus, "weights", idx))
+        if not np.isfinite(mats).all():
+            raise OverflowError(overflow)
+        return np.linalg.eigvalsh(mats)[..., 0].tolist()
+
+    return per_shape([(len(h), nu.n_atoms, nu.dim) for h, nu in zip(hs, nus)], run)
+
+
 def _run_ab(tasks, tols):
     """PSD certificates for the two proof matrices and their Hadamard product.
 
@@ -416,15 +419,15 @@ def _run_ab(tasks, tols):
     for alpha in alphas:
         check_alpha(alpha)
 
-    def run(idx):
-        s, exp_s, b = _exp_gram(np.array([hs[i] for i in idx]), _stack(nus, "atoms", idx),
-                                _stack(nus, "weights", idx))
+    def matrices(idx, h, y, p):
+        s, exp_s, b = _exp_gram(h, y, p)
         alpha = np.array([float(alphas[i]) for i in idx])[:, None, None]
         a = np.exp(alpha * s) - exp_s + (1.0 - alpha) * s * exp_s
         mats = np.stack([a, b, a * b], axis=1)
-        return np.linalg.eigvalsh(0.5 * (mats + mats.swapaxes(-1, -2)))[..., 0].tolist()
+        return 0.5 * (mats + mats.swapaxes(-1, -2))
 
-    min_eigs = per_shape([(len(h), nu.n_atoms, nu.dim) for h, nu in zip(hs, nus)], run)
+    min_eigs = _min_eigenvalues(nus, hs, matrices, "ab_psd's matrices overflow: e^<h_j, h_k> or "
+                                                   "e^<y_i, h_j + h_k> is past float range")
     rows = []
     for h, nu, alpha, eigs in zip(hs, nus, alphas, min_eigs):
         params = {"alpha": float(alpha), "hs": h.tolist(), "nu": nu.to_json_dict()}
@@ -444,12 +447,8 @@ def _run_char_gram(tasks, tols):
     nus = _nus(tasks)
     hs = _vectors(tasks, nus)
 
-    def run(idx):
-        gram = char_gram_stack(_stack(nus, "atoms", idx), _stack(nus, "weights", idx),
-                               np.array([hs[i] for i in idx]))
-        return np.linalg.eigvalsh(gram)[:, 0].tolist()
-
-    min_eigs = per_shape([(len(h), nu.n_atoms, nu.dim) for h, nu in zip(hs, nus)], run)
+    min_eigs = _min_eigenvalues(nus, hs, lambda idx, h, y, p: char_gram_stack(y, p, h),
+                                "char_gram_psd's matrix overflows: a phase <y_i, h_j> is past float range")
     return [[InequalityReport.from_sides("char_gram_psd", {"hs": h.tolist(), "nu": nu.to_json_dict()},
                                          0.0, eig, tols["psd"])]
             for nu, h, eig in zip(nus, hs, min_eigs)]
@@ -512,19 +511,6 @@ def _grid_holder(cfg):
             yield {"alpha": a, "f": f}
 
 
-def _classic_row(f: ChaosExpansion, alpha, tolerance: float) -> InequalityReport:
-    check_alpha(alpha)
-    lhs = 0.0
-    rhs = 0.0
-    for m, c in f.coeffs.items():
-        base = index_factorial(m) * c * c
-        d = sum(m)
-        lhs += base * (1.0 - alpha**d)
-        rhs += base * d * (1.0 - alpha)
-    params = {"alpha": float(alpha), "f": f.to_json_dict()}
-    return InequalityReport.from_sides("classic_beckner", params, lhs, rhs, tolerance)
-
-
 def _run_classic(tasks, tols):
     """Coefficient form on the Gaussian itself:
 
@@ -533,8 +519,18 @@ def _run_classic(tasks, tols):
     from 1 - a^N <= N (1 - a); equality when the support sits in the
     first chaos.
     """
-    fs = chaos_from_json([params["f"] for params in tasks])
-    return [[_classic_row(f, params["alpha"], tols["identity"])] for f, params in zip(fs, tasks)]
+    rows = []
+    for f, task in zip(chaos_from_json([params["f"] for params in tasks]), tasks):
+        alpha = task["alpha"]
+        check_alpha(alpha)
+        lhs = rhs = 0.0
+        for m, c in f.coeffs.items():
+            base, d = index_factorial(m) * c * c, sum(m)
+            lhs += base * (1.0 - alpha**d)
+            rhs += base * d * (1.0 - alpha)
+        params = {"alpha": float(alpha), "f": f.to_json_dict()}
+        rows.append([InequalityReport.from_sides("classic_beckner", params, lhs, rhs, tols["identity"])])
+    return rows
 
 
 def _grid_classic(cfg):
@@ -688,7 +684,7 @@ def _grid_g_lambda(cfg):
 #   (e lam_l / m)^m of it, lam_l = g_l^2 / 2 < m (the Taylor terms of degree
 #   >= 2m, each at most its Gaussian moment); t is the largest over g = h_j +
 #   h_k, as E(h_j) E(h_k) = e^{S_jk} E(h_j + h_k).  M's own quadrature is that
-#   much low, so 2 t M bounds the miss while t <= 1/2; past it only the cap does.
+#   much low, so 2 t M bounds the miss while t <= 1/2; past it the task is refused.
 
 # the oracle integrates its tasks in blocks of about this many nodes in all
 # (one task at order 30 in n = 2, three at order 20): with blocks twice as
@@ -740,7 +736,7 @@ def _oracle_exact(c, k1, ka, kd, h) -> list[list[float]]:
             [float(bar @ k1 @ bar), float(bar @ ka @ bar), sum(float(g @ k1 @ g) for g in np.abs(h.T * c))]]
 
 
-def _oracle_group(fs, nus, alphas, grams, tols) -> list:
+def _oracle_group(fs, nus, alphas, tols) -> list:
     """Each task's (order, quadratures, exact values, bounds), the last
     three (2, 3) with rows f and fbar, or its refusal, for T tasks of one
     shape (k, a, n)."""
@@ -802,7 +798,8 @@ def _oracle_group(fs, nus, alphas, grams, tols) -> list:
         return out
     h, orders = h[done], orders[done]
     quads, lows = accepted[done].reshape(-1, 2, 3), below[done].reshape(-1, 2, 3)
-    exact = np.array([_oracle_exact(*grams[i], h_i) for i, h_i in zip(done.tolist(), h)])
+    grams = _deficit_grams(*([seq[i] for i in done] for seq in (fs, nus, alphas)))
+    exact = np.array([_oracle_exact(*g, h_i) for g, h_i in zip(grams, h)])
     big_h = np.max(np.sum(np.abs(h), axis=2), axis=1, initial=0.0)
     x = 2.0 * big_h * (np.array([np.max(np.abs(nus[i].atoms)) for i in done]) + 3.0 * big_h + 1.0)
     c = 6 * (8 + (n + 2) * x) + 6 * n * orders + 100 * big_h + orders**n + 3 * a + k * k + 3 * k + n + 10
@@ -811,9 +808,10 @@ def _oracle_group(fs, nus, alphas, grams, tols) -> list:
     t = np.max(np.sum((np.e * lam / m) ** m * np.exp(-lam), axis=-1), axis=(1, 2), initial=0.0)
     cap = tols["quadrature"] * np.maximum(1.0, np.abs(exact))
     bounds = np.minimum(10.0 * np.abs(quads - lows) + (c * 2.0**-53 + 2.0 * t)[:, None, None] * quads[:, 1:], cap)
-    bounds = np.where((t <= 0.5)[:, None, None], bounds, cap)
-    for i, *result in zip(done.tolist(), orders.tolist(), quads.tolist(), exact.tolist(), bounds.tolist()):
-        out[i] = result
+    for i, *result, tail in zip(done.tolist(), orders.tolist(), quads.tolist(), exact.tolist(), bounds.tolist(),
+                                t.tolist()):
+        out[i] = result if tail <= 0.5 else ValueError(
+            f"quadrature nodes miss the mass at order {result[0]}: tail term t = {tail:.3g} > 1/2")
     return out
 
 
@@ -844,20 +842,18 @@ def _run_oracle(tasks, tols):
     most _QUAD_STEPS times.  Its rows record the accepted order.  The
     tasks of one shape (k, a, n) are one stack, integrated in blocks, and
     climb the orders together; each gets the bits it gets alone.  A task
-    whose quadrature does not settle or overflows is refused: the first
-    refused task raises ValueError, with the message it raises alone.
+    whose quadrature does not settle or overflows, or whose nodes miss the
+    mass (t > 1/2 at the accepted order), is refused: the first refused
+    task raises ValueError, with the message it raises alone.  A chaos
+    function is refused before any compute, as a malformed one is.
     """
     fs, nus, alphas = _deficit_params(tasks)
-    grams = _deficit_grams(fs, nus, alphas)
-
-    def run(idx):
-        if isinstance(fs[idx[0]], ChaosExpansion):
-            return [ValueError("expected exp functions, got kind 'chaos'")] * len(idx)
-        return _oracle_group([fs[i] for i in idx], [nus[i] for i in idx], [alphas[i] for i in idx],
-                             [grams[i] for i in idx], tols)
-
+    if any(isinstance(f, ChaosExpansion) for f in fs):
+        raise ValueError("expected exp functions, got kind 'chaos'")
+    results = per_shape([(f.n_terms, nu.n_atoms, f.dim) for f, nu in zip(fs, nus)], lambda idx: _oracle_group(
+        *([seq[i] for i in idx] for seq in (fs, nus, alphas)), tols))
     rows = []
-    for f, nu, alpha, result in zip(fs, nus, alphas, per_shape(_shapes(fs, nus), run)):
+    for f, nu, alpha, result in zip(fs, nus, alphas, results):
         if isinstance(result, Exception):
             raise result
         rows.append(_oracle_rows(f, nu, alpha, *result))

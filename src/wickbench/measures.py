@@ -149,11 +149,14 @@ def g_lambda_norms(nus, lams) -> list[tuple[float, float]]:
     sqrt(norm_sq) <= bound by the triangle inequality in G_lambda
     (equality for a single atom, so no hard assertion is made here; the
     harness checks it with a tolerance).  Each shape of nu is one stack,
-    and only the last sums run per task.
+    and only the last sums run per task.  lambda <= 0 is refused (the sums
+    read lambda^2 only); lambda in (0, 1) runs, with a UserWarning.
     """
     for lam in lams:
         if not is_real(lam) or not math.isfinite(lam):
             raise ValueError(f"lambda must be finite (a number, not a bool), got {lam!r}")
+        if lam <= 0:
+            raise ValueError(f"lambda must be > 0, got {lam!r}")
         if lam < 1:
             warnings.warn(f"lambda = {lam} < 1: outside the regularity scale of interest", stacklevel=2)
 

@@ -12,8 +12,10 @@ route drops every intermediate coefficient smaller than COEFF_EPS.
 """
 
 import itertools
+import math
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermeval
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,7 @@ from wickbench import (
     run_check,
 )
 from wickbench import checks
+from wickbench.chaos import index_factorial
 from wickbench.checks import functions_from_json
 from wickbench.measures import measures_from_json
 
@@ -121,13 +124,15 @@ def sparse_chaos_cases(draw):
     return ChaosExpansion(dim, coeffs), draw(measures(dim)), draw(alphas)
 
 
-DENSE_INDICES = [m for m in itertools.product(range(7), repeat=2) if sum(m) <= 6]
+def _dense_indices(dim, degree):
+    return [m for m in itertools.product(range(degree + 1), repeat=dim) if sum(m) <= degree]
 
 
 @st.composite
-def dense_chaos_cases(draw):
-    cs = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(DENSE_INDICES), max_size=len(DENSE_INDICES)))
-    return ChaosExpansion(2, dict(zip(DENSE_INDICES, cs))), draw(measures(2)), draw(alphas)
+def dense_chaos_cases(draw, dim, degree):
+    indices = _dense_indices(dim, degree)
+    cs = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(indices), max_size=len(indices)))
+    return ChaosExpansion(dim, dict(zip(indices, cs))), draw(measures(dim)), draw(alphas)
 
 
 @SETTINGS
@@ -143,8 +148,15 @@ def test_sparse_chaos_forms_match_product_route(case):
 
 
 @settings(SETTINGS, max_examples=15)
-@given(dense_chaos_cases())
+@given(dense_chaos_cases(2, 6))
 def test_dense_chaos_forms_match_product_route(case):
+    _assert_matches_product_route(*case)
+
+
+@settings(SETTINGS, max_examples=10)
+@given(dense_chaos_cases(3, 4))
+def test_dense_chaos_forms_in_dim_3_match_product_route(case):
+    # the 35 indices of degree <= 4: every axis of the coefficient box translates
     _assert_matches_product_route(*case)
 
 
@@ -184,30 +196,104 @@ def _first_chaos_rows(c, y, alpha):
     return row
 
 
+def _first_chaos_closed_forms(c, y, alpha):
+    """The closed forms of the row's integrals and their rounding unit.
+    f = sum_l c_l He_{e_l} under mu * delta_y: f(. + y) = c.y + f, so
+    int f^2 = (c.y)^2 + |c|^2, int f o_a f = (c.y)^2 + a |c|^2 and
+    int |Df|^2 = |c|^2, and both sides are (1 - a) |c|^2."""
+    cy, cc = float(np.dot(c, y)), float(np.dot(c, c))
+    scale = float(np.dot(np.abs(c), np.abs(y))) ** 2 + cc
+    return {"f_sq": cy**2 + cc, "alpha_prod": cy**2 + alpha * cc, "dirichlet": cc}, np.finfo(float).eps * scale
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.7])
 @pytest.mark.parametrize("c, y", FIRST_CHAOS)
 def test_first_chaos_under_a_dirac_is_the_equality_case(c, y, alpha):
-    # f = sum_l c_l He_{e_l} under mu * delta_y: int f^2 = (c.y)^2 + |c|^2,
-    # int f o_a f = (c.y)^2 + a |c|^2 and int |Df|^2 = |c|^2 (K^D is the
-    # identity on the first chaos), so both sides are (1 - a) |c|^2
     row = _first_chaos_rows(c, y, alpha)
-    cy, cc = float(np.dot(c, y)), float(np.dot(c, c))
-    scale = float(np.dot(np.abs(c), np.abs(y))) ** 2 + cc
-    ulp = np.finfo(float).eps * scale
-    got = row.params["integrals"]
-    assert abs(got["f_sq"] - (cy**2 + cc)) <= 4 * ulp
-    assert abs(got["alpha_prod"] - (cy**2 + alpha * cc)) <= 4 * ulp
-    assert abs(got["dirichlet"] - cc) <= 4 * ulp
+    want, ulp = _first_chaos_closed_forms(c, y, alpha)
+    for name in want:
+        assert abs(row.params["integrals"][name] - want[name]) <= 4 * ulp, name
+    cc = want["dirichlet"]
     assert abs(row.lhs - (1.0 - alpha) * cc) <= 8 * ulp
     assert abs(row.rhs - (1.0 - alpha) * cc) <= 8 * ulp
     assert row.passed
 
 
-def test_first_chaos_equality_catches_a_wrong_pair_table(monkeypatch):
-    # a^{k+1} for a^k in T_a scales each axis's table by a, so K^a by a^n:
-    # the deficit outgrows (1 - a) |c|^2 at every 0 < a < 1
-    right = checks._hermite_pair_tables
-    monkeypatch.setattr(checks, "_hermite_pair_tables", lambda y, top, alpha: alpha * right(y, top, alpha))
+def _planted_translation(choose, power):
+    """A translation matrix P[..., k, r] = choose(r, k) y^{power(r, k)},
+    in the layout of checks._translation."""
+    def planted(y, top):
+        ks = range(top + 1)
+        binom = np.array([[choose(r, k) for r in ks] for k in ks], dtype=float)
+        return binom * y[..., None, None] ** np.array([[max(power(r, k), 0) for r in ks] for k in ks])
+    return planted
+
+
+def test_translation_matrix_translates_hermite_polynomials():
+    # He_r(x + y) = sum_k P[k, r] He_k(x), on a few points, r <= 8
+    xs, ys = np.linspace(-2.0, 2.0, 7), np.array([-1.3, 0.0, 0.4, 2.1])
+    for y, p in zip(ys, checks._translation(ys, 8)):
+        for r in range(9):
+            want = hermeval(xs + y, np.eye(9)[r])
+            assert np.allclose(hermeval(xs, p[:, r]), want, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(checks._translation(ys, 8), _planted_translation(math.comb, lambda r, k: r - k)(ys, 8))
+
+
+@pytest.mark.parametrize("choose, power", [(math.comb, lambda r, k: r - k + 1),
+                                           (lambda r, k: math.comb(r, k + 1), lambda r, k: r - k)],
+                         ids=["y^(r-k+1)", "C(r,k+1)"])
+def test_first_chaos_equality_catches_a_wrong_translation(monkeypatch, choose, power):
+    monkeypatch.setattr(checks, "_translation", _planted_translation(choose, power))
+    for c, y in FIRST_CHAOS:
+        for alpha in (0.0, 0.3, 0.7):
+            got = _first_chaos_rows(c, y, alpha).params["integrals"]
+            want, ulp = _first_chaos_closed_forms(c, y, alpha)
+            assert any(abs(got[name] - want[name]) > 4 * ulp for name in want), (c, y, alpha)
+
+
+def test_first_chaos_equality_catches_a_wrong_degree_weight(monkeypatch):
+    # a^{|m|+1} for a^{|m|} scales int f o_a f by a: the deficit is then
+    # (1 - a) ((c.y)^2 + (1 + a) |c|^2), above (1 - a) |c|^2 at every 0 < a < 1
+    right = checks._chaos_forms
+
+    def planted(f, nu, alpha):
+        sq, ap, en = right(f, nu, alpha)
+        return sq, alpha * ap, en
+
+    monkeypatch.setattr(checks, "_chaos_forms", planted)
     for c, y in FIRST_CHAOS:
         for alpha in (0.3, 0.7):
             assert not _first_chaos_rows(c, y, alpha).passed
+
+
+def _forms(f, nu, alpha):
+    return checks._deficit_batch([f], [nu], [alpha])[0]
+
+
+@SETTINGS
+@given(st.one_of(exp_cases(), sparse_chaos_cases()))
+def test_forms_under_nu_average_the_forms_under_its_atoms(case):
+    # each integral is linear in nu: under sum_i p_i delta_{y_i} it is
+    # sum_i p_i times the integral under delta_{y_i}
+    f, nu, alpha = case
+    atoms = [_forms(f, dirac(y), alpha) for y in nu.atoms]
+    for name, got, parts, scale in zip(("f_sq", "alpha_prod", "dirichlet"), _forms(f, nu, alpha), zip(*atoms),
+                                       _abs_scale(f, nu, alpha)):
+        want = sum(p * part for p, part in zip(nu.weights.tolist(), parts))
+        assert abs(got - want) <= REL * max(scale, 1.0), (name, got, want)
+
+
+@SETTINGS
+@given(sparse_chaos_cases())
+def test_classic_beckner_is_the_deficit_under_delta_0(case):
+    # under delta_0 the translate is f itself, so beckner_deficit's sides
+    # are classic_beckner's coefficient sums, up to the rounding of the
+    # difference int f^2 - int f o_a f
+    f, _, alpha = case
+    params = {"alpha": alpha, "f": f.to_json_dict()}
+    (classic,) = run_check("classic_beckner", params)
+    (deficit,) = run_check("beckner_deficit", {**params, "nu": dirac([0.0] * f.dim).to_json_dict()})
+    scale = sum(index_factorial(m) * c * c * (1 + sum(m)) for m, c in f.coeffs.items())
+    assert abs(classic.lhs - deficit.lhs) <= REL * scale
+    assert abs(classic.rhs - deficit.rhs) <= REL * scale
+    assert classic.passed == deficit.passed

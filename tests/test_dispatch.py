@@ -5,12 +5,17 @@ between machines: with its optional features off, some rows change in
 the last bits.  Run one config twice in child processes, once as is and
 once with NPY_DISABLE_CPU_FEATURES naming every optional feature numpy
 found on the running CPU, and require the same rows, params and
-verdicts, with each gap moved by less than its row's tolerance.
+verdicts, with each gap moved by less than its row's tolerance.  Random
+sweeps draw no chaos deficit task, so the config adds one dense chaos
+function and a measure of its dimension, whose grid rows run the chaos
+translation kernel.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +28,11 @@ from wickbench import CHECK_REGISTRY
 ROOT = Path(__file__).resolve().parent.parent
 # params a row computes rather than reads from its task
 COMPUTED = {"integrals", "value", "se", "exact"}
+# every index of degree <= 4 in dim 3 (35 terms), and three atoms in dim 3
+DENSE_CHAOS = {"kind": "chaos", "dim": 3,
+               "terms": [{"m": list(m), "c": math.cos(i)}
+                         for i, m in enumerate(m for m in itertools.product(range(5), repeat=3) if sum(m) <= 4)]}
+NU_3 = {"dim": 3, "atoms": [[0.4, -0.9, 0.2], [-0.7, 0.3, 1.1], [1.2, 0.5, -0.6]], "weights": [0.3, 0.5, 0.2]}
 
 
 def _found_features() -> list[str]:
@@ -31,7 +41,8 @@ def _found_features() -> list[str]:
 
 
 def _run(tmp_path, name, tolerances, extra_env):
-    cfg = {"seed": 3, "checks": list(CHECK_REGISTRY), "random_sweeps": 40, "tolerances": tolerances}
+    cfg = {"seed": 3, "checks": list(CHECK_REGISTRY), "random_sweeps": 40, "tolerances": tolerances,
+           "alphas": [0.25, 0.5, 0.75], "functions": [DENSE_CHAOS], "measures": [NU_3]}
     cfg_path = tmp_path / f"{name}.json"
     cfg_path.write_text(json.dumps(cfg))
     path = os.environ.get("PYTHONPATH")
@@ -74,7 +85,9 @@ def _compare(tmp_path, tolerances):
 
 def test_verdicts_do_not_depend_on_simd_dispatch(tmp_path):
     rows, violations = _compare(tmp_path, {})
-    assert len(rows) == 720
+    assert len(rows) == 737
+    deficits = [r for r in rows if r["check"] in ("beckner_deficit", "left_positivity")]
+    assert sum(r["params"]["f"]["kind"] == "chaos" for r in deficits) == 6
     assert violations == []
 
 

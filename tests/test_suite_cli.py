@@ -806,13 +806,27 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
     # the sum read "np.float64(0.5)" under numpy 2
     ("beckner_deficit", {"alpha": 0.5, "f": E_ONE, "nu": {"dim": 1, "atoms": [[0.0]], "weights": [0.5]}},
      "weights must sum to 1, got 0.5\n"),
+    # eigvalsh turned these overflowed matrices into FAIL rows (rhs -9.4e12)
+    # and a NaN phase into a finite eigenvalue, after numpy warnings
+    ("ab_psd", {"alpha": 0.5, "nu": NU_ZERO, "hs": [[27.0], [1.0]]}, "ab_psd's matrices overflow"),
+    ("char_gram_psd", {"nu": {"dim": 1, "atoms": [[1e200]], "weights": [1.0]}, "hs": [[1e200]]},
+     "char_gram_psd's matrix overflows"),
+    # lambda enters as lambda^2 only: these printed PASS rows
+    ("g_lambda_bound", {"nu": NU_SYM, "lambda": -1}, "lambda must be > 0, got -1\n"),
+    ("g_lambda_bound", {"nu": NU_SYM, "lambda": 0}, "lambda must be > 0, got 0\n"),
+    # orders 20 and 30 agreed on about 1e-15 where f_sq is 2.0e-6: four FAIL rows
+    ("oracle_triangle", {"alpha": 0.5, "f": {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [8.0]}]},
+                         "nu": {"dim": 1, "atoms": [[-4.82]], "weights": [1.0]}},
+     "quadrature nodes miss the mass at order 30: tail term t = 1 > 1/2"),
 ], ids=["holder-overflow", "g_lambda-nan", "g_lambda-inf", "char_gram-nan", "char_gram-inf",
         "ab-nan", "ab-inf", "holder-inf-p", "g_lambda-overflow", "beckner-overflow",
         "covariance-overflow", "holder-chaos", "strong_positivity-chaos", "covariance-chaos",
         "oracle_triangle-chaos", "classic_beckner-exp", "beckner-dim-float", "beckner-dim-bool",
         "g_lambda-dim-str", "beckner-f-not-object", "oracle-f-not-object", "beckner-alpha-bool",
         "holder-alpha-bool", "strong_positivity-alpha-above-one", "g_lambda-lambda-bool",
-        "holder-r-bool", "ab_psd-hs-empty", "char_gram_psd-hs-empty", "beckner-nu-weights-half"])
+        "holder-r-bool", "ab_psd-hs-empty", "char_gram_psd-hs-empty", "beckner-nu-weights-half",
+        "ab_psd-overflow", "char_gram_psd-overflow", "g_lambda-lambda-negative", "g_lambda-lambda-zero",
+        "oracle-nodes-miss-the-mass"])
 def test_cli_check_rejects_params_it_cannot_compute(capsys, name, params, message):
     assert main(["check", name, "--params", json.dumps(params)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
