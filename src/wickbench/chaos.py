@@ -56,14 +56,18 @@ def fill(obj, **fields):
 
 def is_real(value) -> bool:
     """A real number; bool is a numbers.Real subclass, but true is not an
-    alpha, a lambda or a tolerance."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    alpha, a lambda or a tolerance.  Exact floats and ints, what JSON
+    gives, skip the costly ABC test."""
+    kind = type(value)
+    return kind is float or kind is int or isinstance(value, numbers.Real) and kind is not bool
 
 
 def check_integer(value, what: str, low: int, nullable: bool = False):
     """ValueError unless value is an integer >= low, or None when nullable;
     bool is an int subclass, but true is not a count, and 1.9 and "1" are
     not 1."""
+    if type(value) is int and value >= low:  # what JSON gives, ahead of the ABC test
+        return
     if value is None and nullable:
         return
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:

@@ -160,10 +160,11 @@ def _translation(y: np.ndarray, top: int) -> np.ndarray:
     return binom * y[..., None, None] ** np.maximum(ks - ks[:, None], 0)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _chaos_forms(f: ChaosExpansion, nu: DiscreteMeasure, alpha) -> tuple[float, float, float]:
     """(int f^2 drho, int f o_a f drho, int |Df|^2 drho) of one chaos
     function, from the coefficient box of each translate f(. + y_i)
-    (module docstring)."""
+    (module docstring); OverflowError if a form is not finite."""
     idx = np.array(list(f.coeffs), dtype=int).reshape(len(f.coeffs), f.dim)
     top, n = int(idx.max(initial=0)), f.dim
     grid = np.indices((top + 1,) * n).reshape(n, (top + 1) ** n)
@@ -176,7 +177,10 @@ def _chaos_forms(f: ChaosExpansion, nu: DiscreteMeasure, alpha) -> tuple[float, 
     sq = fact * d.reshape(len(d), -1) ** 2
     deg = grid.sum(axis=0).astype(float)
     # one reduction per form, so that at a = 1 int f o_a f is bitwise int f^2
-    return tuple(float(nu.weights @ (sq @ w)) for w in (np.ones(len(deg)), float(alpha) ** deg, deg))
+    forms = tuple(float(nu.weights @ (sq @ w)) for w in (np.ones(len(deg)), float(alpha) ** deg, deg))
+    if not all(map(math.isfinite, forms)):
+        raise OverflowError(f"chaos forms (int f^2, int f o_a f, int |Df|^2) overflow: {forms}")
+    return forms
 
 
 def _deficit_grams(fs, nus, alphas) -> list:

@@ -52,16 +52,27 @@ def _cmd_run(args) -> int:
         cfg.tolerances = {**cfg.tolerances, "exact": args.tol}
     cfg.validate()
     out_dir = args.out or cfg.out or "."
-    rendered = run_rendered(cfg, jobs=args.jobs)
-    json_path, csv_path = write_rendered(rendered, out_dir)
-    failures = [line for line, _, passed in rendered if not passed]
-    for line in failures[:20]:
+    rows, failed, shown = 0, 0, []  # shown: the first 20 FAIL lines
+
+    def counted(chunks):
+        nonlocal rows, failed
+        for chunk in chunks:
+            rows += len(chunk)
+            for line, _, passed in chunk:
+                if not passed:
+                    failed += 1
+                    if len(shown) < 20:
+                        shown.append(line)
+            yield chunk
+
+    json_path, csv_path = write_rendered(counted(run_rendered(cfg, jobs=args.jobs, chunks=True)), out_dir)
+    for line in shown:
         row = json.loads(line)
         print(f"FAIL {row['check']} gap={row['gap']!r} tol={row['tolerance']!r}", file=sys.stderr)
-    if len(failures) > 20:
-        print(f"... and {len(failures) - 20} more failures", file=sys.stderr)
-    print(f"{len(rendered)} rows, {len(failures)} failed; wrote {json_path} and {csv_path}")
-    return 1 if failures else 0
+    if failed > 20:
+        print(f"... and {failed - 20} more failures", file=sys.stderr)
+    print(f"{rows} rows, {failed} failed; wrote {json_path} and {csv_path}")
+    return 1 if failed else 0
 
 
 def _cmd_check(args) -> int:

@@ -4,22 +4,32 @@ degree of parallelism.
 
 Each task is a plain dict (check name + JSON parameters) and pure: the
 same task always produces the same rows.  A chunk is a slice of one
-check's tasks: run_rendered cuts each configured check's tasks, its grid
-params then its random sweeps, into slices and sends out each as (check,
-grid params, sweep range) with the config and tolerances.  Whoever runs a
-chunk (a pool worker at jobs > 1, this process otherwise) expands it with
-_tasks, the routine build_tasks is built from, and gives the tasks to the
-check's spec.run in one call.  The harness groups tasks by check only: the
-JSON parsers stack them by JSON shape, and the kernels by canonical shape.
-The rows are at once rendered with _render, the renderer write_reports
-uses, into report.json and report.csv lines.  So rows cross the process
-boundary as text, and the parent joins the chunks in order and writes that
-text: rows come in task order, build_tasks's, at any jobs.  run_suite
-decodes the text back into rows for library callers.
+check's tasks, at most CHUNK_TASKS long: run_rendered cuts each configured
+check's tasks, its grid params then its random sweeps, into slices and
+sends out each as (check, grid params, sweep range) with the config and
+tolerances.  Whoever runs a chunk (a pool worker at jobs > 1, this process
+otherwise) expands it with _tasks, the routine build_tasks is built from,
+and gives the tasks to the check's spec.run in one call.  The harness
+groups tasks by check only: the JSON parsers stack them by JSON shape, and
+the kernels by canonical shape.  The rows are at once rendered with
+_render, the renderer write_reports uses, into report.json and report.csv
+lines.  So rows cross the process boundary as text, and the chunks come
+back in task order, build_tasks's, at any jobs: at jobs > 1 the pool's map
+hands over chunk k while the workers compute later chunks.
+
+`wickbench run` streams: write_rendered writes each chunk's lines into
+temporary files in the output directory as the chunk comes back, and only
+after the last chunk moves them over report.json and report.csv with
+os.replace.  So a run holds a chunk's rows, not the report, and the cap on
+a chunk's tasks keeps that bounded however many sweeps a config asks for.
+A run that raises removes its temporary files, and the output directory
+if it made it: an earlier report stays as it was.  run_suite decodes the
+text back into rows for library callers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field, fields
@@ -44,8 +54,13 @@ ALPHA_GRID = [i / 10 for i in range(11)]
 # The one JSON text of a value: sorted keys, no whitespace, and the C
 # encoder (JSONEncoder.encode takes it when indent is None; json.dump never
 # does).  report.json rows, report.csv params cells and the lines
-# `wickbench check` prints are all this text.
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# `wickbench check` prints are all this text.  Each value is a tree a
+# runner builds, never circular, so the encoder skips its cycle check.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False).encode
+
+# the most tasks in one chunk, so that a chunk's working set does not grow
+# with random_sweeps
+CHUNK_TASKS = 500
 
 # integer config fields: (key, smallest allowed value, null allowed)
 _INT_FIELDS = (
@@ -138,10 +153,23 @@ def build_tasks(cfg: SuiteConfig) -> list[dict]:
             for name, grid, sweeps in _runs(cfg) for params in _tasks(cfg, name, grid, sweeps)]
 
 
+# set in a pool worker: the Event its parent sets once a chunk has raised
+_STOP = None
+
+
+def _watch(stop):
+    """Pool worker initializer: keep the parent's stop Event."""
+    global _STOP
+    _STOP = stop
+
+
 def _run_chunk(chunk) -> list[tuple[str, str, bool]]:
     """Give a chunk's tasks, a slice of one check's, to the check's
     spec.run in one call and render their rows at once: the chunk's
-    rendered rows, in task order."""
+    rendered rows, in task order.  In a worker whose parent has seen a
+    chunk raise, nothing runs: the parent reads no more chunks."""
+    if _STOP is not None and _STOP.is_set():
+        return []
     cfg, tols, name, grid, sweeps = chunk
     tasks = _tasks(cfg, name, grid, sweeps)
     try:
@@ -151,36 +179,54 @@ def _run_chunk(chunk) -> list[tuple[str, str, bool]]:
     return list(_render([r.negated() if cfg.negate else r for rows in results for r in rows]))
 
 
-def run_rendered(cfg: SuiteConfig, jobs: int = 1) -> list[tuple[str, str, bool]]:
-    """Run all tasks; returns each row's (report.json line, report.csv
-    line, pass), in task order.
-
-    The workers are jobs, but never more than the tasks or the CPUs this
-    process may run on (its affinity set, or os.cpu_count() where the
-    platform has none).  A chunk is a slice of one check's tasks, at most
-    ceil(tasks / (4 * workers)) long, so there are at most 4 * workers
-    chunks plus one per check; they run in a pool of that many workers,
-    or in this process when there is one.  A task that raises one of
-    INPUT_ERRORS raises ConfigError naming its check; any other exception
-    propagates as it is.  Either way nothing is returned, at any jobs.
-    """
+def _rendered_chunks(cfg: SuiteConfig, jobs: int):
+    """Yield each chunk's rendered rows, in task order (run_rendered)."""
     tols = resolve_tols(cfg.tolerances)
     runs = _runs(cfg)
     total = sum(len(grid) + len(sweeps) for _, grid, sweeps in runs)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = max(1, min(jobs, cpus, total))
-    size = max(1, -(-total // (4 * workers)))
+    size = max(1, min(CHUNK_TASKS, -(-total // (4 * workers))))
     chunks = [(cfg, tols, name, grid[i:i + size], sweeps[max(i - len(grid), 0):max(i + size - len(grid), 0)])
               for name, grid, sweeps in runs for i in range(0, len(grid) + len(sweeps), size)]
-    if workers > 1:
-        # imported here: the pool module costs every run some 15 ms to import
-        from concurrent.futures import ProcessPoolExecutor
+    if workers == 1:
+        yield from map(_run_chunk, chunks)
+        return
+    # imported here: the pool module costs every run some 15 ms to import
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import Event
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_run_chunk, chunks))
-    else:
-        done = list(map(_run_chunk, chunks))
-    return [row for chunk in done for row in chunk]
+    stop = Event()
+    with ProcessPoolExecutor(max_workers=workers, initializer=_watch, initargs=(stop,)) as pool:
+        try:
+            yield from pool.map(_run_chunk, chunks)
+        except BaseException:
+            # map cancels the chunks not yet handed to a worker; those a
+            # worker has queued return at once, so the pool shuts down
+            # after the chunks already running
+            stop.set()
+            raise
+
+
+def run_rendered(cfg: SuiteConfig, jobs: int = 1, *, chunks: bool = False):
+    """Run all tasks; returns each row's (report.json line, report.csv
+    line, pass), in task order.  With chunks=True, returns instead an
+    iterator over the chunks' lists of those rows, in task order, which
+    runs the chunks as it is read.
+
+    The workers are jobs, but never more than the tasks or the CPUs this
+    process may run on (its affinity set, or os.cpu_count() where the
+    platform has none).  A chunk is a slice of one check's tasks, at most
+    ceil(tasks / (4 * workers)) and CHUNK_TASKS long, so there are at most
+    4 * workers + tasks / CHUNK_TASKS chunks plus one per check; they run
+    in a pool of that many workers, or in this process when there is one.
+    A task that raises one of INPUT_ERRORS raises ConfigError naming its
+    check; any other exception propagates as it is.  Either way no later
+    chunk is returned, at any jobs, and the pool's workers start no chunk
+    after the parent has seen the error.
+    """
+    rendered = _rendered_chunks(cfg, jobs)
+    return rendered if chunks else [row for chunk in rendered for row in chunk]
 
 
 def run_suite(cfg: SuiteConfig, jobs: int = 1) -> tuple[list[InequalityReport], int]:
@@ -250,26 +296,56 @@ def _render(reports):
 _CSV_HEADER = "check,params,lhs,rhs,gap,tol,pass,method\n"
 
 
-def write_rendered(rendered, out_dir) -> tuple[str, str]:
-    """Write report.json and report.csv from a list of rendered rows,
-    (report.json line, report.csv line, pass) triples.
+def _missing_dirs(path) -> list[str]:
+    """path and its ancestors that do not exist yet, deepest first."""
+    missing, path = [], os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
+def write_rendered(chunks, out_dir) -> tuple[str, str]:
+    """Write report.json and report.csv from chunks of rendered rows,
+    (report.json line, report.csv line, pass) triples, each chunk written
+    as it is read.
 
     report.json is a JSON array with one row per line: ``[``, then each
     row's line, the lines separated by commas, then ``]``; no rows give
-    ``[]``.
+    ``[]``.  Both files are written under temporary names in out_dir and
+    replace report.json and report.csv only once the last chunk is in.
+    If anything raises, the temporary files go, and so do out_dir and
+    the parents this call made: the files there stay as they were.
     """
+    made = _missing_dirs(out_dir)
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, "report.json")
     csv_path = os.path.join(out_dir, "report.csv")
-    with open(json_path, "w") as json_fh, open(csv_path, "w", newline="") as csv_fh:
-        json_fh.writelines((",\n" if i else "[\n") + line for i, (line, _, _) in enumerate(rendered))
-        json_fh.write("\n]\n" if rendered else "[]\n")
-        csv_fh.write(_CSV_HEADER)
-        csv_fh.writelines(line for _, line, _ in rendered)
+    temps = [os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in ("report.json", "report.csv")]
+    try:
+        with open(temps[0], "w") as json_fh, open(temps[1], "w", newline="") as csv_fh:
+            csv_fh.write(_CSV_HEADER)
+            sep = "[\n"
+            for chunk in chunks:
+                for line, csv_line, _ in chunk:
+                    json_fh.write(sep + line)
+                    csv_fh.write(csv_line)
+                    sep = ",\n"
+            json_fh.write("[]\n" if sep == "[\n" else "\n]\n")
+        os.replace(temps[0], json_path)
+        os.replace(temps[1], csv_path)
+    except BaseException:
+        for path in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        for path in made:
+            with contextlib.suppress(OSError):  # not empty: someone else writes there too
+                os.rmdir(path)
+        raise
     return json_path, csv_path
 
 
 def write_reports(reports, out_dir) -> tuple[str, str]:
     """Write report.json and report.csv for rows: run_rendered's renderer,
     then write_rendered.  Byte-deterministic for given rows."""
-    return write_rendered(list(_render(reports)), out_dir)
+    return write_rendered([_render(reports)], out_dir)

@@ -17,7 +17,7 @@ from wickbench import (
     number_apply,
     ou_apply,
 )
-from wickbench.chaos import chaos_from_json, index_factorial, multi_index, multi_indices
+from wickbench.chaos import check_integer, chaos_from_json, index_factorial, is_real, multi_index, multi_indices
 
 from reference_routes import integrate_mu
 
@@ -183,6 +183,21 @@ def test_gamma_apply_refuses_what_is_not_a_finite_lambda(lam):
     # NaN, which the constructor dropped: gamma_apply(nan, 1 + 0.5 He_2) was 1
     with pytest.raises(ValueError, match="lambda must be a finite number >= 0"):
         gamma_apply(lam, ChaosExpansion(1, {(0,): 1.0, (2,): 0.5}))
+
+
+@pytest.mark.parametrize("value, real, integer", [
+    (2, True, True), (0.5, True, False), (np.float64(0.5), True, False), (np.int64(2), True, True),
+    (-1, True, False), (True, False, False), (False, False, False), ("1", False, False), (None, False, False),
+])
+def test_scalar_guards_keep_their_verdicts(value, real, integer):
+    # exact floats and ints take a fast path; bools and numpy scalars the
+    # numbers ABC test, with the verdicts they had
+    assert is_real(value) is real
+    if integer:
+        check_integer(value, "count", 0)
+    else:
+        with pytest.raises(ValueError, match="count must be an integer >= 0"):
+            check_integer(value, "count", 0)
 
 
 def test_gamma_semigroup_and_linearity():

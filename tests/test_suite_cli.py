@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -460,7 +461,7 @@ def test_jobs_never_asks_for_more_workers_than_cpus(monkeypatch):
     asked, chunks = [], []
 
     class FakePool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **options):
             asked.append(max_workers)
 
         def __enter__(self):
@@ -687,6 +688,81 @@ def test_cli_run_task_crash_exits_two_and_writes_nothing(tmp_path, capsys, monke
     assert not (tmp_path / "out").exists()
 
 
+def test_a_raising_chunk_stops_the_chunks_queued_behind_it(tmp_path, capsys, monkeypatch):
+    # 16 tasks at --jobs 2 come in 8 chunks of 2; the first raises at once
+    # and the others take a second each.  The pool's map cancels the chunks
+    # no worker holds, but the workers had queued three more, and 6 of the
+    # 8 ran before exit 2.  Now a worker starts no chunk once the parent
+    # has seen the error: only chunk 0 and the one chunk each worker began
+    # before that run.  Forked workers inherit the patch.
+    markers = tmp_path / "markers"
+    markers.mkdir()
+
+    def run(tasks, tols):
+        first = tasks[0]["sweep"]
+        (markers / str(first)).touch()
+        if first == 0:
+            raise RuntimeError("first chunk crashed")
+        time.sleep(1.0)
+        return [[] for _ in tasks]
+
+    monkeypatch.setitem(CHECK_REGISTRY, "g_lambda_bound", CHECK_REGISTRY["g_lambda_bound"]._replace(run=run))
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"checks": ["g_lambda_bound"], "random_sweeps": 16}))
+    code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--jobs", "2"])
+    assert code == 2
+    assert "RuntimeError: first chunk crashed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    ran = sorted(int(name) for name in os.listdir(markers))
+    assert ran[0] == 0 and len(ran) <= 3, ran
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_run_that_fails_in_a_later_chunk_leaves_the_old_report(tmp_path, capsys, monkeypatch, jobs):
+    # the beckner_deficit chunks come first and are written; a covariance
+    # chunk then raises.  The report of an earlier run keeps its bytes, and
+    # the run leaves no file behind, nor a directory it made
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "report.json").write_text("[]\n")
+    (out / "report.csv").write_text("earlier\n")
+    seen = tmp_path / "seen.json"
+
+    def crash(tasks, tols):
+        if not seen.exists():
+            seen.write_text(json.dumps(sorted(os.listdir(out))))
+        raise RuntimeError("later chunk crashed")
+
+    monkeypatch.setitem(CHECK_REGISTRY, "covariance", CHECK_REGISTRY["covariance"]._replace(run=crash))
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"checks": ["beckner_deficit", "covariance"], "random_sweeps": 4}))
+    for target in (out, tmp_path / "new" / "deeper"):
+        code = main(["run", "--config", str(cfg_path), "--out", str(target), "--jobs", str(jobs)])
+        assert code == 2
+        assert "RuntimeError: later chunk crashed" in capsys.readouterr().err
+    # the run had its two temporary files open beside the old report
+    assert len(json.loads(seen.read_text())) == 4
+    assert _report_bytes(out) == (b"[]\n", b"earlier\n")
+    assert sorted(os.listdir(out)) == ["report.csv", "report.json"]
+    assert not (tmp_path / "new").exists()
+
+
+def test_a_chunk_holds_at_most_chunk_tasks_tasks(monkeypatch):
+    # the cap, not the cut into 4 chunks per worker, sets a large sweep's
+    # chunks; the rows do not change
+    cfg = SuiteConfig.from_json_dict({"seed": 11, "checks": ["g_lambda_bound"], "random_sweeps": 10})
+    whole = run_rendered(cfg)
+    sizes, run = [], CHECK_REGISTRY["g_lambda_bound"].run
+    monkeypatch.setitem(CHECK_REGISTRY, "g_lambda_bound", CHECK_REGISTRY["g_lambda_bound"]._replace(
+        run=lambda tasks, tols: sizes.append(len(tasks)) or run(tasks, tols)))
+    assert run_rendered(cfg) == whole
+    assert sizes == [3, 3, 3, 1]
+    monkeypatch.setattr(suite, "CHUNK_TASKS", 2)
+    chunks = list(run_rendered(cfg, chunks=True))
+    assert [row for chunk in chunks for row in chunk] == whole
+    assert sizes[4:] == [len(chunk) for chunk in chunks] == [2] * 5
+
+
 def test_holder_grid_in_dim4_runs_where_every_norm_is_exact():
     # alpha 0 and 1 give p = q = 2 and 4, even powers with closed forms
     rows, code = run_suite(_small_config(checks=["holder"], alphas=[0.0, 1.0],
@@ -818,6 +894,11 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
     ("oracle_triangle", {"alpha": 0.5, "f": {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [8.0]}]},
                          "nu": {"dim": 1, "atoms": [[-4.82]], "weights": [1.0]}},
      "quadrature nodes miss the mass at order 30: tail term t = 1 > 1/2"),
+    # the chaos kernel reached "non-finite side" through numpy overflow
+    # warnings, which tier-1 raises as errors
+    ("beckner_deficit", {"alpha": 0.5, "f": {"kind": "chaos", "dim": 1, "terms": [{"m": [170], "c": 1.0}]},
+                         "nu": {"dim": 1, "atoms": [[3.0]], "weights": [1.0]}},
+     "chaos forms (int f^2, int f o_a f, int |Df|^2) overflow: (inf, inf, inf)"),
 ], ids=["holder-overflow", "g_lambda-nan", "g_lambda-inf", "char_gram-nan", "char_gram-inf",
         "ab-nan", "ab-inf", "holder-inf-p", "g_lambda-overflow", "beckner-overflow",
         "covariance-overflow", "holder-chaos", "strong_positivity-chaos", "covariance-chaos",
@@ -826,7 +907,7 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
         "holder-alpha-bool", "strong_positivity-alpha-above-one", "g_lambda-lambda-bool",
         "holder-r-bool", "ab_psd-hs-empty", "char_gram_psd-hs-empty", "beckner-nu-weights-half",
         "ab_psd-overflow", "char_gram_psd-overflow", "g_lambda-lambda-negative", "g_lambda-lambda-zero",
-        "oracle-nodes-miss-the-mass"])
+        "oracle-nodes-miss-the-mass", "beckner-chaos-overflow"])
 def test_cli_check_rejects_params_it_cannot_compute(capsys, name, params, message):
     assert main(["check", name, "--params", json.dumps(params)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
