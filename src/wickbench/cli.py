@@ -65,7 +65,7 @@ def _cmd_run(args) -> int:
                         shown.append(line)
             yield chunk
 
-    json_path, csv_path = write_rendered(counted(run_rendered(cfg, jobs=args.jobs, chunks=True)), out_dir)
+    json_path, csv_path = write_rendered(counted(run_rendered(cfg, jobs=args.jobs)), out_dir)
     for line in shown:
         row = json.loads(line)
         print(f"FAIL {row['check']} gap={row['gap']!r} tol={row['tolerance']!r}", file=sys.stderr)

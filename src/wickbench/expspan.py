@@ -176,7 +176,8 @@ def _stack(values, attr: str, idx) -> np.ndarray:
 
 def products_exp(fs, gs, scales) -> list[ExpCombo]:
     """f_t o g_t per task: weights w_j v_k e^{scale_t <h_j,k_k>} and
-    directions h_j + k_k, each shape of (f, g) as one stack."""
+    directions h_j + k_k, each shape of (f, g) as one stack;
+    OverflowError if a product term is not finite."""
     for f, g in zip(fs, gs):
         check_dims(f, g)
 
@@ -186,8 +187,11 @@ def products_exp(fs, gs, scales) -> list[ExpCombo]:
         same = fs[idx[0]] is gs[idx[0]]
         gw, gd = (fw, fd) if same else (_stack(gs, "weights", idx), _stack(gs, "directions", idx))
         scale = np.array([float(scales[i]) for i in idx])[:, None, None]
-        w = fw[:, :, None] * gw[:, None, :] * np.exp(scale * (fd @ gd.transpose(0, 2, 1)))
-        d = fd[:, :, None, :] + gd[:, None, :, :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = fw[:, :, None] * gw[:, None, :] * np.exp(scale * (fd @ gd.transpose(0, 2, 1)))
+            d = fd[:, :, None, :] + gd[:, None, :, :]
+        if not (np.isfinite(w).all() and np.isfinite(d).all()):
+            raise OverflowError("exponential product overflows: a weight or direction is not finite")
         dim = fd.shape[2]
         return exp_combos(dim, w.reshape(len(idx), -1), d.reshape(len(idx), -1, dim))
 

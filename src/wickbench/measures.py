@@ -151,6 +151,7 @@ def g_lambda_norms(nus, lams) -> list[tuple[float, float]]:
     harness checks it with a tolerance).  Each shape of nu is one stack,
     and only the last sums run per task.  lambda <= 0 is refused (the sums
     read lambda^2 only); lambda in (0, 1) runs, with a UserWarning.
+    OverflowError if a sum is not finite.
     """
     for lam in lams:
         if not is_real(lam) or not math.isfinite(lam):
@@ -163,9 +164,14 @@ def g_lambda_norms(nus, lams) -> list[tuple[float, float]]:
     def run(idx):
         y, p = _stack(nus, "atoms", idx), _stack(nus, "weights", idx)
         lam2 = np.array([float(lams[i]) ** 2 for i in idx])
-        grams = np.exp(lam2[:, None, None] * (y @ y.transpose(0, 2, 1)))
-        tails = np.exp((0.5 * lam2)[:, None] * np.sum(y**2, axis=2))
-        return [(float(pt @ g @ pt), float(pt @ e)) for pt, g, e in zip(p, grams, tails)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            grams = np.exp(lam2[:, None, None] * (y @ y.transpose(0, 2, 1)))
+            tails = np.exp((0.5 * lam2)[:, None] * np.sum(y**2, axis=2))
+            sums = [(float(pt @ g @ pt), float(pt @ e)) for pt, g, e in zip(p, grams, tails)]
+        for pair in sums:
+            if not all(map(math.isfinite, pair)):
+                raise OverflowError(f"G_lambda sums (norm_sq, bound) overflow: {pair}")
+        return sums
 
     return per_shape([(nu.n_atoms, nu.dim) for nu in nus], run)
 

@@ -13,9 +13,12 @@ and gives the tasks to the check's spec.run in one call.  The harness
 groups tasks by check only: the JSON parsers stack them by JSON shape, and
 the kernels by canonical shape.  The rows are at once rendered with
 _render, the renderer write_reports uses, into report.json and report.csv
-lines.  So rows cross the process boundary as text, and the chunks come
-back in task order, build_tasks's, at any jobs: at jobs > 1 the pool's map
-hands over chunk k while the workers compute later chunks.
+lines.  So rows cross the process boundary as text.  run_rendered yields
+the chunks in task order, build_tasks's, at any jobs: at jobs > 1 a
+multiprocessing.Pool's imap hands back chunk k while the workers compute
+later chunks.  A chunk that raises leaves run_rendered through the pool's
+with block, whose exit terminates the workers at once: no chunk runs on
+after the parent has seen the error.
 
 `wickbench run` streams: write_rendered writes each chunk's lines into
 temporary files in the output directory as the chunk comes back, and only
@@ -153,23 +156,10 @@ def build_tasks(cfg: SuiteConfig) -> list[dict]:
             for name, grid, sweeps in _runs(cfg) for params in _tasks(cfg, name, grid, sweeps)]
 
 
-# set in a pool worker: the Event its parent sets once a chunk has raised
-_STOP = None
-
-
-def _watch(stop):
-    """Pool worker initializer: keep the parent's stop Event."""
-    global _STOP
-    _STOP = stop
-
-
 def _run_chunk(chunk) -> list[tuple[str, str, bool]]:
     """Give a chunk's tasks, a slice of one check's, to the check's
     spec.run in one call and render their rows at once: the chunk's
-    rendered rows, in task order.  In a worker whose parent has seen a
-    chunk raise, nothing runs: the parent reads no more chunks."""
-    if _STOP is not None and _STOP.is_set():
-        return []
+    rendered rows, in task order."""
     cfg, tols, name, grid, sweeps = chunk
     tasks = _tasks(cfg, name, grid, sweeps)
     try:
@@ -179,8 +169,34 @@ def _run_chunk(chunk) -> list[tuple[str, str, bool]]:
     return list(_render([r.negated() if cfg.negate else r for rows in results for r in rows]))
 
 
-def _rendered_chunks(cfg: SuiteConfig, jobs: int):
-    """Yield each chunk's rendered rows, in task order (run_rendered)."""
+def _terminable():
+    """Pool worker initializer: the SIGTERM by which the pool's exit stops
+    its workers ends this one, whatever handler, SIG_IGN or mask it had
+    from its parent (a worker that outlives it holds the parent's join)."""
+    import signal
+
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, [signal.SIGTERM])
+
+
+def run_rendered(cfg: SuiteConfig, jobs: int = 1):
+    """Run all tasks, a chunk at a time; yields each chunk's rows, each
+    row's (report.json line, report.csv line, pass), in task order.
+
+    The workers are jobs, but never more than the tasks or the CPUs this
+    process may run on (its affinity set, or os.cpu_count() where the
+    platform has none).  A chunk is a slice of one check's tasks, at most
+    ceil(tasks / (4 * workers)) and CHUNK_TASKS long, so there are at most
+    4 * workers + tasks / CHUNK_TASKS chunks plus one per check.  With one
+    worker the chunks run in this process as they are read; with more, a
+    multiprocessing.Pool's imap runs them and hands them back in order.
+    A task that raises one of INPUT_ERRORS raises ConfigError naming its
+    check, a worker killed from outside ChildProcessError; any other
+    exception propagates as it is, and no later chunk is yielded.  The
+    pool's exit terminates its workers, whatever this process does with
+    SIGTERM: none runs on after an error or after the caller closes this
+    generator.
+    """
     tols = resolve_tols(cfg.tolerances)
     runs = _runs(cfg)
     total = sum(len(grid) + len(sweeps) for _, grid, sweeps in runs)
@@ -193,40 +209,21 @@ def _rendered_chunks(cfg: SuiteConfig, jobs: int):
         yield from map(_run_chunk, chunks)
         return
     # imported here: the pool module costs every run some 15 ms to import
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import Event
+    import multiprocessing
 
-    stop = Event()
-    with ProcessPoolExecutor(max_workers=workers, initializer=_watch, initargs=(stop,)) as pool:
-        try:
-            yield from pool.map(_run_chunk, chunks)
-        except BaseException:
-            # map cancels the chunks not yet handed to a worker; those a
-            # worker has queued return at once, so the pool shuts down
-            # after the chunks already running
-            stop.set()
-            raise
-
-
-def run_rendered(cfg: SuiteConfig, jobs: int = 1, *, chunks: bool = False):
-    """Run all tasks; returns each row's (report.json line, report.csv
-    line, pass), in task order.  With chunks=True, returns instead an
-    iterator over the chunks' lists of those rows, in task order, which
-    runs the chunks as it is read.
-
-    The workers are jobs, but never more than the tasks or the CPUs this
-    process may run on (its affinity set, or os.cpu_count() where the
-    platform has none).  A chunk is a slice of one check's tasks, at most
-    ceil(tasks / (4 * workers)) and CHUNK_TASKS long, so there are at most
-    4 * workers + tasks / CHUNK_TASKS chunks plus one per check; they run
-    in a pool of that many workers, or in this process when there is one.
-    A task that raises one of INPUT_ERRORS raises ConfigError naming its
-    check; any other exception propagates as it is.  Either way no later
-    chunk is returned, at any jobs, and the pool's workers start no chunk
-    after the parent has seen the error.
-    """
-    rendered = _rendered_chunks(cfg, jobs)
-    return rendered if chunks else [row for chunk in rendered for row in chunk]
+    others = set(multiprocessing.active_children())
+    with multiprocessing.Pool(workers, initializer=_terminable) as pool:
+        started = set(multiprocessing.active_children()) - others
+        rendered = pool.imap(_run_chunk, chunks)
+        for k in range(len(chunks)):
+            # imap waits for ever on a killed worker's chunk (the pool
+            # replaces the worker only), so the wait checks them each second
+            while True:
+                with contextlib.suppress(multiprocessing.TimeoutError):
+                    yield rendered.next(timeout=1.0)
+                    break
+                if not all(p.is_alive() for p in started):
+                    raise ChildProcessError(f"a pool worker died before chunk {k} came back")
 
 
 def run_suite(cfg: SuiteConfig, jobs: int = 1) -> tuple[list[InequalityReport], int]:
@@ -236,7 +233,7 @@ def run_suite(cfg: SuiteConfig, jobs: int = 1) -> tuple[list[InequalityReport], 
     equal run_check's rows field for field; rows that shared one params
     object get equal copies.  Raises as run_rendered does.
     """
-    reports = [InequalityReport.from_json_line(line) for line, _, _ in run_rendered(cfg, jobs)]
+    reports = [InequalityReport.from_json_line(line) for chunk in run_rendered(cfg, jobs) for line, _, _ in chunk]
     return reports, 0 if all(r.passed for r in reports) else 1
 
 

@@ -1,16 +1,18 @@
 """Harness behavior: config validation, task expansion, determinism, CLI codes."""
 
-import concurrent.futures
 import csv
 import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -223,6 +225,11 @@ def _row_fields(row):
             repr(row.tolerance), row.passed, row.method_lhs, row.method_rhs)
 
 
+def _rendered(cfg, jobs=1):
+    # run_rendered's rows, its chunks flattened
+    return [row for chunk in run_rendered(cfg, jobs) for row in chunk]
+
+
 def _report_bytes(out_dir):
     return tuple((out_dir / name).read_bytes() for name in ("report.json", "report.csv"))
 
@@ -329,7 +336,7 @@ def test_buckets_write_the_bytes_of_one_task_at_a_time(tmp_path, capsys, monkeyp
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("check, functions, message", [
-    pytest.param("holder", [E_ONE, E_HUGE], "holder task cannot run: math range error", marks=OVERFLOWS),
+    ("holder", [E_ONE, E_HUGE], "holder task cannot run: exponential product overflows"),
     pytest.param("beckner_deficit", [E_ONE, {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [40.0]}]}],
                  "beckner_deficit task cannot run: beckner_deficit has a non-finite side", marks=OVERFLOWS),
 ], ids=["holder-overflow", "beckner-overflow"])
@@ -447,22 +454,24 @@ def test_reports_byte_identical_across_jobs(tmp_path):
         for jobs in (1, 2, 3):
             out = tmp_path / f"cfg{k}-jobs{jobs}"
             rows, _ = run_suite(cfg, jobs=jobs)
-            jp, cp = write_reports(rows, out)
-            blobs[jobs] = (open(jp, "rb").read(), open(cp, "rb").read())
+            write_reports(rows, out)
+            blobs[jobs] = _report_bytes(out)
+            # the pool's exit terminated and joined its workers
+            assert multiprocessing.active_children() == []
         assert blobs[1] == blobs[2] == blobs[3]
 
 
 def test_jobs_never_asks_for_more_workers_than_cpus(monkeypatch):
-    # under the fork start method a pool forks every worker it is given on
-    # its first submit, so a large --jobs must not set the worker count,
+    # under the fork start method a pool forks every worker it is given
+    # when it starts, so a large --jobs must not set the worker count,
     # nor the number of chunks (each pays for the config's pickle and a
     # block of uniforms per check); the fake pool runs the chunks here and
     # starts no process
     asked, chunks = [], []
 
     class FakePool:
-        def __init__(self, max_workers, **options):
-            asked.append(max_workers)
+        def __init__(self, processes, **options):
+            asked.append(processes)
 
         def __enter__(self):
             return self
@@ -470,17 +479,19 @@ def test_jobs_never_asks_for_more_workers_than_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def imap(self, fn, items):
+            # what run_rendered reads of imap's iterator: next(timeout)
             items = list(items)
             chunks.append(len(items))
-            return map(fn, items)
+            results = map(fn, items)
+            return SimpleNamespace(next=lambda timeout: next(results))
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     # the CPUs this process may run on, as run_rendered counts them
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     cfg = _small_config(checks=["beckner_deficit", "g_lambda_bound"], random_sweeps=2 * cpus + 1)
     assert len(build_tasks(cfg)) > 4 * cpus
-    assert run_rendered(cfg, 100_000) == run_rendered(cfg, 1)
+    assert _rendered(cfg, 100_000) == _rendered(cfg, 1)
     assert all(n <= cpus for n in asked)
     assert len(asked) == (1 if cpus > 1 else 0)
     assert all(n <= 4 * cpus for n in chunks)
@@ -493,10 +504,10 @@ def test_jobs_counts_only_the_cpus_this_process_may_use(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a pool was started on one allowed CPU")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     cfg = _small_config(checks=["beckner_deficit", "g_lambda_bound"], random_sweeps=5)
-    assert run_rendered(cfg, 2) == run_rendered(cfg, 1)
+    assert _rendered(cfg, 2) == _rendered(cfg, 1)
 
 
 def test_each_spec_run_call_gets_the_tasks_of_one_check(tmp_path, monkeypatch):
@@ -662,7 +673,7 @@ def test_cli_run_rejects_bad_scalar_fields(tmp_path, capsys, monkeypatch, overri
 
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("f, message", [(F_DIM4, "tensor quadrature is limited to n <= 3, got n=4"),
-                                        pytest.param(E_HUGE, "math range error", marks=OVERFLOWS)],
+                                        (E_HUGE, "exponential product overflows")],
                          ids=["dim4", "overflow"])
 def test_run_suite_names_the_check_of_a_task_that_cannot_run(jobs, f, message):
     # the config loads; its grid task raises when it runs
@@ -686,15 +697,17 @@ def test_cli_run_task_crash_exits_two_and_writes_nothing(tmp_path, capsys, monke
     assert "Traceback" in err and "RuntimeError: task crashed" in err
     assert "config error" not in err
     assert not (tmp_path / "out").exists()
+    # at --jobs 2 the pool's exit terminated and joined its workers
+    assert multiprocessing.active_children() == []
 
 
 def test_a_raising_chunk_stops_the_chunks_queued_behind_it(tmp_path, capsys, monkeypatch):
     # 16 tasks at --jobs 2 come in 8 chunks of 2; the first raises at once
-    # and the others take a second each.  The pool's map cancels the chunks
-    # no worker holds, but the workers had queued three more, and 6 of the
-    # 8 ran before exit 2.  Now a worker starts no chunk once the parent
-    # has seen the error: only chunk 0 and the one chunk each worker began
-    # before that run.  Forked workers inherit the patch.
+    # and the others take a second each, then leave a "done" marker.  The
+    # error leaves the pool's with block, whose exit terminates the workers:
+    # only chunk 0 and the one chunk each worker began before that start,
+    # and none of them ends, then or later.  Forked workers inherit the
+    # patch.
     markers = tmp_path / "markers"
     markers.mkdir()
 
@@ -704,6 +717,7 @@ def test_a_raising_chunk_stops_the_chunks_queued_behind_it(tmp_path, capsys, mon
         if first == 0:
             raise RuntimeError("first chunk crashed")
         time.sleep(1.0)
+        (markers / f"done{first}").touch()
         return [[] for _ in tasks]
 
     monkeypatch.setitem(CHECK_REGISTRY, "g_lambda_bound", CHECK_REGISTRY["g_lambda_bound"]._replace(run=run))
@@ -713,8 +727,87 @@ def test_a_raising_chunk_stops_the_chunks_queued_behind_it(tmp_path, capsys, mon
     assert code == 2
     assert "RuntimeError: first chunk crashed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-    ran = sorted(int(name) for name in os.listdir(markers))
+    assert multiprocessing.active_children() == []
+    names = os.listdir(markers)
+    ran = sorted(int(name) for name in names if name.isdigit())
     assert ran[0] == 0 and len(ran) <= 3, ran
+    assert [name for name in names if name.startswith("done")] == []
+    time.sleep(1.5)
+    assert [name for name in os.listdir(markers) if name.startswith("done")] == []
+
+
+def test_a_caller_that_stops_reading_stops_the_workers():
+    # closing run_rendered after its first chunk leaves the pool's with
+    # block, whose exit terminates the workers still computing later ones
+    cfg = _small_config(checks=["beckner_deficit", "g_lambda_bound"], random_sweeps=8)
+    chunks = run_rendered(cfg, 2)
+    first = next(chunks)
+    assert first and first == _rendered(cfg)[:len(first)]
+    chunks.close()
+    assert multiprocessing.active_children() == []
+
+
+POOL = pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                          reason="--jobs 2 starts no pool on one CPU")
+
+
+def _run_pool_child(tmp_path, run, setup=""):
+    # `wickbench run --jobs 2` of 16 g_lambda_bound tasks, 8 chunks of 2,
+    # whose spec.run begins with the lines `run`, in a child interpreter
+    # that first runs `setup`.  So that a hang fails here, at the timeout,
+    # the child has a session of its own: the timeout kills it and the
+    # pool workers it left, whose open stderr would hold the test for ever
+    code = ("import os, signal, sys, time\n"
+            "from wickbench import CHECK_REGISTRY\n"
+            "from wickbench.cli import main\n"
+            + setup + "\n"
+            "def run(tasks, tols):\n"
+            + run +
+            "    return [[] for _ in tasks]\n"
+            "CHECK_REGISTRY['g_lambda_bound'] = CHECK_REGISTRY['g_lambda_bound']._replace(run=run)\n"
+            "sys.exit(main(['run', '--config', sys.argv[1], '--out', sys.argv[2], '--jobs', '2']))\n")
+    cfg_path = tmp_path / "suite.json"
+    cfg_path.write_text(json.dumps({"checks": ["g_lambda_bound"], "random_sweeps": 16}))
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen([sys.executable, "-c", code, str(cfg_path), str(tmp_path / "out")],
+                                stdout=subprocess.DEVNULL, stderr=err, env=_child_env(), start_new_session=True)
+        try:
+            proc.wait(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise
+        err.seek(0)
+        return proc.returncode, err.read()
+
+
+@POOL
+def test_a_killed_worker_exits_two(tmp_path):
+    # a worker killed from outside (here by itself) takes its chunk with
+    # it, and imap alone waits for ever: the run must exit 2 instead
+    code, err = _run_pool_child(tmp_path, "    if tasks[0]['sweep'] == 2:\n"
+                                          "        os.kill(os.getpid(), signal.SIGKILL)\n")
+    assert code == 2, err
+    assert "ChildProcessError: a pool worker died before chunk 1 came back" in err
+    assert not (tmp_path / "out").exists()
+
+
+@POOL
+@pytest.mark.parametrize("setup", ["signal.signal(signal.SIGTERM, lambda *args: None)",
+                                   "signal.signal(signal.SIGTERM, signal.SIG_IGN)",
+                                   "signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGTERM])"],
+                         ids=["handled", "ignored", "blocked"])
+def test_a_raising_chunk_ends_the_run_whatever_the_parent_does_with_sigterm(tmp_path, setup):
+    # the pool's exit terminates its workers by SIGTERM, and a forked
+    # worker inherits its parent's handler, SIG_IGN or blocked mask: a
+    # worker that outlived the SIGTERM left the parent in the pool's join
+    # for ever (a test runner that handles SIGTERM hung this way)
+    code, err = _run_pool_child(tmp_path, "    if tasks[0]['sweep'] == 0:\n"
+                                          "        raise RuntimeError('first chunk crashed')\n"
+                                          "    time.sleep(1.0)\n", setup)
+    assert code == 2, err
+    assert "RuntimeError: first chunk crashed" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -751,14 +844,14 @@ def test_a_chunk_holds_at_most_chunk_tasks_tasks(monkeypatch):
     # the cap, not the cut into 4 chunks per worker, sets a large sweep's
     # chunks; the rows do not change
     cfg = SuiteConfig.from_json_dict({"seed": 11, "checks": ["g_lambda_bound"], "random_sweeps": 10})
-    whole = run_rendered(cfg)
+    whole = _rendered(cfg)
     sizes, run = [], CHECK_REGISTRY["g_lambda_bound"].run
     monkeypatch.setitem(CHECK_REGISTRY, "g_lambda_bound", CHECK_REGISTRY["g_lambda_bound"]._replace(
         run=lambda tasks, tols: sizes.append(len(tasks)) or run(tasks, tols)))
-    assert run_rendered(cfg) == whole
+    assert _rendered(cfg) == whole
     assert sizes == [3, 3, 3, 1]
     monkeypatch.setattr(suite, "CHUNK_TASKS", 2)
-    chunks = list(run_rendered(cfg, chunks=True))
+    chunks = list(run_rendered(cfg))
     assert [row for chunk in chunks for row in chunk] == whole
     assert sizes[4:] == [len(chunk) for chunk in chunks] == [2] * 5
 
@@ -830,7 +923,7 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
 
 
 @pytest.mark.parametrize("name, params, message", [
-    pytest.param("holder", {"alpha": 0.3, "f": E_HUGE}, "math range error", marks=OVERFLOWS),
+    ("holder", {"alpha": 0.3, "f": E_HUGE}, "exponential product overflows"),
     ("g_lambda_bound", {"nu": NU_SYM, "lambda": math.nan}, "lambda must be finite"),
     ("g_lambda_bound", {"nu": NU_SYM, "lambda": math.inf}, "lambda must be finite"),
     ("char_gram_psd", {"nu": NU_SYM, "hs": [[0.0], [math.nan]]}, "hs must be finite"),
@@ -841,8 +934,8 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
     ("holder", {"alpha": 0.5, "f": E_ONE, "p": math.inf, "q": 1.75, "r": 2.0},
      "p, q and r must be finite"),
     # a side past float range is no verdict: these printed FAIL, FAIL and PASS
-    pytest.param("g_lambda_bound", {"nu": {"dim": 1, "atoms": [[1.5]], "weights": [1.0]}, "lambda": 40},
-                 "g_lambda_bound has a non-finite side: lhs=inf, rhs=inf", marks=OVERFLOWS),
+    ("g_lambda_bound", {"nu": {"dim": 1, "atoms": [[1.5]], "weights": [1.0]}, "lambda": 40},
+     "G_lambda sums (norm_sq, bound) overflow: (inf, inf)"),
     pytest.param("beckner_deficit",
                  {"alpha": 0.5, "f": {"kind": "exp", "dim": 1, "terms": [{"coef": 1.0, "h": [40.0]}]},
                   "nu": NU_ZERO},
@@ -899,6 +992,13 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
     ("beckner_deficit", {"alpha": 0.5, "f": {"kind": "chaos", "dim": 1, "terms": [{"m": [170], "c": 1.0}]},
                          "nu": {"dim": 1, "atoms": [[3.0]], "weights": [1.0]}},
      "chaos forms (int f^2, int f o_a f, int |Df|^2) overflow: (inf, inf, inf)"),
+    # the G_lambda sums reached "non-finite side" through numpy overflow warnings
+    ("g_lambda_bound", {"nu": NU_30, "lambda": 1.5}, "G_lambda sums (norm_sq, bound) overflow: (inf, inf)"),
+    # exp(0 * inf) gave the Wick product a NaN weight, which canonicalisation
+    # dropped: a FAIL row with gap -1, after numpy warnings
+    ("wick_density_identity", {"nu1": {"dim": 1, "atoms": [[1e200]], "weights": [1.0]},
+                               "nu2": {"dim": 1, "atoms": [[1e200]], "weights": [1.0]}},
+     "exponential product overflows: a weight or direction is not finite"),
 ], ids=["holder-overflow", "g_lambda-nan", "g_lambda-inf", "char_gram-nan", "char_gram-inf",
         "ab-nan", "ab-inf", "holder-inf-p", "g_lambda-overflow", "beckner-overflow",
         "covariance-overflow", "holder-chaos", "strong_positivity-chaos", "covariance-chaos",
@@ -907,7 +1007,8 @@ def test_cli_check_holder_rejects_inadmissible_exponents(capsys):
         "holder-alpha-bool", "strong_positivity-alpha-above-one", "g_lambda-lambda-bool",
         "holder-r-bool", "ab_psd-hs-empty", "char_gram_psd-hs-empty", "beckner-nu-weights-half",
         "ab_psd-overflow", "char_gram_psd-overflow", "g_lambda-lambda-negative", "g_lambda-lambda-zero",
-        "oracle-nodes-miss-the-mass", "beckner-chaos-overflow"])
+        "oracle-nodes-miss-the-mass", "beckner-chaos-overflow", "g_lambda-sums-overflow",
+        "wick_density-overflow"])
 def test_cli_check_rejects_params_it_cannot_compute(capsys, name, params, message):
     assert main(["check", name, "--params", json.dumps(params)]) == 2
     assert f"config error: {message}" in capsys.readouterr().err
@@ -960,8 +1061,8 @@ def test_mc_count_is_validated_and_read_by_no_check():
     base = {"seed": 2, "checks": list(CHECK_REGISTRY), "random_sweeps": 2}
     with pytest.raises(ConfigError, match="mc_count must be an integer >= 2"):
         SuiteConfig.from_json_dict({**base, "mc_count": 1})
-    reports = [run_rendered(SuiteConfig.from_json_dict({**base, "mc_count": count})) for count in (2, 10**9)]
-    assert reports[0] == reports[1] == run_rendered(SuiteConfig.from_json_dict(base))
+    reports = [_rendered(SuiteConfig.from_json_dict({**base, "mc_count": count})) for count in (2, 10**9)]
+    assert reports[0] == reports[1] == _rendered(SuiteConfig.from_json_dict(base))
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
@@ -999,9 +1100,9 @@ def _child_env():
 
 
 def test_process_pool_is_imported_only_where_it_starts():
-    # importing concurrent.futures' pool costs every run some 15 ms
+    # importing multiprocessing's pool costs every run some 15 ms
     code = ("import sys, wickbench, wickbench.cli\n"
-            "assert 'concurrent.futures.process' not in sys.modules, sorted(sys.modules)\n")
+            "assert 'multiprocessing.pool' not in sys.modules, sorted(sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
 
